@@ -40,9 +40,11 @@ def diff(base: dict, new: dict, better: dict[str, str]) -> list[str]:
     lines = [f"base: {base['command']}", f"new:  {new['command']}"]
     for tag, rec in (("base", base), ("new", new)):
         cal = rec["context"].get("calibration", {})
+        cpu = rec["context"].get("measure_cpu", {})
         lines.append(f"{tag} host: nproc={cal.get('nproc')} "
                      f"load1={cal.get('loadavg_1m', 0):.2f} "
-                     f"burn_cores={cal.get('burn_effective_cores', 0):.2f}")
+                     f"burn_cores={cal.get('burn_effective_cores', 0):.2f} "
+                     f"steal_while_timed={cpu.get('cpu_steal_pct', 0):.1f}%")
     names = list(base["metrics"]) + [m for m in new["metrics"]
                                      if m not in base["metrics"]]
     groups: dict[str, list[str]] = {}

@@ -75,6 +75,43 @@ def is_exchange_input(op: dict) -> bool:
     return op["sub"] and op["name"].endswith("Map")
 
 
+def exchange_walls(ops: list[dict]) -> list[float]:
+    """Elapsed seconds of each all-to-all among one op's operators: from
+    the end of the operator that feeds it (its input is complete) to the
+    start of the operator it feeds, so the barrier and the scheduling of
+    its map and reduce tasks count, not only their task time. `ops` is in
+    Ray Data's stats order: within an execution, downstream first, each
+    all-to-all as its map sub-operator and then its other sub-operators.
+    """
+    def is_exchange(op):
+        return op["sub"] or tracing.is_all_to_all(op["name"])
+
+    def neighbour(k, span):
+        """The operator at `k` if it is a non-exchange one of `span`."""
+        if 0 <= k < len(ops) and ops[k]["span"] == span \
+                and not is_exchange(ops[k]):
+            return ops[k]
+        return None
+
+    walls, i = [], 0
+    while i < len(ops):
+        if not is_exchange(ops[i]):
+            i += 1
+            continue
+        span, j = ops[i]["span"], i
+        while (j + 1 < len(ops) and ops[j + 1]["sub"]
+               and not is_exchange_input(ops[j + 1])
+               and ops[j + 1]["span"] == span):
+            j += 1
+        group = ops[i:j + 1]
+        feeder, fed = neighbour(j + 1, span), neighbour(i - 1, span)
+        start = feeder["end"] if feeder else min(o["start"] for o in group)
+        end = fed["start"] if fed else max(o["end"] for o in group)
+        walls.append(end - start)
+        i = j + 1
+    return walls
+
+
 def per_op(wl, tracer, root: int) -> dict:
     ops = tracer.operators_under(root)
     names = tracer.by_name(root)
@@ -97,7 +134,7 @@ def per_op(wl, tracer, root: int) -> dict:
                                       if is_exchange_input(op)))
     out["exchange.rows_in"] = float(rows_in)
     out["exchange.rows_per_input_row"] = rows_in / wl.size["points"]
-    out["exchange.wall_s"] = sum((op["time_total_s"] for op in exch), 0.0)
+    out["exchange.wall_s"] = sum(exchange_walls(ops), 0.0)
     pulls = [s for s in tracer.descendants(root)
              if s["name"] in ("driver.pull_pandas", "engine.iter_batches")
              and not _inside(tracer, s, ("driver.pull_pandas",

@@ -15,13 +15,19 @@ Workloads (see BENCHMARK.json for why each was chosen):
                runs on a 4-vCPU host), but traced runs of the other two
                probe its layer
 
-`--trace 0` measures the end-to-end metrics with nothing wrapped.
+`--trace 0` measures the end-to-end metrics with nothing wrapped:
+`rows_per_s` on the batch workloads, `query_p50_ms` and `query_p90_ms`
+on knn_lookup, and `setup_s` and `driver_rss_mb` on all.
 `--trace 1` alternates untraced and traced ops for the same time, then
 probes single layers, and reports the per-layer metrics together with
 the tracing overhead. Either way the last stdout line is one JSON object
 with `correct`, `attempted`, `failed` and `metrics`; the full record
-(host calibration, samples, spans, per-operator stats, the command) is
-written under `.geobench/results/` in the checkout.
+(host calibration, the host's CPU busy, idle and steal shares while
+timed, samples, spans, per-operator stats, the command) is written
+under `.geobench/results/` in the checkout. Ops are pipelines of many
+short Ray tasks that leave about half the CPUs idle, so their times
+follow the host: on a shared VM, steal while timed moves them by
+several percent per point of steal, and a diff should be read with it.
 
 Two result files can be compared layer by layer with
 `python3 geobench/diff.py BASE.json NEW.json`.
@@ -35,7 +41,6 @@ import os
 import shutil
 import statistics
 import sys
-import threading
 import time
 import traceback
 
@@ -91,39 +96,37 @@ def calibrate(burn_iters: int = 1_000_000) -> dict:
             "burn_single_s": single}
 
 
-class PeakRss:
-    """Samples this process's resident set every few milliseconds while
-    active; `peak_mb` is the largest sample."""
+def reset_peak_rss() -> None:
+    """Restart this process's peak-RSS count (VmHWM) from its current
+    resident set."""
+    with open("/proc/self/clear_refs", "w") as f:
+        f.write("5")
 
-    def __init__(self, interval: float = 0.005):
-        self.interval = interval
-        self.peak = 0
-        self._stop = threading.Event()
-        self._thread = threading.Thread(target=self._run, daemon=True)
-        self._page = os.sysconf("SC_PAGE_SIZE")
 
-    def _sample(self):
-        with open("/proc/self/statm") as f:
-            rss = int(f.read().split()[1]) * self._page
-        self.peak = max(self.peak, rss)
+def peak_rss_mb() -> float:
+    """Peak resident set of this process since the last reset."""
+    with open("/proc/self/status") as f:
+        for line in f:
+            if line.startswith("VmHWM:"):
+                return int(line.split()[1]) / 1024
+    raise RuntimeError("no VmHWM in /proc/self/status")
 
-    def _run(self):
-        while not self._stop.wait(self.interval):
-            self._sample()
 
-    def __enter__(self):
-        self._sample()
-        self._thread.start()
-        return self
+def cpu_times() -> list[int]:
+    """Host-wide jiffies: user, nice, system, idle, iowait, irq,
+    softirq, steal."""
+    with open("/proc/stat") as f:
+        return [int(x) for x in f.readline().split()[1:9]]
 
-    def __exit__(self, *exc):
-        self._stop.set()
-        self._thread.join()
-        self._sample()
 
-    @property
-    def peak_mb(self) -> float:
-        return self.peak / 2 ** 20
+def cpu_shares(before: list[int], after: list[int]) -> dict:
+    """Busy, idle and steal shares of all CPUs between two readings:
+    steal is time the hypervisor gave this host's CPUs to others."""
+    d = [b - a for a, b in zip(before, after)]
+    total = max(sum(d), 1)
+    return {"cpu_busy_pct": 100.0 * (total - d[3] - d[4] - d[7]) / total,
+            "cpu_idle_pct": 100.0 * (d[3] + d[4]) / total,
+            "cpu_steal_pct": 100.0 * d[7] / total}
 
 
 # ------------------------------------------------------------ measurement
@@ -186,15 +189,18 @@ def percentile(values, q: int) -> float:
     return statistics.quantiles(values, n=100, method="inclusive")[q - 1]
 
 
-def end_to_end(wl, latencies, setup_times, rss) -> dict:
+def end_to_end(wl, latencies, setup_times, rss_mb: float) -> dict:
+    """Throughput for the batch workloads, latency for knn_lookup; the
+    per-op latencies of every workload stay in the result record."""
     p50 = statistics.median(latencies)
-    return {
-        "rows_per_s": (wl.rows_per_op() / p50, "rows/s"),
-        "query_p50_ms": (p50 * 1e3, "ms"),
-        "query_p90_ms": (percentile(latencies, 90) * 1e3, "ms"),
-        "setup_s": (statistics.median(setup_times), "s"),
-        "driver_rss_mb": (rss.peak_mb, "MB"),
-    }
+    if wl.op_unit == "query":
+        out = {"query_p50_ms": (p50 * 1e3, "ms"),
+               "query_p90_ms": (percentile(latencies, 90) * 1e3, "ms")}
+    else:
+        out = {"rows_per_s": (wl.rows_per_op() / p50, "rows/s")}
+    out["setup_s"] = (statistics.median(setup_times), "s")
+    out["driver_rss_mb"] = (rss_mb, "MB")
+    return out
 
 
 def span_summary(tracer, roots) -> dict:
@@ -292,14 +298,17 @@ def main(argv=None) -> int:
                 wl.oracle()
         if args.trace:
             # Ray retires idle workers while the oracle runs: warm again
-            wl.op()
+            wl.warm_up()
         tracer = tracing.Tracer(run_id) if args.trace else None
         phases["setup_and_oracle"] = (time.perf_counter() - t_start
                                       - phases["ray_init"])
         t0 = time.perf_counter()
-        with PeakRss() as rss:
-            plain, traced, roots, kinds, failed = measure(
-                wl, args.seconds, tracer)
+        cpu0 = cpu_times()
+        reset_peak_rss()
+        plain, traced, roots, kinds, failed = measure(wl, args.seconds,
+                                                      tracer)
+        rss_mb = peak_rss_mb()
+        context["measure_cpu"] = cpu_shares(cpu0, cpu_times())
         phases["measure"] = time.perf_counter() - t0
         attempted = len(plain) + len(traced)
         if args.trace:
@@ -309,7 +318,7 @@ def main(argv=None) -> int:
             metrics.update(perlayer.probes(wl, tracer, layers, metrics))
             phases["probes"] = time.perf_counter() - t0
         else:
-            metrics = end_to_end(wl, plain, setup_times, rss)
+            metrics = end_to_end(wl, plain, setup_times, rss_mb)
     finally:
         ray.shutdown()
         shutil.rmtree(workdir, ignore_errors=True)

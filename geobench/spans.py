@@ -148,6 +148,8 @@ class Tracer:
                     "name": o.operator_name,
                     "sub": bool(o.is_sub_operator),
                     "time_total_s": float(o.time_total_s or 0.0),
+                    "start": float(o.earliest_start_time or 0.0),
+                    "end": float(o.latest_end_time or 0.0),
                     "wall_s": _stat_sum(o.wall_time),
                     "udf_s": _stat_sum(o.udf_time),
                     "rows_out": _stat_sum(o.output_num_rows),

@@ -24,8 +24,12 @@ ROOT = os.path.dirname(HERE)
 with open(os.path.join(ROOT, "BENCHMARK.json")) as _f:
     SPEC = json.load(_f)
 
-# knn_lookup is left out of BENCHMARK.json but stays runnable
+# knn_lookup is left out of BENCHMARK.json but stays runnable; it
+# reports latency where the batch workloads report throughput
 WORKLOADS = [w["name"] for w in SPEC["workloads"]] + ["knn_lookup"]
+KNN_END_TO_END = [{"name": "query_p50_ms", "unit": "ms"},
+                  {"name": "query_p90_ms", "unit": "ms"}] + [
+    m for m in SPEC["end_to_end"] if m["name"] != "rows_per_s"]
 
 
 def run_bench(cwd: str, workload: str, trace: int, *extra: str):
@@ -48,7 +52,12 @@ def test_toy_run_checks_and_metrics(workload, trace, tmp_path):
     assert result["correct"] is True
     assert result["failed"] == 0
     assert result["attempted"] >= 1
-    wanted = SPEC["per_layer"] if trace else SPEC["end_to_end"]
+    if trace:
+        wanted = SPEC["per_layer"]
+    elif workload == "knn_lookup":
+        wanted = KNN_END_TO_END
+    else:
+        wanted = SPEC["end_to_end"]
     assert set(result["metrics"]) == {m["name"] for m in wanted}
     for m in wanted:
         got = result["metrics"][m["name"]]
@@ -80,6 +89,54 @@ def test_diff_prints_every_metric(tmp_path):
     d = subprocess.run([sys.executable, os.path.join(HERE, "diff.py"),
                         str(tmp_path / "a.json"), str(tmp_path / "a.json")],
                        capture_output=True, text=True, check=True)
-    for m in SPEC["end_to_end"]:
+    for m in KNN_END_TO_END:
         assert m["name"] in d.stdout
     assert "x1.000 of base" in d.stdout
+
+
+def test_knn_check_accepts_only_ties_out_of_order():
+    import numpy as np
+    import pandas as pd
+
+    sys.path.insert(0, HERE)
+    import workloads
+
+    wl = workloads.KnnLookup(7, "", "toy")
+    # two points tie at 1 deg east and west of the query; a third is
+    # further out
+    wl.points = {"id": np.array([3, 5, 8]),
+                 "lon": np.array([1.0, -1.0, 3.0]),
+                 "lat": np.zeros(3)}
+    wl.qlon, wl.qlat, wl.k = np.zeros(1), np.zeros(1), 3
+    wl.oracle()
+    ids, dist = wl._brute(0)
+    assert list(ids) == [3, 5, 8]
+
+    def result(order, d=dist):
+        return 0, pd.DataFrame({"nid": order, "dist": d})
+
+    assert wl.check(result([3, 5, 8]))
+    assert wl.check(result([5, 3, 8]))  # a tie, in either order
+    assert not wl.check(result([3, 8, 5]))  # 8 paired with 5's distance
+    assert not wl.check(result([3, 3, 8]))
+    assert not wl.check(result([3, 5, 8], dist * [1, 1, 2]))
+
+
+def test_exchange_wall_spans_barrier_and_scheduling():
+    sys.path.insert(0, HERE)
+    import perlayer
+
+    def op(name, start, end, sub=False):
+        return {"name": name, "sub": sub, "span": 1, "start": start,
+                "end": end}
+
+    # stats order: downstream first, then the exchange's sub-operators,
+    # then the operator feeding it
+    ops = [op("MapBatches(post)", 5.0, 5.5),
+           op("SortMap", 3.0, 3.1, sub=True),
+           op("SortReduce", 4.0, 4.1, sub=True),
+           op("MapBatches(pre)", 1.0, 2.0),
+           op("ReadParquet", 0.0, 1.5)]
+    assert perlayer.exchange_walls(ops) == [3.0]
+    # with nothing around it, the exchange's own sub-operators bound it
+    assert perlayer.exchange_walls(ops[1:3]) == [4.1 - 3.0]

@@ -29,6 +29,9 @@ short Ray tasks that leave about half the CPUs idle, so their times
 follow the host: on a shared VM, steal while timed moves them by
 several percent per point of steal, and a diff should be read with it.
 
+Before it exits, a run stops and reaps every process it started,
+including Ray workers orphaned by their raylet.
+
 Two result files can be compared layer by layer with
 `python3 geobench/diff.py BASE.json NEW.json`.
 """
@@ -36,16 +39,18 @@ Two result files can be compared layer by layer with
 from __future__ import annotations
 
 import argparse
+import ctypes
 import json
 import os
 import shutil
+import signal
 import statistics
 import sys
 import time
 import traceback
 
 HERE = os.path.dirname(os.path.abspath(__file__))
-SETUP_REPEATS = 3
+SETUP_REPEATS = 5
 # the Unix socket path limit leaves this much room for Ray's temp dir
 MAX_RAY_TEMP_LEN = 40
 
@@ -81,7 +86,10 @@ def calibrate(burn_iters: int = 1_000_000) -> dict:
 
     ncpu = os.cpu_count() or 1
     single = _burn(burn_iters)
-    ctx = mp.get_context("spawn")
+    # fork: Ray is imported but not started, so this process has one
+    # thread, and unlike spawn, fork starts no resource-tracker process
+    # that would outlive the pool
+    ctx = mp.get_context("fork")
     with ctx.Pool(ncpu) as pool:
         pool.map(_burn, [1] * ncpu)  # worker start-up is not burn time
         t0 = time.perf_counter()
@@ -127,6 +135,65 @@ def cpu_shares(before: list[int], after: list[int]) -> dict:
     return {"cpu_busy_pct": 100.0 * (total - d[3] - d[4] - d[7]) / total,
             "cpu_idle_pct": 100.0 * (d[3] + d[4]) / total,
             "cpu_steal_pct": 100.0 * d[7] / total}
+
+
+# ------------------------------------------------------------ processes
+
+PR_SET_CHILD_SUBREAPER = 36
+
+
+def become_subreaper() -> None:
+    """Adopt every orphaned descendant: Ray's workers outlive the raylet
+    that started them by a moment, and would otherwise pass to init,
+    still running or unreaped, after this process has exited."""
+    libc = ctypes.CDLL(None, use_errno=True)
+    if libc.prctl(PR_SET_CHILD_SUBREAPER, 1, 0, 0, 0) != 0:
+        err = ctypes.get_errno()
+        raise OSError(err, os.strerror(err))
+
+
+def live_children() -> list[int]:
+    """Pids whose parent is this process and that have not exited."""
+    me, out = os.getpid(), []
+    for name in os.listdir("/proc"):
+        if not name.isdigit():
+            continue
+        try:
+            with open(f"/proc/{name}/stat") as f:
+                fields = f.read().rsplit(")", 1)[1].split()
+        except OSError:
+            continue
+        if int(fields[1]) == me and fields[0] not in ("Z", "X"):
+            out.append(int(name))
+    return out
+
+
+def reap() -> bool:
+    """Collect every exited child; False once no child is left."""
+    while True:
+        try:
+            pid, _ = os.waitpid(-1, os.WNOHANG)
+        except ChildProcessError:
+            return False
+        if pid == 0:
+            return True
+
+
+def stop_children(grace_s: float = 5.0) -> None:
+    """Stop every process this run started, and those they started, and
+    wait until each has ended: SIGTERM first, SIGKILL after `grace_s`."""
+    deadline = time.monotonic() + grace_s
+    sent: set = set()
+    while reap():
+        sig = signal.SIGKILL if time.monotonic() > deadline else signal.SIGTERM
+        for pid in live_children():
+            if sig == signal.SIGKILL or pid not in sent:
+                try:
+                    os.kill(pid, sig)
+                except ProcessLookupError:
+                    pass
+                sent.add(pid)
+        time.sleep(0.02)
 
 
 # ------------------------------------------------------------ measurement
@@ -253,6 +320,14 @@ def main(argv=None) -> int:
         print("geobench: run from the root of a proj_ray checkout",
               file=sys.stderr)
         return 2
+    become_subreaper()
+    try:
+        return run(args, root)
+    finally:
+        stop_children()
+
+
+def run(args, root: str) -> int:
     sys.path[:0] = [root, HERE]
     import logging
 

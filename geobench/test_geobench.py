@@ -5,7 +5,8 @@
 Runs every workload untraced and traced, and asserts that every output
 check passes and that every metric BENCHMARK.json names is emitted with
 its unit. Also checks that the benchmark refuses to run, without
-printing a result, where there is no program to measure.
+printing a result, where there is no program to measure, and that it
+ends the processes its own children leave behind.
 """
 
 from __future__ import annotations
@@ -92,6 +93,30 @@ def test_diff_prints_every_metric(tmp_path):
     for m in KNN_END_TO_END:
         assert m["name"] in d.stdout
     assert "x1.000 of base" in d.stdout
+
+
+ORPHAN_SCRIPT = """
+import subprocess, sys
+sys.path.insert(0, sys.argv[1])
+import run
+run.become_subreaper()
+# the child exits at once and leaves a grandchild that ignores SIGTERM
+sh = subprocess.Popen(["sh", "-c", "trap '' TERM; sleep 60 & echo $!"],
+                      stdout=subprocess.PIPE, text=True)
+orphan = int(sh.stdout.readline())
+sh.wait()
+run.stop_children(grace_s=0.2)
+print(orphan, run.live_children())
+"""
+
+
+def test_stop_children_ends_orphaned_descendants():
+    p = subprocess.run([sys.executable, "-c", ORPHAN_SCRIPT, HERE],
+                       capture_output=True, text=True, timeout=60)
+    assert p.returncode == 0, p.stderr[-4000:]
+    orphan, left = p.stdout.split(" ", 1)
+    assert left.strip() == "[]"
+    assert not os.path.exists(f"/proc/{orphan}")
 
 
 def test_knn_check_accepts_only_ties_out_of_order():

@@ -7,7 +7,8 @@ Every stage is a thin wrapper that applies a vectorized kernel with
     with per-process cached operator setup (lru_cache = the per-worker
     analog of the reference's per-thread PJ object)
   - stateful lookups (spatial join)           -> broadcast object
-    (`ray.put` once) + actor-pool `map_batches`
+    (`ray.put` once), fetched once per worker process by task
+    `map_batches`
   - wide steps (census, knn merge, tile agg)  -> groupby/aggregate with
     pre-aggregation inside map_batches where possible
 
@@ -142,9 +143,19 @@ def with_salted_cells(ds, hot: set, salt: int = 16,
     return ds.map_batches(fn, batch_format="numpy")
 
 
+@functools.lru_cache(maxsize=4)
+def _cached_index(ref):
+    """The broadcast index behind `ref`, fetched at most once per worker
+    process; a few entries, so worker RSS stays flat."""
+    import ray
+
+    return ray.get(ref)
+
+
 class PIPJoiner:
-    """Actor-pool stage: polygon index fetched from the object store once
-    per actor (__init__), probed per batch (__call__).
+    """Task stage: holds the ObjectRef of a broadcast polygon index,
+    which each worker process fetches once (`_cached_index`) and probes
+    per batch.
 
     Operates on zero-copy Arrow batches: coordinate columns are viewed
     as NumPy only for the math; row selection is an Arrow `take`/`filter`
@@ -152,10 +163,9 @@ class PIPJoiner:
     round-tripped through pandas."""
 
     def __init__(self, index_ref, lon_col: str, lat_col: str, how: str):
-        import ray
-
-        self.index = ray.get(index_ref) if not hasattr(index_ref, "query") \
-            else index_ref
+        if how not in ("inner", "semi", "anti", "left"):
+            raise ValueError(f"unknown join how={how}")
+        self.index_ref = index_ref
         self.lon_col = lon_col
         self.lat_col = lat_col
         self.how = how
@@ -163,54 +173,51 @@ class PIPJoiner:
     def __call__(self, batch):
         import pyarrow as pa
 
+        index = _cached_index(self.index_ref)
         lon = batch.column(self.lon_col).to_numpy(zero_copy_only=False)
         lat = batch.column(self.lat_col).to_numpy(zero_copy_only=False)
-        pts, polys = self.index.query(np.asarray(lon, dtype=np.float64),
-                                      np.asarray(lat, dtype=np.float64))
+        # pairs come sorted by (point, polygon)
+        pts, polys = index.query(np.asarray(lon, dtype=np.float64),
+                                 np.asarray(lat, dtype=np.float64))
         n = batch.num_rows
         if self.how == "inner":
             out = batch.take(pa.array(pts))
-            out = out.append_column(
-                "poly_id", pa.array(np.asarray(self.index.poly_ids)[polys]))
-            for name, vals in self.index.attrs.items():
+            out = out.append_column("poly_id",
+                                    pa.array(index.poly_ids[polys]))
+            for name, vals in index.attrs.items():
                 out = out.append_column(
                     name, pa.array(np.asarray(vals)[polys]))
             return out
-        if self.how == "semi":
-            mask = np.zeros(n, dtype=bool)
-            mask[pts] = True
-            return batch.filter(pa.array(mask))
-        if self.how == "anti":
-            mask = np.ones(n, dtype=bool)
-            mask[pts] = False
-            return batch.filter(pa.array(mask))
         if self.how == "left":
-            pid = np.full(n, None, dtype=object)
-            # first match wins for 'left' (deterministic: lowest poly idx)
-            order = np.argsort(polys, kind="stable")[::-1]
-            pid[pts[order]] = np.asarray(self.index.poly_ids)[polys[order]]
-            return batch.append_column("poly_id", pa.array(pid))
-        raise ValueError(f"unknown join how={self.how}")
+            # first match wins: the lowest polygon index of each point;
+            # take() on a null index yields a null of the id column's type
+            hit, at = np.unique(pts, return_index=True)
+            first = np.zeros(n, dtype=np.int64)
+            first[hit] = polys[at]
+            matched = np.zeros(n, dtype=bool)
+            matched[hit] = True
+            return batch.append_column("poly_id", pa.array(
+                index.poly_ids).take(pa.array(first, mask=~matched)))
+        mask = np.zeros(n, dtype=bool)
+        mask[pts] = True
+        return batch.filter(pa.array(mask if self.how == "semi" else ~mask))
 
 
 def spatial_join(ds, index, how: str = "inner",
                  lon_col: str = "lon", lat_col: str = "lat",
-                 concurrency: int | tuple = (2, 8),
                  batch_size: int = 32 * 1024):
     """Point-in-polygon join against a broadcast PolygonIndex.
 
     `index` may be a PolygonIndex or an ObjectRef from `ray.put(index)`
-    (preferred at scale: ship once, not per task).
-    """
+    (preferred at scale: ship once, not per task). The join runs as
+    plain tasks, so Ray fuses it with the maps around it."""
     import ray
 
     ref = index if isinstance(index, ray.ObjectRef) else ray.put(index)
     return ds.map_batches(
-        PIPJoiner,
-        fn_constructor_args=(ref, lon_col, lat_col, how),
+        PIPJoiner(ref, lon_col, lat_col, how),
         batch_format="pyarrow",
         batch_size=batch_size,
-        concurrency=concurrency,
     )
 
 

@@ -2,6 +2,7 @@
 (test/cli/test_cct.yaml) through `python -m proj_ray.cli cct`,
 comparing stdout exactly (the reference's run_cli_test.py contract)."""
 
+import os
 import subprocess
 import sys
 
@@ -10,8 +11,12 @@ import yaml
 
 YAML = "/root/reference/test/cli/test_cct.yaml"
 
+pytestmark = pytest.mark.requires_reference
+
 
 def _cases():
+    if not os.path.exists(YAML):
+        return [pytest.param(None, id="corpus_absent")]
     d = yaml.safe_load(open(YAML))
     out = []
     for i, t in enumerate(d["tests"]):

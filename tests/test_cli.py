@@ -54,6 +54,7 @@ def test_geod_inverse_and_polygon():
     assert area == pytest.approx(24952305678.0, abs=10)
 
 
+@pytest.mark.requires_reference
 def test_gie_subcommand():
     lines = run_cli(["gie", "/root/reference/test/gie/axisswap.gie"], "")
     assert "0 fail" in lines[0]

@@ -21,9 +21,12 @@ semantics, transformation.cpp:585) while raw pipelines keep the 4D-API
 and the gigs 1000-rep roundtrips agree with the reference.
 """
 
+import pytest
+
 KNOWN_DIVERGENT = set()
 
 
+@pytest.mark.requires_reference
 def test_cs2cs_various_goldens():
     import sys
 
@@ -113,6 +116,7 @@ def test_iau_2015_registry():
     assert abs(rx[0] - 1000.0) < 1e-6 and abs(ry[0] - 2000.0) < 1e-6
 
 
+@pytest.mark.requires_reference
 def test_cs2cs_ntv2_goldens():
     """NTv2 subgrid selection/switching + NTv1/CTable fallback over the
     reference's shipped test grids — all 5 runnable cases exact."""
@@ -127,6 +131,7 @@ def test_cs2cs_ntv2_goldens():
     assert npass >= 5
 
 
+@pytest.mark.requires_reference
 def test_cs2cs_datumfile_goldens():
     """NTv1/CTable datum files, incl. the quoted 'dir with space'
     +nadgrids value, and the --bbox/--area area-of-interest tests:
@@ -142,6 +147,7 @@ def test_cs2cs_datumfile_goldens():
     assert (npass, nfail, nskip) == (12, 0, 0), (npass, nfail, nskip)
 
 
+@pytest.mark.requires_reference
 def test_proj_nad27_nad83_spcs_goldens():
     """The reference's 1990s SPCS conformance corpus (test27/test83 via
     +init=nad27:/nad83: state-plane init files): 484 golden points over
@@ -158,6 +164,7 @@ def test_proj_nad27_nad83_spcs_goldens():
         assert npass >= want, (f, npass)
 
 
+@pytest.mark.requires_reference
 def test_cs2cs_ignf_goldens():
     """The reference's IGNF-authority corpus (test_cs2cs_ignf.yaml,
     34 cases): +init=IGNF:CODE resolution from the generated ignf.sql
@@ -175,6 +182,7 @@ def test_cs2cs_ignf_goldens():
     assert (npass, nfail, nskip) == (34, 0, 0), (npass, nfail, nskip)
 
 
+@pytest.mark.requires_reference
 def test_proj_invproj_cli_goldens():
     """test_proj.yaml (GH-1782 ob_tran +to_meter hack, proj -S factor
     blocks on EPSG / non-Greenwich-pm / compound CRSs) and

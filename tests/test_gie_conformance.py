@@ -14,6 +14,7 @@ GIE_FILES = sorted(glob.glob("/root/reference/test/gie/*.gie"))
 GIGS_FILES = sorted(glob.glob("/root/reference/test/gigs/*.gie"))
 
 
+@pytest.mark.requires_reference
 @pytest.mark.parametrize("path", GIE_FILES,
                          ids=[p.split("/")[-1] for p in GIE_FILES])
 def test_gie_file(path):
@@ -21,6 +22,7 @@ def test_gie_file(path):
     assert r.fail == 0, "\n".join(r.failures[:10])
 
 
+@pytest.mark.requires_reference
 @pytest.mark.parametrize("path", GIGS_FILES,
                          ids=[p.split("/")[-1] for p in GIGS_FILES])
 def test_gigs_file(path):
@@ -28,12 +30,14 @@ def test_gigs_file(path):
     assert r.fail == 0, "\n".join(r.failures[:10])
 
 
+@pytest.mark.requires_reference
 def test_total_coverage_floor():
     """Guard against regressions in how many assertions we actually run."""
     total_ok = sum(run_gie_file(p).ok for p in GIE_FILES)
     assert total_ok >= 560, f"gie coverage dropped: {total_ok}"
 
 
+@pytest.mark.requires_reference
 def test_nkg_urn_ops_synth_grids(monkeypatch):
     """The nkg.gie urn operations resolve from the static NKG registry
     and, with PROJ_RAY_SYNTH_GRIDS=1, execute end-to-end on

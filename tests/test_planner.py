@@ -14,6 +14,7 @@ def _fwd(op, lat, lon, z=0.0):
     return x[0], y[0], zz[0]
 
 
+@pytest.mark.requires_reference
 def test_grid_candidate_preferred_when_available():
     """PD/83 -> WGS84 geocentric in Thuringia uses the BETA2007 NTv2
     grid (grids win the accuracy tie, SortFunction gridsAvailable)."""
@@ -71,6 +72,7 @@ def test_similarity_transformation_direct():
     assert ix[0] == pytest.approx(300000.0, abs=0.001)
 
 
+@pytest.mark.requires_reference
 def test_per_point_regional_selection():
     """RRAF91/RGAF09 (Guadeloupe vs Martinique ops, equal accuracy):
     smallest containing area wins per point."""

@@ -5,7 +5,10 @@ never wrong silent output on the passing set)."""
 import subprocess
 import sys
 
+import pytest
 
+
+@pytest.mark.requires_reference
 def test_projinfo_yaml_floor():
     out = subprocess.run(
         [sys.executable, "tools/replay_projinfo_yaml.py"],

@@ -129,14 +129,14 @@ def _alias_test_grids():
     alias = "/tmp/proj_ray_grid_alias"
     os.makedirs(alias, exist_ok=True)
     link = os.path.join(alias, "ntv2_0.gsb")
-    if not os.path.exists(link):
+    if not os.path.lexists(link):
         os.symlink("/root/reference/data/tests/ntv2_0_downsampled.gsb",
                    link)
     # data/CMakeLists.txt copies tests/conus -> "dir with space/myconus"
     spaced = os.path.join(alias, "dir with space")
     os.makedirs(spaced, exist_ok=True)
     link = os.path.join(spaced, "myconus")
-    if not os.path.exists(link):
+    if not os.path.lexists(link):
         os.symlink("/root/reference/data/tests/conus", link)
     if alias not in GS.GRID_SEARCH_PATH:
         GS.GRID_SEARCH_PATH.insert(0, alias)

@@ -12637,7 +12637,11 @@ def _q210_winsorized(sf_dir: str):
         tab = ray.get(ref)
         ty = np.asarray(b["event_type"])
         v = qv(b["value"])
-        out = np.empty(len(v), dtype=np.int64)
+        missing = set(pd.unique(ty)) - tab.keys()
+        if missing:
+            raise ValueError(f"event_type {min(map(repr, missing))} has "
+                             "no p5/p95 bounds from the histogram pass")
+        out = np.zeros(len(v), dtype=np.int64)
         for t, (lo, hi) in tab.items():
             m = ty == t
             out[m] = np.clip(v[m], lo, hi)
@@ -12731,7 +12735,11 @@ def _q211_mad(sf_dir: str):
         tab = ray.get(ref)
         ty = np.asarray(b["event_type"])
         v = qv(b["value"])
-        dev = np.empty(len(v), dtype=np.int64)
+        missing = set(pd.unique(ty)) - tab.keys()
+        if missing:
+            raise ValueError(f"event_type {min(map(repr, missing))} has "
+                             "no median from the histogram pass")
+        dev = np.zeros(len(v), dtype=np.int64)
         for t, m in tab.items():
             msk = ty == t
             dev[msk] = np.abs(v[msk] - m)

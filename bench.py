@@ -22,7 +22,7 @@ import time
 import numpy as np
 
 SF_DIR = os.environ.get("GRAFT_SF_DIR", "/root/testdata/sf0.1")
-NUM_CPUS = int(os.environ.get("RAY_GRAFT_CPUS", "32"))
+NUM_CPUS = int(os.environ.get("RAY_GRAFT_CPUS", os.cpu_count() or 1))
 
 
 def _sf_tag(sf_dir: str) -> float:
@@ -74,9 +74,10 @@ def headline_spatial(n_rows: int) -> int:
 
 
 def headline_salted_agg(n_rows: int) -> int:
-    """The explicit skew pass: row-level tile groupby with census ->
-    salt hot tiles -> salted groupby -> merge, over the Zipf-hotspot
-    geotags. Returns number of distinct tiles."""
+    """Per-tile counts of the Zipf-hotspot geotags through
+    tile_counts_salted: per-block partials, summed on the driver when
+    the partial table fits its cap, else census -> salt hot tiles ->
+    salted exchange -> merge. Returns the number of distinct tiles."""
     from proj_ray.pipelines import geotag_dataset as _gd
     from proj_ray.pipelines import tile_counts_salted
 
@@ -458,8 +459,9 @@ def run_shuffle_once(sf_dir: str, num_cpus: int) -> dict:
     for _pass in range(2):
         t0 = time.time()
         if os.environ.get("SCALING_SHUFFLE_CENSUS", "0") == "1":
-            # legacy three-execution censused path (the Dataset-input
-            # API), kept measurable for A/B against the fused path
+            # the censused Dataset-input path (one execution while its
+            # partial table fits the driver), kept measurable for A/B
+            # against the fused path
             tiles = headline_salted_agg(n)
         else:
             tiles = len(tile_counts_salted_fused(n, zoom=7, salt=16,

@@ -1,16 +1,22 @@
 """The headline spatial pipeline: synth geotags -> webmerc cells ->
 z/x/y tiles -> PIP join vs broadcast polygon index -> per-tile counts.
 
-Two aggregation paths:
+Aggregation paths:
 - `headline_spatial`: fused actor stage emits per-batch partial
   (tile, count) pairs; the groupby-Sum combine moves O(#tiles × #blocks)
   rows — the shuffle-minimal shape.
-- `tile_counts_salted`: the explicit skew path for row-level shuffles —
-  census pass finds hot keys (images.geotags plants Zipfian metro
-  hotspots), hot keys split into `salt` deterministic sub-keys before
-  the groupby, partial counts merged after. Counts are identical with
-  and without salting (tests assert it); the salt bounds the largest
-  single reducer group at 100-TB skew.
+- `tile_counts_salted`: per-tile counts of a Dataset. Per-block
+  partials are materialized once; a partial table of at most
+  DRIVER_FINISH_ROWS rows is pulled and summed on the driver (one
+  execution, no exchange). Above that the combine runs distributed
+  with explicit skew handling: a census finds hot tiles
+  (images.geotags plants Zipfian metro hotspots), their partials split
+  into `salt` deterministic sub-keys before the bucketed exchange, and
+  the sub-counts merge after. The salt bounds the largest single
+  reducer group at 100-TB skew.
+- `tile_counts_salted_fused`: census-free salting of synthetic geotags
+  in one streaming execution.
+Counts are identical on every path (tests assert it).
 """
 
 from __future__ import annotations
@@ -19,6 +25,10 @@ import numpy as np
 
 
 from proj_ray.dsutil import pull_pandas  # noqa: F401  (re-export)
+
+# tile_counts_salted finishes on the driver when its partial table has at
+# most this many rows (~64 MB as a pandas (int64, int64) frame)
+DRIVER_FINISH_ROWS = 4_000_000
 
 
 def geotag_dataset(n_rows: int, parallelism: int | None = None):
@@ -260,10 +270,11 @@ def tile_counts_salted_fused(n_rows: int, zoom: int = 7, salt: int = 16,
     fused shard-descriptor stage (synthesis + tiling + local combine +
     salt) -> bucketed_sum all-to-all -> driver un-salt merge.
 
-    The censused `tile_counts_salted` needs three executions (map+
-    materialize, coalesce, salted combine) around the census barrier;
-    this path needs one, because unconditional salting removes the
-    need to KNOW which keys are hot before the shuffle. Returns a
+    Above its driver cap the censused `tile_counts_salted` needs up to
+    four executions (map + materialize, coalesce, census, salted
+    combine) around the census barrier; this path needs one at any
+    size, because unconditional salting removes the need to KNOW which
+    keys are hot before the shuffle. Returns a
     pandas DataFrame of (tile_key, n) — counts are identical to the
     censused and unsalted paths (tests assert parity).
 
@@ -314,37 +325,41 @@ def tile_counts_salted_fused(n_rows: int, zoom: int = 7, salt: int = 16,
             .rename(columns={"n_sub": "n"}))
 
 
+def _combine_partials(b: dict) -> dict:
+    uk, inv = np.unique(np.asarray(b["tile_key"]), return_inverse=True)
+    s = np.zeros(len(uk), dtype=np.int64)
+    np.add.at(s, inv, np.asarray(b["n_part"], dtype=np.int64))
+    return {"tile_key": uk, "n_part": s}
+
+
 def tile_counts_salted(ds, zoom: int = 7, threshold: int | None = None,
-                       salt: int = 16, key_col: str = "image_id",
-                       salted: bool = True, cache: bool = True):
-    """Per-tile counts with explicit skew handling: census -> salt hot
-    tile keys -> salted groupby -> merge.
+                       salt: int = 16, salted: bool = True):
+    """Per-tile counts (tile_key int64, n int64) of a (lon, lat)
+    Dataset, with explicit skew handling when the combine has to run
+    distributed.
 
-    Shuffle-minimal shape: every groupby input is pre-aggregated inside
-    map_batches first, so the all-to-all moves O(#distinct keys per
-    block), never raw rows — the salt's job is to split what would
-    still be a hot reducer key across `salt` sub-keys. The keyed
-    projection (key, tile_key — 16 B/row) is materialized once so the
-    census and the counting pass don't re-execute the input lineage.
+    One map pass computes per-block partial counts (tile assignment,
+    key packing and a unique-combine hand-fused into ONE fn on whole
+    blocks: separate map operators paid ~0.3 us/row at every operator
+    boundary) and materializes them, so the raw rows are read once.
+    Then the partial table (#tiles x #blocks rows at most) decides:
 
-    `salted=False` runs the same flow without the salt (for parity
-    checks and A/B timing). Returns a Dataset of (tile_key, n).
+    - at or under DRIVER_FINISH_ROWS rows it is pulled once and summed
+      per tile_key with one pandas groupby: one Ray execution and no
+      exchange, since the state already fits the driver;
+    - above it the combine runs distributed: the partials are
+      coalesced, a bucketed_sum census finds tiles with at least
+      `threshold` rows, each block's partial for a hot tile gets one
+      of `salt` deterministic sub-keys so a hot reducer group splits
+      `salt` ways, and a salted bucketed_sum plus an un-salt merge
+      finish it. `salted=False` skips the census and the salt.
 
-    Round-3 fusion: the per-block partial counts are computed ONCE and
-    materialized; the census AND the salted groupby both consume that
-    (tile, n_part) table — the raw rows are read exactly once, and both
-    all-to-alls move pre-combined partials. Hot tiles' partials are
-    salted with a per-batch deterministic sub-key (a hot reducer group
-    has one row per contributing block; the salt splits it `salt`
-    ways).
-
-    Round-5 fusion: tile assignment, key packing and the per-block
-    unique-combine run in ONE map_batches fn on whole blocks
-    (batch_size=None). Three separate map operators, even auto-fused
-    by Ray into one task, paid an Arrow block build + batch slice at
-    EVERY operator boundary — measured ~0.3 us/row/boundary, 22 s of
-    the 33 s single-cpu map phase at 24 M rows; the hand-fused fn is
-    wall-time ~= UDF-time."""
+    Counts are identical on every route (tests assert it). An empty
+    input gives a zero-row, typed table; it always finishes on the
+    driver."""
+    import pandas as pd
+    import ray
+    import ray.data as rd
 
     def tile_partials(b: dict) -> dict:
         from proj_ray.tiles import tile_assign
@@ -354,66 +369,39 @@ def tile_counts_salted(ds, zoom: int = 7, threshold: int | None = None,
         keys, counts = np.unique(key, return_counts=True)
         return {"tile_key": keys, "n_part": counts.astype(np.int64)}
 
-    keyed = ds.map_batches(tile_partials, batch_format="numpy",
-                           batch_size=None)
+    parts = ds.map_batches(tile_partials, batch_format="numpy",
+                           batch_size=None).materialize()
+    if parts.count() <= DRIVER_FINISH_ROWS:
+        pdf = pull_pandas(parts)
+        if pdf.empty:  # no blocks, so no schema to take dtypes from
+            pdf = pd.DataFrame({"tile_key": np.empty(0, np.int64),
+                                "n_part": np.empty(0, np.int64)})
+        return rd.from_pandas(
+            pdf.groupby("tile_key", as_index=False)["n_part"].sum()
+            .rename(columns={"n_part": "n"}))
 
-    def coalesced_partials():
-        """Partial counts, COALESCED to ~2 blocks per CPU with a
-        second unique-combine pass: the downstream groupby's sort
-        exchange prices O(map_blocks x reducers) objects whichever
-        combine implementation consumes it (64 16k-row partial blocks
-        measured ~5 s slower end-to-end than the same rows in 8
-        blocks, even under bucketed_sum), and the re-combine also
-        collapses duplicate tile keys across merged blocks so the
-        census reads O(#tiles x coalesced_blocks) rows."""
-        import ray
-
-        def combine(b: dict) -> dict:
-            k = np.asarray(b["tile_key"])
-            n = np.asarray(b["n_part"], dtype=np.int64)
-            uk, inv = np.unique(k, return_inverse=True)
-            s = np.zeros(len(uk), dtype=np.int64)
-            np.add.at(s, inv, n)
-            return {"tile_key": uk, "n_part": s}
-
-        ncpu = int(ray.cluster_resources().get("CPU", 8))
-        # two jobs on purpose: an IN-CHAIN repartition becomes the
-        # whole plan's block target and re-serializes the heavy
-        # synthesis maps; materializing first keeps those at full
-        # parallelism, and the coalesce job touches only the small
-        # partial table
-        p = keyed.materialize()
-        if p.num_blocks() > 2 * ncpu:
-            p = (p.repartition(2 * ncpu)
-                 .map_batches(combine, batch_format="numpy",
+    ncpu = int(ray.cluster_resources().get("CPU", 8))
+    if parts.num_blocks() > 2 * ncpu:
+        # coalesce to ~2 blocks per CPU and re-combine: the sort
+        # exchange prices O(map_blocks x reducers) objects (64 16k-row
+        # partial blocks measured ~5 s slower end-to-end than the same
+        # rows in 8 blocks), and merged blocks collapse duplicate keys.
+        # Its own job: an in-chain repartition would become the whole
+        # plan's block target and re-serialize the map above
+        parts = (parts.repartition(2 * ncpu)
+                 .map_batches(_combine_partials, batch_format="numpy",
                               batch_size=None)
                  .materialize())
-        return p
-
     if not salted:
-        return bucketed_sum(coalesced_partials(),
-                            "tile_key", "n_part", "n")
+        return bucketed_sum(parts, "tile_key", "n_part", "n")
     if threshold is None:
         threshold = 10000
-    parts = coalesced_partials()
-    # census over the SAME materialized partials: driver-local pandas
-    # when the partial table is bounded (#tiles x #blocks rows), a
-    # distributed groupby above local_cap
-    local_cap = 4_000_000
-    if parts.count() <= local_cap:
-        cdf = pull_pandas(parts)
-        cen = cdf.groupby("tile_key")["n_part"].sum()
-        hot_sorted = np.sort(
-            cen.index.to_numpy()[cen.to_numpy() >= threshold]
-            .astype(np.int64))
-    else:
-        census = bucketed_sum(parts, "tile_key", "n_part", "n")
-        hot: set[int] = set()
-        for b in census.iter_batches(batch_format="numpy"):
-            sel = np.asarray(b["n"]) >= threshold
-            hot.update(int(c) for c in np.asarray(b["tile_key"])[sel])
-        hot_sorted = np.sort(
-            np.fromiter(hot, dtype=np.int64, count=len(hot)))
+    census = bucketed_sum(parts, "tile_key", "n_part", "n")
+    hot: set[int] = set()
+    for b in census.iter_batches(batch_format="numpy"):
+        sel = np.asarray(b["n"]) >= threshold
+        hot.update(int(c) for c in np.asarray(b["tile_key"])[sel])
+    hot_sorted = np.sort(np.fromiter(hot, dtype=np.int64, count=len(hot)))
 
     def salt_parts(b: dict) -> dict:
         from proj_ray.functions._hash import splitmix64
@@ -440,9 +428,7 @@ def tile_counts_salted(ds, zoom: int = 7, threshold: int | None = None,
                         "cell_salted", "n_part", "n_sub").materialize()
     # un-salt merge: the salted output is <= #tiles + #hot*salt rows;
     # merge driver-local under the cap, distributed groupby above it
-    if part.count() <= local_cap:
-        import ray.data as rd
-
+    if part.count() <= DRIVER_FINISH_ROWS:
         mdf = pull_pandas(part)
         mdf["tile_key"] = mdf["cell_salted"] // salt
         out = (mdf.groupby("tile_key", as_index=False)["n_sub"].sum()
@@ -455,3 +441,4 @@ def tile_counts_salted(ds, zoom: int = 7, threshold: int | None = None,
 
     return bucketed_sum(part.map_batches(unsalt, batch_format="numpy"),
                         "tile_key", "n_sub", "n")
+

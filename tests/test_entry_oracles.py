@@ -83,3 +83,24 @@ def test_q52_join_fallback_matches_broadcast(ray_session):
     joined = E._q52_revenue_by_nation(sf, dim_cap=0).reset_index(drop=True)
     assert broad.equals(joined)
     assert len(broad) >= 1
+
+
+def test_q210_q211_reject_event_types_missing_from_broadcast(
+        ray_session, tmp_path):
+    """A row whose event_type has no entry in the broadcast table (here
+    a null type, which the histogram pass's groupby drops) must fail
+    with a ValueError naming the type, not read uninitialised memory."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+    import pytest
+
+    import __ray_entry__ as E
+
+    pq.write_table(pa.table({
+        "event_type": ["click", None, "view", "click"],
+        "value": [1.0, 2.0, 3.0, 4.0]}), tmp_path / "events.parquet")
+    for q in (E._q210_winsorized, E._q211_mad):
+        # Ray wraps the task's ValueError; its message carries the cause
+        with pytest.raises(Exception,
+                           match="ValueError: event_type None has no"):
+            q(str(tmp_path))

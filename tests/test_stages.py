@@ -158,6 +158,100 @@ def test_salted_tile_counts_parity(ray_session):
     _ = pd
 
 
+def _numpy_tile_counts(n, zoom):
+    from proj_ray.images import geotags
+    from proj_ray.tiles import tile_assign
+
+    lon, lat = geotags(np.arange(n, dtype=np.int64))
+    tx, ty, _ = tile_assign(lon, lat, zoom)
+    return np.unique(tx * np.int64(1 << 30) + ty, return_counts=True)
+
+
+def _sorted_counts(ds):
+    df = ds.to_pandas().sort_values("tile_key")
+    return df["tile_key"].to_numpy(np.int64), df["n"].to_numpy(np.int64)
+
+
+def test_tile_counts_under_cap_finish_on_driver(ray_session, monkeypatch):
+    """Under the cap the materialized partials are summed on the driver:
+    no bucketed exchange runs, and the counts equal a NumPy count."""
+    from proj_ray.pipelines import geotag_dataset, spatial
+
+    def no_exchange(*a, **k):
+        raise AssertionError("bucketed_sum ran under the driver cap")
+
+    monkeypatch.setattr(spatial, "bucketed_sum", no_exchange)
+    n = 30000
+    keys, counts = _numpy_tile_counts(n, zoom=5)
+    for salted in (True, False):
+        out = spatial.tile_counts_salted(geotag_dataset(n, parallelism=8),
+                                         zoom=5, threshold=50, salt=8,
+                                         salted=salted)
+        assert [str(t) for t in out.schema().types] == ["int64", "int64"]
+        k, c = _sorted_counts(out)
+        assert np.array_equal(k, keys) and np.array_equal(c, counts)
+
+
+def test_tile_counts_distributed_routes_match_driver(ray_session,
+                                                     monkeypatch):
+    """With the cap at 0 every non-empty partial table takes the
+    distributed route: coalesce (24 blocks > 2 x 4 CPUs), census, salt,
+    bucketed exchanges and un-salt merge. Salted and unsalted must count
+    exactly like the driver route."""
+    import ray.data as rd
+
+    from proj_ray.pipelines import geotag_dataset, spatial
+
+    n = 30000
+    driver = _sorted_counts(spatial.tile_counts_salted(
+        geotag_dataset(n, parallelism=24), zoom=5))
+    # threshold 50 really salts: the Zipf hotspots put some tiles above it
+    assert (driver[1] >= 50).sum() >= 3
+
+    exchanged, repartitions = [], []
+    real_sum, real_rep = spatial.bucketed_sum, rd.Dataset.repartition
+
+    def spy_sum(parts, key_col, *a, **k):
+        exchanged.append(key_col)
+        return real_sum(parts, key_col, *a, **k)
+
+    def spy_rep(self, *a, **k):
+        repartitions.append(a)
+        return real_rep(self, *a, **k)
+
+    monkeypatch.setattr(spatial, "bucketed_sum", spy_sum)
+    monkeypatch.setattr(rd.Dataset, "repartition", spy_rep)
+    monkeypatch.setattr(spatial, "DRIVER_FINISH_ROWS", 0)
+    salted = spatial.tile_counts_salted(geotag_dataset(n, parallelism=24),
+                                        zoom=5, threshold=50, salt=8)
+    assert exchanged == ["tile_key", "cell_salted", "tile_key"]
+    plain = spatial.tile_counts_salted(geotag_dataset(n, parallelism=24),
+                                       zoom=5, salted=False)
+    assert exchanged[3:] == ["tile_key"]
+    assert len(repartitions) == 2
+    for out in (salted, plain):
+        k, c = _sorted_counts(out)
+        assert np.array_equal(k, driver[0])
+        assert np.array_equal(c, driver[1])
+
+
+def test_tile_counts_empty_input_is_typed(ray_session, monkeypatch):
+    import ray.data as rd
+
+    from proj_ray.pipelines import spatial
+
+    for cap in (spatial.DRIVER_FINISH_ROWS, 0):
+        monkeypatch.setattr(spatial, "DRIVER_FINISH_ROWS", cap)
+        for salted in (True, False):
+            empty = rd.from_items([{"lon": 1.0, "lat": 2.0}]) \
+                .filter(lambda r: False)
+            out = spatial.tile_counts_salted(empty, zoom=5, salted=salted)
+            assert out.count() == 0
+            assert out.schema().names == ["tile_key", "n"]
+            assert [str(t) for t in out.schema().types] == \
+                ["int64", "int64"]
+
+
 def test_fused_salted_tile_counts_parity(ray_session):
     """The census-free fused path (one streaming execution,
     unconditional two-level salt) must count identically to the

@@ -33,16 +33,23 @@ _RECT_SQL = ("SELECT j AS rect_id, -180.0 + j*22.0 + 0.0005 AS x0, "
              "FROM range(16) t(j)")
 
 
-def _read(sf_dir: str, table: str, columns: list[str] | None = None):
+def _read(sf_dir: str, table: str, columns: list[str] | None = None,
+          small_as_one_block: bool = False):
     """Read a driver table: Lance dataset dir if present (input_hint
-    shape), else parquet — with column pruning pushed to the reader."""
+    shape), else parquet — with column pruning pushed to the reader.
+    `small_as_one_block` reads a parquet table of at most
+    `dsutil.ONE_BLOCK_ROWS` rows as one block (`dsutil.read_parquet`),
+    for inputs of the row-wise stages."""
     import os
 
+    from proj_ray.dsutil import read_parquet
     from proj_ray.sources.lance import read_table
 
     lance_path = f"{sf_dir}/{table}.lance"
     if os.path.isdir(lance_path):
         return read_table(lance_path, columns=columns)
+    if small_as_one_block:
+        return read_parquet(f"{sf_dir}/{table}.parquet", columns=columns)
     return read_table(f"{sf_dir}/{table}.parquet", columns=columns)
 
 
@@ -55,10 +62,14 @@ def _geo_query_points(k: int = 5):
             (i * 75487 % 170000) / 1000.0 - 85.0)
 
 
-def _docs_geo(sf_dir: str):
+def _docs_geo(sf_dir: str, small_as_one_block: bool = True):
     # doc_id is the only column used — prune at the reader so the wide
-    # `text` column never leaves storage for the six geo queries.
-    ds = _read(sf_dir, "documents", columns=["doc_id"])
+    # `text` column never leaves storage for the geo queries. A small
+    # table reads as one block, so the row-wise stages after it run one
+    # task; a consumer whose sort shuffle takes its partition count
+    # from the read's blocks keeps Ray's split instead (q119).
+    ds = _read(sf_dir, "documents", columns=["doc_id"],
+               small_as_one_block=small_as_one_block)
 
     def add_geo(b: dict) -> dict:
         i = np.asarray(b["doc_id"], dtype=np.int64)
@@ -967,7 +978,7 @@ def _q21_images_tiles(sf_dir: str):
     n = _read(sf_dir, "documents").count() * 4
     # read the cached stored table, pruning to the geotag columns —
     # the blobs never leave storage for a tiling query
-    ds = images_table(n, columns=["lon", "lat"])
+    ds = images_table(n, columns=["lon", "lat"], small_as_one_block=True)
     ds = with_cells(ds, level=7)
     ds = with_tiles(ds, zoom=7)
     keys = ["tile_z", "tile_x", "tile_y"]
@@ -1055,7 +1066,8 @@ def _q22_images_join(sf_dir: str):
     ry = [np.array([y0, y0, y0 + h, y0 + h]) for _, x0, y0, w, h in _RECTS]
     idx = PolygonIndex(ids, rx, ry)
     n = _read(sf_dir, "documents").count() * 2
-    out = spatial_join(images_table(n, columns=["image_id", "lon", "lat"]),
+    out = spatial_join(images_table(n, columns=["image_id", "lon", "lat"],
+                                    small_as_one_block=True),
                        idx, how="inner")
 
     def pick(b):
@@ -2356,7 +2368,8 @@ def _q49_zonal_stats(sf_dir: str):
 
     n = _read(sf_dir, "documents").count()
     ds = with_tiles(images_table(
-        n, columns=["image_id", "bytes", "fmt", "lon", "lat"]), zoom=5)
+        n, columns=["image_id", "bytes", "fmt", "lon", "lat"],
+        small_as_one_block=True), zoom=5)
 
     def partial(b: dict) -> dict:
         import pandas as pd
@@ -6110,8 +6123,11 @@ def _q119_dbscan_core(sf_dir: str):
     (floor) and DuckDB // (trunc) agree."""
     from proj_ray.functions.dbscan import dbscan_core_stats
 
-    return dbscan_core_stats(_docs_geo(sf_dir), "lon", "lat",
-                             "doc_id", eps_mdeg=2000, min_pts=4)
+    # per-cell pair counting is the heavy step: its map_groups runs one
+    # shuffle partition per input block, so keep the read's split
+    return dbscan_core_stats(_docs_geo(sf_dir, small_as_one_block=False),
+                             "lon", "lat", "doc_id", eps_mdeg=2000,
+                             min_pts=4)
 
 
 _Q119_SQL = f"""

@@ -548,10 +548,9 @@ def main() -> None:
 
     DataContext.get_current().enable_progress_bars = False
     if os.environ.get("BENCH_NO_RESERVATION", "0") == "1":
-        # A/B probe: Ray Data's op resource reservation measurably
-        # starves map stages feeding an all-to-all at small cpu counts
-        # (see tile_counts_salted_fused); this flag measures the same
-        # effect on the whole suite
+        # A/B probe: Ray Data's op resource reservation can starve a
+        # map stage that shares its plan with an all-to-all at small
+        # cpu counts; this flag measures that effect on the whole suite
         DataContext.get_current().op_resource_reservation_enabled = False
     result = run_suite(SF_DIR)
     ray.shutdown()

@@ -29,3 +29,34 @@ def pull_pandas(ds):
         return pd.DataFrame({c: [] for c in cols})
     return pd.concat(dfs, ignore_index=True) if len(dfs) > 1 else \
         dfs[0].reset_index(drop=True)
+
+
+# a parquet table of at most this many rows reads as one block: it is
+# one kernel pass (`Operation.CHUNK`, `PolygonIndex.CHUNK`), so
+# splitting it only adds tasks
+ONE_BLOCK_ROWS = 32_768
+
+
+def read_parquet(paths, columns: list[str] | None = None, **kwargs):
+    """`ray.data.read_parquet`, except that a table of at most
+    ONE_BLOCK_ROWS rows reads as ONE block.
+
+    Ray's read asks for at least 2 x CPUs blocks at any size, so a
+    5,000-row table arrives as 16 blocks of ~300 rows, and each
+    row-wise stage after it (one call per block) runs 16 tasks that
+    cost more to schedule than to run. One read task also lets Ray
+    fuse the read with those stages. Rows are counted from the parquet
+    footers, stopping past the cap. Meant for inputs of light row-wise
+    stages: a heavy per-row map (decode, embed) wants Ray's split."""
+    import pyarrow.dataset as pads
+    import ray.data as rd
+
+    if "override_num_blocks" not in kwargs:
+        rows = 0
+        for frag in pads.dataset(paths, format="parquet").get_fragments():
+            rows += frag.metadata.num_rows
+            if rows > ONE_BLOCK_ROWS:
+                break
+        if rows <= ONE_BLOCK_ROWS:
+            kwargs["override_num_blocks"] = 1
+    return rd.read_parquet(paths, columns=columns, **kwargs)

@@ -429,16 +429,23 @@ def cached_table(gen_fn, tag: str, n_rows: int,
 
 
 def images_table(n_rows: int, columns: list | None = None,
-                 parallelism: int = 32):
+                 parallelism: int = 32, small_as_one_block: bool = False):
     """The synthetic images table as a READ of its cached parquet
     materialization, with column pruning pushed to the reader (e.g.
-    tiling needs only lon/lat — the blobs never leave storage)."""
+    tiling needs only lon/lat — the blobs never leave storage).
+    `small_as_one_block` reads a table of at most
+    `dsutil.ONE_BLOCK_ROWS` rows as one block, for inputs of the
+    row-wise stages; decode/embed maps keep Ray's split."""
     import ray.data as rd
+
+    from proj_ray.dsutil import read_parquet
 
     # tag bumped when the codec set changed (jpeg -> real T.81; the
     # fixture's lossy rows renamed to qjpg) so stale caches regenerate
     path = cached_table(images_dataset, "images_v2", n_rows,
                         parallelism=parallelism)
+    if small_as_one_block:
+        return read_parquet(path, columns=columns)
     return rd.read_parquet(path, columns=columns)
 
 

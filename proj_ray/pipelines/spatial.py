@@ -2,18 +2,21 @@
 z/x/y tiles -> PIP join vs broadcast polygon index -> per-tile counts.
 
 Aggregation paths:
+- `bucketed_sum`: the one driver-or-exchange combine of a (key,
+  partial) table. It materializes its input once; a table of at most
+  DRIVER_FINISH_ROWS rows is pulled and summed on the driver (no
+  exchange), a larger one runs a bucketed all-to-all.
 - `headline_spatial`: fused actor stage emits per-batch partial
-  (tile, count) pairs; the groupby-Sum combine moves O(#tiles × #blocks)
-  rows — the shuffle-minimal shape.
+  (tile, count) pairs; the combine moves O(#tiles × #blocks) rows —
+  the shuffle-minimal shape.
 - `tile_counts_salted`: per-tile counts of a Dataset. Per-block
-  partials are materialized once; a partial table of at most
-  DRIVER_FINISH_ROWS rows is pulled and summed on the driver (one
-  execution, no exchange). Above that the combine runs distributed
-  with explicit skew handling: a census finds hot tiles
-  (images.geotags plants Zipfian metro hotspots), their partials split
-  into `salt` deterministic sub-keys before the bucketed exchange, and
-  the sub-counts merge after. The salt bounds the largest single
-  reducer group at 100-TB skew.
+  partials are materialized once; under DRIVER_FINISH_ROWS rows
+  `bucketed_sum` finishes them on the driver. Above that the combine
+  runs distributed with explicit skew handling: a census finds hot
+  tiles (images.geotags plants Zipfian metro hotspots), their partials
+  split into `salt` deterministic sub-keys before the bucketed
+  exchange, and the sub-counts merge after. The salt bounds the
+  largest single reducer group at 100-TB skew.
 - `tile_counts_salted_fused`: census-free salting of synthetic geotags
   in one streaming execution.
 Counts are identical on every path (tests assert it).
@@ -26,8 +29,9 @@ import numpy as np
 
 from proj_ray.dsutil import pull_pandas  # noqa: F401  (re-export)
 
-# tile_counts_salted finishes on the driver when its partial table has at
-# most this many rows (~64 MB as a pandas (int64, int64) frame)
+# bucketed_sum (and so tile_counts_salted) finishes on the driver when its
+# partial table has at most this many rows (~64 MB as a pandas
+# (int64, int64) frame)
 DRIVER_FINISH_ROWS = 4_000_000
 
 
@@ -138,11 +142,11 @@ def headline_spatial(n_rows: int, num_cpus: int = 32, zoom: int = 10,
 
     combine="total" (the benchmark metric): per-batch partial (tile,
     count) pairs stream to the driver and only their sum is kept — no
-    shuffle. combine="tiles": materialize per-tile counts with a
-    distributed groupby-Sum. Note the synthetic geotags have no
-    spatial locality per block, so at zoom 10 partial counts barely
-    compress (~#matched rows of partials) and the groupby is a real
-    shuffle — that per-tile path is benchmarked separately
+    shuffle. combine="tiles": per-tile counts through bucketed_sum.
+    Note the synthetic geotags have no spatial locality per block, so
+    at zoom 10 partial counts barely compress (~#matched rows of
+    partials), and above bucketed_sum's driver cap the combine is a
+    real shuffle — that per-tile path is benchmarked separately
     (tile_counts_salted), where the salt also handles the Zipf
     hotspots."""
     import ray
@@ -167,22 +171,41 @@ def headline_spatial(n_rows: int, num_cpus: int = 32, zoom: int = 10,
 
 def bucketed_sum(parts, key_col: str, val_col: str, out_col: str,
                  n_buckets: int | None = None):
-    """Distributed sum-combine of a (key, partial) table: hash keys
-    into a SMALL int bucket domain, co-partition on the bucket, one
-    vectorized unique+add.at pass per bucket.
+    """Sum-combine of a (key, partial) table into (key_col int64,
+    out_col int64), run eagerly: the input is materialized once, in the
+    same execution as whatever feeds it (an already materialized input
+    costs nothing more).
 
-    This deliberately avoids `groupby(key).aggregate(Sum(...))`:
-    ray.data's sort-aggregate runs a Python loop over every KEY on
-    both the map and reduce sides (~80 us/row measured — 4.9 s for a
-    131k-row partial table at 4 cpus), while this shape prices the
-    same all-to-all at ~1 s because the sort domain is `n_buckets`
-    small ints and all per-key work is NumPy. Size `n_buckets` so
-    distinct-keys / n_buckets rows fit a worker heap (defaults to
-    4 x cluster CPUs; thousands at the 100-TB target)."""
+    - At most DRIVER_FINISH_ROWS rows: the table is pulled and summed
+      per key with one pandas groupby, so no exchange runs; an empty
+      input gives a typed zero-row table.
+    - Above it: a distributed combine hashes keys into a small `_bk`
+      bucket domain, co-partitions on it, and runs one vectorized
+      unique+add.at pass per bucket. This deliberately avoids
+      `groupby(key).aggregate(Sum(...))`: ray.data's sort-aggregate
+      runs a Python loop over every KEY on both the map and reduce
+      sides (~80 us/row measured — 4.9 s for a 131k-row partial table
+      at 4 cpus), while this shape prices the same all-to-all at ~1 s
+      because the sort domain is `n_buckets` small ints and all
+      per-key work is NumPy. Size `n_buckets` so distinct-keys /
+      n_buckets rows fit a worker heap (defaults to 4 x cluster CPUs;
+      thousands at the 100-TB target)."""
     import pandas as pd
     import ray
+    import ray.data as rd
 
     from proj_ray.functions._hash import splitmix64
+
+    parts = parts.materialize()
+    if parts.count() <= DRIVER_FINISH_ROWS:
+        pdf = pull_pandas(parts)
+        if pdf.empty:  # no blocks, so no schema to take dtypes from
+            pdf = pd.DataFrame({key_col: np.empty(0, np.int64),
+                                val_col: np.empty(0, np.int64)})
+        out = pdf.groupby(key_col, as_index=False)[val_col].sum()
+        return rd.from_pandas(pd.DataFrame({
+            key_col: out[key_col].to_numpy(np.int64),
+            out_col: out[val_col].to_numpy(np.int64)}))
 
     if n_buckets is None:
         n_buckets = 4 * max(1, int(ray.cluster_resources().get("CPU", 8)))
@@ -266,37 +289,31 @@ class FusedSaltedTileStage:
 
 def tile_counts_salted_fused(n_rows: int, zoom: int = 7, salt: int = 16,
                              num_cpus: int | None = None):
-    """Census-free salted per-tile counts in ONE streaming execution:
-    fused shard-descriptor stage (synthesis + tiling + local combine +
-    salt) -> bucketed_sum all-to-all -> driver un-salt merge.
+    """Census-free salted per-tile counts: fused shard-descriptor stage
+    (synthesis + tiling + local combine + salt) -> bucketed_sum ->
+    driver un-salt merge. bucketed_sum materializes the map pass and
+    sums its partials on the driver while they fit DRIVER_FINISH_ROWS;
+    above that it runs one bucketed all-to-all.
 
     Above its driver cap the censused `tile_counts_salted` needs up to
     four executions (map + materialize, coalesce, census, salted
-    combine) around the census barrier; this path needs one at any
-    size, because unconditional salting removes the need to KNOW which
-    keys are hot before the shuffle. Returns a
-    pandas DataFrame of (tile_key, n) — counts are identical to the
-    censused and unsalted paths (tests assert parity).
+    combine) around the census barrier; this path needs at most two
+    (the map, then the exchange) at any size, because unconditional
+    salting removes the need to KNOW which keys are hot before the
+    shuffle. Returns a pandas DataFrame of (tile_key, n) — counts are
+    identical to the censused and unsalted paths (tests assert parity).
 
-    Two measured scheduling decisions (each worth >2x wall time at
-    small cpu counts):
-    - op resource reservation OFF for this execution: with an
-      all-to-all (Sort) in the plan, Ray Data's reservation allocator
-      pins most CPUs for downstream ops and runs the map stage nearly
-      serially at <=4 cpus (measured 12 tasks x 0.57 s CPU taking
-      6.9 s wall on 4 cpus; 1.9 s with reservation off). The plan here
-      is map -> tiny sort -> map with bounded partial tables, so
-      starvation protection buys nothing.
-    - coarse shards, one task per cpu: tasks = num_cpus (par = 2x
-      shards bundled 2/batch), since the synthetic work is perfectly
-      uniform; more shards only multiply partial rows (one row per
-      distinct salted key PER BATCH) and task-launch gaps. Shard size
-      is capped at 24 M rows so a 100-TB input still gets balanced,
-      retryable tasks rather than hour-long ones."""
+    Coarse shards, one task per cpu: tasks = num_cpus (par = 2x
+    shards bundled 2/batch), since the synthetic work is perfectly
+    uniform; more shards only multiply partial rows (one row per
+    distinct salted key PER BATCH) and task-launch gaps. Shard size is
+    capped at 24 M rows so a 100-TB input still gets balanced,
+    retryable tasks rather than hour-long ones. The map runs alone in
+    its execution (bucketed_sum materializes it before any exchange),
+    so no downstream operator's resource reservation can starve it."""
     import pandas as pd
     import ray
     import ray.data as rd
-    from ray.data import DataContext
 
     if num_cpus is None:
         num_cpus = int(ray.cluster_resources().get("CPU", 8))
@@ -305,20 +322,14 @@ def tile_counts_salted_fused(n_rows: int, zoom: int = 7, salt: int = 16,
     items = [{"start": s, "count": min(shard, n_rows - s)}
              for s in range(0, n_rows, shard)]
     stage = FusedSaltedTileStage(zoom, salt)
-    ctx = DataContext.get_current()
-    saved = ctx.op_resource_reservation_enabled
-    ctx.op_resource_reservation_enabled = False
-    try:
-        parts = rd.from_items(items).map_batches(
-            stage, batch_format="numpy", batch_size=2)
-        merged = bucketed_sum(parts, "cell_salted", "n_part", "n_sub")
-        outs = []
-        for b in merged.iter_batches(batch_format="numpy"):
-            outs.append(pd.DataFrame({
-                "tile_key": np.asarray(b["cell_salted"]) // salt,
-                "n_sub": np.asarray(b["n_sub"], dtype=np.int64)}))
-    finally:
-        ctx.op_resource_reservation_enabled = saved
+    parts = rd.from_items(items).map_batches(
+        stage, batch_format="numpy", batch_size=2)
+    merged = bucketed_sum(parts, "cell_salted", "n_part", "n_sub")
+    outs = []
+    for b in merged.iter_batches(batch_format="numpy"):
+        outs.append(pd.DataFrame({
+            "tile_key": np.asarray(b["cell_salted"]) // salt,
+            "n_sub": np.asarray(b["n_sub"], dtype=np.int64)}))
     mdf = pd.concat(outs, ignore_index=True) if outs else \
         pd.DataFrame({"tile_key": [], "n_sub": []})
     return (mdf.groupby("tile_key", as_index=False)["n_sub"].sum()
@@ -344,9 +355,8 @@ def tile_counts_salted(ds, zoom: int = 7, threshold: int | None = None,
     boundary) and materializes them, so the raw rows are read once.
     Then the partial table (#tiles x #blocks rows at most) decides:
 
-    - at or under DRIVER_FINISH_ROWS rows it is pulled once and summed
-      per tile_key with one pandas groupby: one Ray execution and no
-      exchange, since the state already fits the driver;
+    - at or under DRIVER_FINISH_ROWS rows `bucketed_sum` sums it on
+      the driver with no exchange, since the state already fits there;
     - above it the combine runs distributed: the partials are
       coalesced, a bucketed_sum census finds tiles with at least
       `threshold` rows, each block's partial for a hot tile gets one
@@ -357,9 +367,7 @@ def tile_counts_salted(ds, zoom: int = 7, threshold: int | None = None,
     Counts are identical on every route (tests assert it). An empty
     input gives a zero-row, typed table; it always finishes on the
     driver."""
-    import pandas as pd
     import ray
-    import ray.data as rd
 
     def tile_partials(b: dict) -> dict:
         from proj_ray.tiles import tile_assign
@@ -372,13 +380,7 @@ def tile_counts_salted(ds, zoom: int = 7, threshold: int | None = None,
     parts = ds.map_batches(tile_partials, batch_format="numpy",
                            batch_size=None).materialize()
     if parts.count() <= DRIVER_FINISH_ROWS:
-        pdf = pull_pandas(parts)
-        if pdf.empty:  # no blocks, so no schema to take dtypes from
-            pdf = pd.DataFrame({"tile_key": np.empty(0, np.int64),
-                                "n_part": np.empty(0, np.int64)})
-        return rd.from_pandas(
-            pdf.groupby("tile_key", as_index=False)["n_part"].sum()
-            .rename(columns={"n_part": "n"}))
+        return bucketed_sum(parts, "tile_key", "n_part", "n")
 
     ncpu = int(ray.cluster_resources().get("CPU", 8))
     if parts.num_blocks() > 2 * ncpu:
@@ -425,20 +427,14 @@ def tile_counts_salted(ds, zoom: int = 7, threshold: int | None = None,
 
     part = bucketed_sum(parts.map_batches(salt_parts,
                                           batch_format="numpy"),
-                        "cell_salted", "n_part", "n_sub").materialize()
-    # un-salt merge: the salted output is <= #tiles + #hot*salt rows;
-    # merge driver-local under the cap, distributed groupby above it
-    if part.count() <= DRIVER_FINISH_ROWS:
-        mdf = pull_pandas(part)
-        mdf["tile_key"] = mdf["cell_salted"] // salt
-        out = (mdf.groupby("tile_key", as_index=False)["n_sub"].sum()
-               .rename(columns={"n_sub": "n"}))
-        return rd.from_pandas(out)
+                        "cell_salted", "n_part", "n_sub")
 
     def unsalt(b: dict) -> dict:
         return {"tile_key": np.asarray(b["cell_salted"]) // salt,
                 "n_sub": b["n_sub"]}
 
+    # un-salt merge: the salted output is <= #tiles + #hot*salt rows, so
+    # it usually finishes on the driver
     return bucketed_sum(part.map_batches(unsalt, batch_format="numpy"),
                         "tile_key", "n_sub", "n")
 

@@ -12,6 +12,13 @@ Every stage is a thin wrapper that applies a vectorized kernel with
   - wide steps (census, knn merge, tile agg)  -> groupby/aggregate with
     pre-aggregation inside map_batches where possible
 
+The row-wise stages (reproject, with_cells, with_tiles, spatial_join)
+make one call per block; the reprojection and PIP kernels slice it
+internally (`Operation.CHUNK`, `PolygonIndex.CHUNK`). With no batch
+size to bundle rows, Ray fuses a chain of them (and the read before
+it) into one operator with one task per input block, so a small input
+should arrive as one block (`dsutil.read_parquet`).
+
 Nothing here materializes the full dataset; everything streams.
 """
 
@@ -35,8 +42,7 @@ def _cached_op(defn: str):
 def reproject(ds, defn: str, direction: str = "fwd",
               x_col: str = "lon", y_col: str = "lat",
               out_x: str = "x", out_y: str = "y",
-              degrees_in: bool = True, degrees_out: bool = False,
-              batch_size: int = 64 * 1024):
+              degrees_in: bool = True, degrees_out: bool = False):
     """Apply a +proj operator to two coordinate columns.
 
     The operator is constructed once per worker process (lru_cache), the
@@ -61,22 +67,21 @@ def reproject(ds, defn: str, direction: str = "fwd",
         batch[out_y] = ry
         return batch
 
-    return ds.map_batches(fn, batch_format="numpy", batch_size=batch_size)
+    return ds.map_batches(fn, batch_format="numpy", batch_size=None)
 
 
 def with_cells(ds, level: int, lon_col: str = "lon", lat_col: str = "lat",
-               out: str = "cell", batch_size: int = 128 * 1024):
+               out: str = "cell"):
     """Add the Morton/webmerc cell id column — the shuffle key."""
 
     def fn(batch: dict) -> dict:
         batch[out] = C.cell_id(batch[lon_col], batch[lat_col], level)
         return batch
 
-    return ds.map_batches(fn, batch_format="numpy", batch_size=batch_size)
+    return ds.map_batches(fn, batch_format="numpy", batch_size=None)
 
 
-def with_tiles(ds, zoom: int, lon_col: str = "lon", lat_col: str = "lat",
-               batch_size: int = 128 * 1024):
+def with_tiles(ds, zoom: int, lon_col: str = "lon", lat_col: str = "lat"):
     """Add z/x/y tile assignment columns."""
 
     def fn(batch: dict) -> dict:
@@ -87,7 +92,7 @@ def with_tiles(ds, zoom: int, lon_col: str = "lon", lat_col: str = "lat",
         batch["tile_valid"] = valid
         return batch
 
-    return ds.map_batches(fn, batch_format="numpy", batch_size=batch_size)
+    return ds.map_batches(fn, batch_format="numpy", batch_size=None)
 
 
 def cell_census(ds, cell_col: str = "cell"):
@@ -204,8 +209,7 @@ class PIPJoiner:
 
 
 def spatial_join(ds, index, how: str = "inner",
-                 lon_col: str = "lon", lat_col: str = "lat",
-                 batch_size: int = 32 * 1024):
+                 lon_col: str = "lon", lat_col: str = "lat"):
     """Point-in-polygon join against a broadcast PolygonIndex.
 
     `index` may be a PolygonIndex or an ObjectRef from `ray.put(index)`
@@ -217,7 +221,7 @@ def spatial_join(ds, index, how: str = "inner",
     return ds.map_batches(
         PIPJoiner(ref, lon_col, lat_col, how),
         batch_format="pyarrow",
-        batch_size=batch_size,
+        batch_size=None,
     )
 
 

@@ -276,7 +276,7 @@ def test_spatial_join_modes_on_multi_block_input(ray_session):
               for x in range(12)}
 
     def blocks(how):
-        ds = spatial_join(src, idx, how=how, batch_size=12)
+        ds = spatial_join(src, idx, how=how)
         dag = ds._logical_plan.dag
         while dag.input_dependencies:
             assert not isinstance(getattr(dag, "_compute", None),

@@ -172,15 +172,21 @@ def _sorted_counts(ds):
     return df["tile_key"].to_numpy(np.int64), df["n"].to_numpy(np.int64)
 
 
-def test_tile_counts_under_cap_finish_on_driver(ray_session, monkeypatch):
-    """Under the cap the materialized partials are summed on the driver:
-    no bucketed exchange runs, and the counts equal a NumPy count."""
-    from proj_ray.pipelines import geotag_dataset, spatial
+def _no_groupby(monkeypatch):
+    import ray.data as rd
 
     def no_exchange(*a, **k):
-        raise AssertionError("bucketed_sum ran under the driver cap")
+        raise AssertionError("an exchange ran under the driver cap")
 
-    monkeypatch.setattr(spatial, "bucketed_sum", no_exchange)
+    monkeypatch.setattr(rd.Dataset, "groupby", no_exchange)
+
+
+def test_tile_counts_under_cap_finish_on_driver(ray_session, monkeypatch):
+    """Under the cap the materialized partials are summed on the driver:
+    no exchange runs, and the counts equal a NumPy count."""
+    from proj_ray.pipelines import geotag_dataset, spatial
+
+    _no_groupby(monkeypatch)
     n = 30000
     keys, counts = _numpy_tile_counts(n, zoom=5)
     for salted in (True, False):
@@ -250,6 +256,165 @@ def test_tile_counts_empty_input_is_typed(ray_session, monkeypatch):
             assert out.schema().names == ["tile_key", "n"]
             assert [str(t) for t in out.schema().types] == \
                 ["int64", "int64"]
+
+
+def test_bucketed_sum_routes(ray_session, monkeypatch):
+    """Under the cap bucketed_sum runs no groupby and equals a NumPy
+    sum; empty input gives a typed zero-row table; with the cap at 0 the
+    bucketed exchange gives the same table."""
+    import pandas as pd
+    import ray.data as rd
+
+    from proj_ray.pipelines import spatial
+
+    rng = np.random.default_rng(5)
+    keys = rng.integers(-50, 2000, 20000) * np.int64(1 << 33)
+    vals = rng.integers(0, 1000, 20000)
+    parts = rd.from_pandas([pd.DataFrame({"k": keys[i::6], "v": vals[i::6]})
+                            for i in range(6)])
+    uk, inv = np.unique(keys, return_inverse=True)
+    want = np.zeros(len(uk), np.int64)
+    np.add.at(want, inv, vals)
+
+    def check(out):
+        assert out.schema().names == ["k", "s"]
+        assert [str(t) for t in out.schema().types] == ["int64", "int64"]
+        df = out.to_pandas().sort_values("k")
+        assert np.array_equal(df["k"].to_numpy(), uk)
+        assert np.array_equal(df["s"].to_numpy(), want)
+
+    with monkeypatch.context() as m:
+        _no_groupby(m)
+        check(spatial.bucketed_sum(parts, "k", "v", "s"))
+        empty = rd.from_items([{"k": 1, "v": 2}]).filter(lambda r: False)
+        out = spatial.bucketed_sum(empty, "k", "v", "s")
+        assert out.count() == 0
+        assert out.schema().names == ["k", "s"]
+        assert [str(t) for t in out.schema().types] == ["int64", "int64"]
+    monkeypatch.setattr(spatial, "DRIVER_FINISH_ROWS", 0)
+    grouped, real_groupby = [], rd.Dataset.groupby
+
+    def spy_groupby(self, *a, **k):
+        grouped.append(a)
+        return real_groupby(self, *a, **k)
+
+    monkeypatch.setattr(rd.Dataset, "groupby", spy_groupby)
+    check(spatial.bucketed_sum(parts, "k", "v", "s", n_buckets=7))
+    assert grouped == [("_bk",)]
+
+
+def test_tile_join_plan_is_one_operator_per_block(ray_session, monkeypatch,
+                                                 tmp_path):
+    """read_parquet of 8 files -> reproject -> with_tiles ->
+    spatial_join -> per-block partials -> bucketed_sum fuses into ONE
+    operator running one task per file, with no exchange, and counts
+    like a brute-force oracle."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+    import ray.data as rd
+
+    from proj_ray import join, stages
+    from proj_ray.pipelines import spatial
+    from proj_ray.tiles import tile_assign
+
+    rng = np.random.default_rng(8)
+    n, zoom = 24000, 8
+    lon = rng.uniform(-20.0, 20.0, n)
+    lat = rng.uniform(-15.0, 15.0, n)
+    for f in range(8):
+        pq.write_table(pa.table({"lon": lon[f::8], "lat": lat[f::8]}),
+                       str(tmp_path / f"part-{f}.parquet"))
+    rings = [(np.array([-10.0, 5.0, 5.0, -10.0]),
+              np.array([-5.0, -5.0, 8.0, 8.0])),
+             (np.array([0.0, 15.0, 7.0]), np.array([-12.0, -12.0, 10.0])),
+             (np.array([-18.0, -2.0, -2.0, -18.0]),
+              np.array([1.0, 1.0, 14.0, 14.0]))]
+    index = join.PolygonIndex([0, 1, 2], [r[0] for r in rings],
+                              [r[1] for r in rings])
+
+    def partials(b: dict) -> dict:
+        key = b["tile_x"] * np.int64(1 << 30) + b["tile_y"]
+        uk, cnt = np.unique(key[b["tile_valid"]], return_counts=True)
+        return {"tile_key": uk, "n": cnt.astype(np.int64)}
+
+    stats = []
+    real_pull = spatial.pull_pandas
+
+    def spy_pull(ds):
+        stats.append(ds.stats())
+        return real_pull(ds)
+
+    monkeypatch.setattr(spatial, "pull_pandas", spy_pull)
+    ds = rd.read_parquet(str(tmp_path))
+    ds = stages.reproject(ds, "+proj=tmerc +lon_0=0 +ellps=WGS84")
+    ds = stages.with_tiles(ds, zoom)
+    ds = stages.spatial_join(ds, index)
+    ds = ds.map_batches(partials, batch_format="numpy", batch_size=None)
+    out = spatial.bucketed_sum(ds, "tile_key", "n", "n").to_pandas()
+
+    assert len(stats) == 1
+    ops = [ln for ln in stats[0].splitlines() if ln.startswith("Operator")]
+    assert len(ops) == 1, ops
+    assert ops[0].split(" ", 2)[2].startswith("ReadParquet->")
+    assert "PIPJoiner" in ops[0] and "8 tasks executed" in ops[0]
+    assert "Sort" not in stats[0]
+
+    tx, ty, ok = tile_assign(lon, lat, zoom)
+    key = tx * np.int64(1 << 30) + ty
+    hits = np.concatenate([np.flatnonzero(join.pip_oracle(lon, lat, rx, ry)
+                                          & ok) for rx, ry in rings])
+    uk, cnt = np.unique(key[hits], return_counts=True)
+    out = out.sort_values("tile_key")
+    assert np.array_equal(out["tile_key"].to_numpy(), uk)
+    assert np.array_equal(out["n"].to_numpy(), cnt)
+
+
+def test_read_parquet_reads_a_small_table_as_one_block(ray_session,
+                                                      tmp_path):
+    """dsutil.read_parquet reads a table of at most ONE_BLOCK_ROWS rows
+    (here four files) as one block, so the read and the row-wise stages
+    after it run as one task; a larger table keeps Ray's split, and an
+    explicit override_num_blocks wins."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    from proj_ray import dsutil, stages
+    from proj_ray.tiles import tile_assign
+
+    small, big = tmp_path / "small", tmp_path / "big"
+    small.mkdir()
+    big.mkdir()
+    n = 5000
+    ids = np.arange(4 * n, dtype=np.int64)
+    for f in range(4):
+        pq.write_table(pa.table({"doc_id": ids[f * n:(f + 1) * n]}),
+                       str(small / f"part-{f}.parquet"))
+    pq.write_table(pa.table({"doc_id": np.arange(dsutil.ONE_BLOCK_ROWS + 1)}),
+                   str(big / "part-0.parquet"))
+
+    def add_geo(b: dict) -> dict:
+        i = np.asarray(b["doc_id"], dtype=np.int64)
+        return {"doc_id": i, "lon": (i * 61803 % 360000) / 1000.0 - 180.0,
+                "lat": (i * 75487 % 170000) / 1000.0 - 85.0}
+
+    ds = dsutil.read_parquet(str(small), columns=["doc_id"])
+    ds = stages.with_tiles(ds.map_batches(add_geo, batch_format="numpy"),
+                           zoom=6).materialize()
+    ops = [ln for ln in ds.stats().splitlines() if ln.startswith("Operator")]
+    assert len(ops) == 1, ops
+    assert ops[0].split(" ", 2)[2].startswith("ReadParquet->")
+    assert "1 tasks executed" in ops[0]
+    got = ds.to_pandas().sort_values("doc_id")
+    geo = add_geo({"doc_id": ids})
+    tx, ty, ok = tile_assign(geo["lon"], geo["lat"], 6)
+    assert np.array_equal(got["doc_id"].to_numpy(), ids)
+    assert np.array_equal(got["tile_x"].to_numpy(), tx)
+    assert np.array_equal(got["tile_y"].to_numpy(), ty)
+    assert np.array_equal(got["tile_valid"].to_numpy(), ok)
+
+    assert dsutil.read_parquet(str(big)).materialize().num_blocks() > 1
+    assert dsutil.read_parquet(str(small), override_num_blocks=4) \
+        .materialize().num_blocks() == 4
 
 
 def test_fused_salted_tile_counts_parity(ray_session):

@@ -31,6 +31,12 @@ def pull_pandas(ds):
         dfs[0].reset_index(drop=True)
 
 
+# a table of at most this many rows is finished on the driver instead
+# of through an all-to-all (~64 MB as a pandas (int64, int64) frame).
+# `pipelines.spatial.bucketed_sum`, `tile_counts_salted` and
+# `state.resumable_write` read it at call time, so one setting steers all
+DRIVER_FINISH_ROWS = 4_000_000
+
 # a parquet table of at most this many rows reads as one block: it is
 # one kernel pass (`Operation.CHUNK`, `PolygonIndex.CHUNK`), so
 # splitting it only adds tasks

@@ -19,7 +19,9 @@ Aggregation paths:
   largest single reducer group at 100-TB skew.
 - `tile_counts_salted_fused`: census-free salting of synthetic geotags
   in one streaming execution.
-Counts are identical on every path (tests assert it).
+Counts are identical on every path (tests assert it). DRIVER_FINISH_ROWS
+lives in `proj_ray.dsutil` and is read at call time, so it also steers
+`state.resumable_write`.
 """
 
 from __future__ import annotations
@@ -27,12 +29,8 @@ from __future__ import annotations
 import numpy as np
 
 
+from proj_ray import dsutil
 from proj_ray.dsutil import pull_pandas  # noqa: F401  (re-export)
-
-# bucketed_sum (and so tile_counts_salted) finishes on the driver when its
-# partial table has at most this many rows (~64 MB as a pandas
-# (int64, int64) frame)
-DRIVER_FINISH_ROWS = 4_000_000
 
 
 def geotag_dataset(n_rows: int, parallelism: int | None = None):
@@ -197,7 +195,7 @@ def bucketed_sum(parts, key_col: str, val_col: str, out_col: str,
     from proj_ray.functions._hash import splitmix64
 
     parts = parts.materialize()
-    if parts.count() <= DRIVER_FINISH_ROWS:
+    if parts.count() <= dsutil.DRIVER_FINISH_ROWS:
         pdf = pull_pandas(parts)
         if pdf.empty:  # no blocks, so no schema to take dtypes from
             pdf = pd.DataFrame({key_col: np.empty(0, np.int64),
@@ -379,7 +377,7 @@ def tile_counts_salted(ds, zoom: int = 7, threshold: int | None = None,
 
     parts = ds.map_batches(tile_partials, batch_format="numpy",
                            batch_size=None).materialize()
-    if parts.count() <= DRIVER_FINISH_ROWS:
+    if parts.count() <= dsutil.DRIVER_FINISH_ROWS:
         return bucketed_sum(parts, "tile_key", "n_part", "n")
 
     ncpu = int(ray.cluster_resources().get("CPU", 8))

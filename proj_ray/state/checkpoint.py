@@ -7,7 +7,18 @@ Layout under `out_dir`:
 
 A failed run leaves partitions without manifest entries; `resumable_write`
 skips any partition whose manifest entry exists, so rerunning converges to
-the same output as a single clean run (verified by tests/test_checkpoint).
+the same output as a single clean run (verified by
+tests/test_stages.py::test_checkpoint_resume and
+::test_partial_checkpoint_resume, on both routes).
+
+`resumable_write` materializes its input once and picks a route by size,
+on the same cap as `pipelines.spatial.bucketed_sum`
+(`dsutil.DRIVER_FINISH_ROWS`):
+- driver: a table that fits is pulled, split with one pandas groupby,
+  and each partition is written from the driver, so no exchange runs;
+- exchange: a larger table is grouped by a sort all-to-all and each
+  group is written by a Ray task.
+Both routes write the same files and manifest entries.
 
 This is the explicit checkpoint/resume design the reference lacks
 (SURVEY §4: "checkpoint/resume: none — explicit design needed").
@@ -68,11 +79,17 @@ def resumable_write(ds, out_dir: str, partition_col: str,
     """Write one parquet file per distinct `partition_col` value, skipping
     partitions already recorded in the manifest. Returns summary stats.
 
+    Eager: `ds` is materialized once, here, and then written on the
+    driver or exchange route (see the module docstring).
+
     Partition values must be stable across runs (derive them from input
-    shard ids or key ranges, never from block boundaries).
+    shard ids or key ranges, never from block boundaries). They must
+    also be non-null and mutually comparable: the exchange route sorts
+    them, and a None among strings fails there (a float NaN writes
+    `part-nan` on both routes).
     """
     lineage = dict(lineage or {})
-    from proj_ray import __version__
+    from proj_ray import __version__, dsutil
 
     lineage.setdefault("engine_version", __version__)
     done = finished_partitions(out_dir)
@@ -91,8 +108,17 @@ def resumable_write(ds, out_dir: str, partition_col: str,
     import time
 
     t0 = time.time()
-    res = ds.groupby(partition_col).map_groups(
-        write_group, batch_format="pandas").take_all()
+    ds = ds.materialize()
+    if ds.count() <= dsutil.DRIVER_FINISH_ROWS:
+        pdf = dsutil.pull_pandas(ds)
+        # an empty table may come without columns to group on
+        groups = pdf.groupby(partition_col, sort=False, dropna=False) \
+            if len(pdf) else []
+        res = [r for _, g in groups
+               for r in write_group(g).to_dict("records")]
+    else:
+        res = ds.groupby(partition_col).map_groups(
+            write_group, batch_format="pandas").take_all()
     wall = max(time.time() - t0, 1e-9)
     rows = sum(r["rows"] for r in res)
     return {

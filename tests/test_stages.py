@@ -62,10 +62,25 @@ def test_knn_brute_vs_oracle(ray_session):
         assert got_ids == exp_ids
 
 
-def test_checkpoint_resume(ray_session, tmp_path):
+# resumable_write's two routes: the default cap writes from the driver,
+# cap 0 sends every non-empty table through the exchange
+WRITE_CAPS = pytest.mark.parametrize("cap", ["default", 0])
+
+
+def _set_cap(monkeypatch, cap):
+    from proj_ray import dsutil
+
+    if cap != "default":
+        monkeypatch.setattr(dsutil, "DRIVER_FINISH_ROWS", cap)
+
+
+@WRITE_CAPS
+def test_checkpoint_resume(ray_session, tmp_path, monkeypatch, cap):
     import ray.data as rd
 
     from proj_ray.state import finished_partitions, resumable_write
+
+    _set_cap(monkeypatch, cap)
 
     rows = [{"part": f"p{i % 4}", "v": i} for i in range(40)]
     ds = rd.from_items(rows)
@@ -90,7 +105,8 @@ def test_checkpoint_resume(ray_session, tmp_path):
     assert total == 40
 
 
-def test_partial_checkpoint_resume(ray_session, tmp_path):
+@WRITE_CAPS
+def test_partial_checkpoint_resume(ray_session, tmp_path, monkeypatch, cap):
     """Simulate a crash: remove one manifest entry, rerun, converge."""
     import glob
     import os
@@ -98,6 +114,8 @@ def test_partial_checkpoint_resume(ray_session, tmp_path):
     import ray.data as rd
 
     from proj_ray.state import resumable_write
+
+    _set_cap(monkeypatch, cap)
 
     rows = [{"part": f"p{i % 4}", "v": i} for i in range(40)]
     ds = rd.from_items(rows)
@@ -111,6 +129,93 @@ def test_partial_checkpoint_resume(ray_session, tmp_path):
     total = sum(pq.read_table(f).num_rows
                 for f in glob.glob(out + "/part-*.parquet"))
     assert total == 40
+
+
+def _read_written(out):
+    """{file name: rows sorted by id} and {pid: (rows, lineage)} of a
+    resumable_write output directory."""
+    import json
+    import os
+
+    import pyarrow.parquet as pq
+
+    files = {}
+    for f in sorted(os.listdir(out)):
+        if f.startswith("part-"):
+            df = pq.read_table(os.path.join(out, f)).to_pandas()
+            files[f] = df.sort_values("id").reset_index(drop=True)
+    manifest = {}
+    for f in os.listdir(os.path.join(out, "_manifest")):
+        with open(os.path.join(out, "_manifest", f)) as fh:
+            e = json.load(fh)
+        manifest[e["pid"]] = (e["rows"], e["lineage"])
+    return files, manifest
+
+
+def test_resumable_write_routes(ray_session, tmp_path, monkeypatch):
+    """Under the cap resumable_write runs no groupby; below every table
+    size it runs the exchange. Both write the same files, rows and
+    manifest, both write a NaN key as part-nan, and both take an empty
+    input."""
+    import pandas as pd
+    import ray.data as rd
+
+    from proj_ray import dsutil
+    from proj_ray.state import resumable_write
+
+    def table():
+        return rd.range(3000, override_num_blocks=6).map_batches(
+            lambda b: {"id": b["id"], "part": b["id"] % 7},
+            batch_format="numpy")
+
+    def nan_table():
+        return rd.from_pandas([
+            pd.DataFrame({"id": [0, 1], "k": [1.5, float("nan")]}),
+            pd.DataFrame({"id": [2, 3], "k": [float("nan"), 2.5]})])
+
+    def empty():
+        return rd.from_items([{"id": 1, "part": 2}]).filter(lambda r: False)
+
+    lineage = {"job": "routes"}
+    outs, grouped, real_groupby = {}, [], rd.Dataset.groupby
+
+    def spy_groupby(self, *a, **k):
+        grouped.append(a)
+        return real_groupby(self, *a, **k)
+
+    for route in ("driver", "exchange"):
+        with monkeypatch.context() as m:
+            if route == "driver":
+                _no_groupby(m)
+            else:
+                # below 0 even the empty table takes the exchange
+                m.setattr(dsutil, "DRIVER_FINISH_ROWS", -1)
+                m.setattr(rd.Dataset, "groupby", spy_groupby)
+            out = str(tmp_path / route)
+            st = resumable_write(table(), out, "part", lineage=lineage)
+            assert st["partitions"] == st["written"] == 7
+            assert st["rows_written"] == 3000
+            outs[route] = _read_written(out)
+            nan_out = str(tmp_path / f"{route}-nan")
+            st = resumable_write(nan_table(), nan_out, "k")
+            assert st["partitions"] == 3
+            files, manifest = _read_written(nan_out)
+            assert sorted(files) == ["part-1.5.parquet", "part-2.5.parquet",
+                                     "part-nan.parquet"]
+            assert manifest["nan"][0] == 2
+            assert list(files["part-nan.parquet"]["id"]) == [1, 2]
+            st = resumable_write(empty(), str(tmp_path / f"{route}-empty"),
+                                 "part")
+            assert st["partitions"] == st["written"] == 0
+    assert grouped == [("part",), ("k",), ("part",)]
+    (dfiles, dman), (xfiles, xman) = outs["driver"], outs["exchange"]
+    assert sorted(dfiles) == sorted(xfiles) == \
+        [f"part-{p}.parquet" for p in range(7)]
+    for f in dfiles:
+        pd.testing.assert_frame_equal(dfiles[f], xfiles[f])
+    assert dman == xman
+    assert dman["3"][0] == len(range(3, 3000, 7))
+    assert dman["3"][1]["job"] == "routes"
 
 
 def test_knn_cells_exact_and_pruned(ray_session):
@@ -206,6 +311,7 @@ def test_tile_counts_distributed_routes_match_driver(ray_session,
     exactly like the driver route."""
     import ray.data as rd
 
+    from proj_ray import dsutil
     from proj_ray.pipelines import geotag_dataset, spatial
 
     n = 30000
@@ -227,7 +333,7 @@ def test_tile_counts_distributed_routes_match_driver(ray_session,
 
     monkeypatch.setattr(spatial, "bucketed_sum", spy_sum)
     monkeypatch.setattr(rd.Dataset, "repartition", spy_rep)
-    monkeypatch.setattr(spatial, "DRIVER_FINISH_ROWS", 0)
+    monkeypatch.setattr(dsutil, "DRIVER_FINISH_ROWS", 0)
     salted = spatial.tile_counts_salted(geotag_dataset(n, parallelism=24),
                                         zoom=5, threshold=50, salt=8)
     assert exchanged == ["tile_key", "cell_salted", "tile_key"]
@@ -244,10 +350,11 @@ def test_tile_counts_distributed_routes_match_driver(ray_session,
 def test_tile_counts_empty_input_is_typed(ray_session, monkeypatch):
     import ray.data as rd
 
+    from proj_ray import dsutil
     from proj_ray.pipelines import spatial
 
-    for cap in (spatial.DRIVER_FINISH_ROWS, 0):
-        monkeypatch.setattr(spatial, "DRIVER_FINISH_ROWS", cap)
+    for cap in (dsutil.DRIVER_FINISH_ROWS, 0):
+        monkeypatch.setattr(dsutil, "DRIVER_FINISH_ROWS", cap)
         for salted in (True, False):
             empty = rd.from_items([{"lon": 1.0, "lat": 2.0}]) \
                 .filter(lambda r: False)
@@ -265,6 +372,7 @@ def test_bucketed_sum_routes(ray_session, monkeypatch):
     import pandas as pd
     import ray.data as rd
 
+    from proj_ray import dsutil
     from proj_ray.pipelines import spatial
 
     rng = np.random.default_rng(5)
@@ -291,7 +399,7 @@ def test_bucketed_sum_routes(ray_session, monkeypatch):
         assert out.count() == 0
         assert out.schema().names == ["k", "s"]
         assert [str(t) for t in out.schema().types] == ["int64", "int64"]
-    monkeypatch.setattr(spatial, "DRIVER_FINISH_ROWS", 0)
+    monkeypatch.setattr(dsutil, "DRIVER_FINISH_ROWS", 0)
     grouped, real_groupby = [], rd.Dataset.groupby
 
     def spy_groupby(self, *a, **k):

@@ -5,11 +5,18 @@ webmerc cells -> z/x/y tiles -> point-in-polygon join -> per-tile
 aggregate). `queries()` exposes each operator family over the driver's
 parquet tables; `oracle_sql()` gives the DuckDB-checkable equivalents
 (identical column names, floats rounded identically on both sides).
+Both are read off one table, `_QUERIES` at the end of this module: one
+row (name, fn, oracle SQL, timed_by_bench) per query. bench.py's suite
+times the rows marked timed_by_bench. A new query is its function, its
+SQL and one row there.
 
 Geotags for the geo queries are derived from doc_id with pure integer
-arithmetic so both NumPy and DuckDB produce bit-identical values:
+arithmetic so both NumPy and DuckDB produce bit-identical values
+(`_geotag`, from `proj_ray.sqlmirror`, is the NumPy side):
   lon = (doc_id*61803 % 360000)/1000 - 180
   lat = (doc_id*75487 % 170000)/1000 - 85
+Values quantized to integer milli-units go through `_milli`, which
+rounds half away from zero like SQL's CAST(round(v * 1000) AS BIGINT).
 
 Ray is initialised by the driver; nothing here calls ray.init().
 """
@@ -20,6 +27,9 @@ from collections.abc import Callable
 from typing import Any
 
 import numpy as np
+
+from proj_ray.sqlmirror import geotag as _geotag
+from proj_ray.sqlmirror import milli as _milli
 
 _GEO_SQL = ("SELECT doc_id, (doc_id*61803 % 360000)/1000.0 - 180.0 AS lon, "
             "(doc_id*75487 % 170000)/1000.0 - 85.0 AS lat FROM documents")
@@ -57,9 +67,7 @@ def _geo_query_points(k: int = 5):
     """The first k geotag points (doc_id 0..k-1) computed directly from
     the _docs_geo arithmetic — no Ray pass needed for query side
     inputs."""
-    i = np.arange(k, dtype=np.int64)
-    return ((i * 61803 % 360000) / 1000.0 - 180.0,
-            (i * 75487 % 170000) / 1000.0 - 85.0)
+    return _geotag(np.arange(k, dtype=np.int64))
 
 
 def _docs_geo(sf_dir: str, small_as_one_block: bool = True):
@@ -73,11 +81,8 @@ def _docs_geo(sf_dir: str, small_as_one_block: bool = True):
 
     def add_geo(b: dict) -> dict:
         i = np.asarray(b["doc_id"], dtype=np.int64)
-        return {
-            "doc_id": i,
-            "lon": (i * 61803 % 360000) / 1000.0 - 180.0,
-            "lat": (i * 75487 % 170000) / 1000.0 - 85.0,
-        }
+        lon, lat = _geotag(i)
+        return {"doc_id": i, "lon": lon, "lat": lat}
 
     return ds.map_batches(add_geo, batch_format="numpy")
 
@@ -86,7 +91,7 @@ def _docs_geo(sf_dir: str, small_as_one_block: bool = True):
 
 
 def _q01_pricing(sf_dir: str):
-    from ray.data.aggregate import Count, Mean, Sum
+    from ray.data.aggregate import Sum
 
     ds = _read(sf_dir, "lineitem",
                columns=["l_returnflag", "l_linestatus", "l_quantity",
@@ -119,12 +124,10 @@ def _q01_pricing(sf_dir: str):
                         Sum("disc_c", alias_name="sum_disc_c"),
                         Sum("n", alias_name="count_order"))
              .to_pandas())
-    _ = Count
     out["sum_qty"] = out["sum_qty_c"] / 100.0
     out["sum_base_price"] = out["sum_base_c"] / 100.0
     out["sum_disc_price"] = out["sum_disc_c"] / 10000.0
     out["avg_qty"] = (out["sum_qty_c"] // out["count_order"]).astype("int64")
-    _ = Mean
     return out[["l_returnflag", "l_linestatus", "sum_qty",
                 "sum_base_price", "sum_disc_price", "avg_qty",
                 "count_order"]]
@@ -2715,9 +2718,9 @@ def _q54_track_length(sf_dir: str):
 
     def add_geo(b: dict) -> dict:
         i = np.asarray(b["doc_id"], dtype=np.int64)
+        lon, lat = _geotag(i)
         return {"doc_id": i, "source": b["source"],
-                "lon": (i * 61803 % 360000) / 1000.0 - 180.0,
-                "lat": (i * 75487 % 170000) / 1000.0 - 85.0}
+                "lon": lon, "lat": lat}
 
     return track_length(docs.map_batches(add_geo, batch_format="numpy"),
                         "source", "doc_id")
@@ -2852,9 +2855,9 @@ def _q56_raster_sample(sf_dir: str):
 
     def add_geo(b: dict) -> dict:
         i = np.asarray(b["doc_id"], dtype=np.int64)
+        lon, lat = _geotag(i)
         return {"doc_id": i,
-                "lon": (i * 61803 % 360000) / 1000.0 - 180.0,
-                "lat": (i * 75487 % 170000) / 1000.0 - 85.0}
+                "lon": lon, "lat": lat}
 
     return sample_points(docs.map_batches(add_geo,
                                           batch_format="numpy"),
@@ -3444,9 +3447,9 @@ def _q67_track_densify(sf_dir: str):
 
     def add_geo(b: dict) -> dict:
         i = np.asarray(b["doc_id"], dtype=np.int64)
+        lon, lat = _geotag(i)
         return {"doc_id": i, "source": b["source"],
-                "lon": (i * 61803 % 360000) / 1000.0 - 180.0,
-                "lat": (i * 75487 % 170000) / 1000.0 - 85.0}
+                "lon": lon, "lat": lat}
 
     return track_densify(
         docs.map_batches(add_geo, batch_format="numpy"),
@@ -3737,8 +3740,7 @@ def _event_rects(sf_dir: str):
 
     def rects(b: dict) -> dict:
         i = np.asarray(b["event_id"], dtype=np.int64)
-        cx = (i * 61803 % 360000) / 1000.0 - 180.0
-        cy = (i * 75487 % 170000) / 1000.0 - 85.0
+        cx, cy = _geotag(i)
         hw = (i * 7919 % 400 + 50) / 1000.0
         hh = (i * 104729 % 300 + 50) / 1000.0
         return {"event_id": i, "x0": cx - hw, "y0": cy - hh,
@@ -3839,11 +3841,11 @@ def _q72_track_crossings(sf_dir: str):
 
     def pts(b: dict) -> dict:
         i = np.asarray(b["event_id"], dtype=np.int64)
+        lon, lat = _geotag(i)
         return {"event_id": i,
                 "user_id": np.asarray(b["user_id"], dtype=np.int64),
                 "ts": np.asarray(b["ts"]),
-                "lon": (i * 61803 % 360000) / 1000.0 - 180.0,
-                "lat": (i * 75487 % 170000) / 1000.0 - 85.0}
+                "lon": lon, "lat": lat}
 
     return segment_crossings(
         ev.map_batches(pts, batch_format="numpy"),
@@ -5684,8 +5686,8 @@ def _q110_idw_grid(sf_dir: str):
 
     def add_geo(b: dict) -> dict:
         i = np.asarray(b["doc_id"], dtype=np.int64)
-        return {"lon": (i * 61803 % 360000) / 1000.0 - 180.0,
-                "lat": (i * 75487 % 170000) / 1000.0 - 85.0,
+        lon, lat = _geotag(i)
+        return {"lon": lon, "lat": lat,
                 "v": np.asarray(b["n_chars"], dtype=np.int64)}
 
     return idw_grid_stats(ds.map_batches(add_geo, batch_format="numpy"),
@@ -7741,8 +7743,7 @@ def _q147_voronoi_assign(sf_dir: str):
 
     R = 6371000.0
     j = np.arange(20, dtype=np.int64)
-    slon = np.radians((j * 61803 % 360000) / 1000.0 - 180.0)
-    slat = np.radians((j * 75487 % 170000) / 1000.0 - 85.0)
+    slon, slat = np.radians(_geotag(j))
 
     ds = _docs_geo(sf_dir)
 
@@ -8264,9 +8265,8 @@ def _q154_mann_kendall(sf_dir: str):
         i = np.asarray(b["event_id"], dtype=np.int64)
         day = (np.asarray(b["ts"]).astype("datetime64[us]")
                .astype(np.int64) // 86_400_000_000)
-        return {"lon": (i * 61803 % 360000) / 1000.0 - 180.0,
-                "lat": (i * 75487 % 170000) / 1000.0 - 85.0,
-                "day": day}
+        lon, lat = _geotag(i)
+        return {"lon": lon, "lat": lat, "day": day}
 
     def partial(b: dict) -> pd.DataFrame:
         g = (pd.DataFrame({"tile_x": b["tile_x"],
@@ -8629,10 +8629,10 @@ def _q158_exploration(sf_dir: str):
         i = np.asarray(b["event_id"], dtype=np.int64)
         day = (np.asarray(b["ts"]).astype("datetime64[us]")
                .astype(np.int64) // 86_400_000_000)
+        lon, lat = _geotag(i)
         return {"user_id": np.asarray(b["user_id"], dtype=np.int64),
                 "day": day,
-                "lon": (i * 61803 % 360000) / 1000.0 - 180.0,
-                "lat": (i * 75487 % 170000) / 1000.0 - 85.0}
+                "lon": lon, "lat": lat}
 
     tiles = with_tiles(ev.map_batches(tag, batch_format="numpy",
                                       batch_size=65536), zoom=4)
@@ -9041,10 +9041,10 @@ def _q163_od_matrix(sf_dir: str):
     def tag(b: dict) -> dict:
         i = np.asarray(b["event_id"], dtype=np.int64)
         t = np.asarray(b["ts"]).astype("datetime64[us]").astype(np.int64)
+        lon, lat = _geotag(i)
         return {"user_id": np.asarray(b["user_id"], dtype=np.int64),
                 "e": i, "t": t, "day": t // 86_400_000_000,
-                "lon": (i * 61803 % 360000) / 1000.0 - 180.0,
-                "lat": (i * 75487 % 170000) / 1000.0 - 85.0}
+                "lon": lon, "lat": lat}
 
     tiles = with_tiles(ev.map_batches(tag, batch_format="numpy",
                                       batch_size=65536), zoom=3)
@@ -9138,11 +9138,11 @@ def _q164_colocation(sf_dir: str):
 
     def tag(b: dict) -> dict:
         i = np.asarray(b["event_id"], dtype=np.int64)
+        lon, lat = _geotag(i)
         return {"event_type": np.asarray(b["event_type"]),
                 "day": (np.asarray(b["ts"]).astype("datetime64[us]")
                         .astype(np.int64) // 86_400_000_000),
-                "lon": (i * 61803 % 360000) / 1000.0 - 180.0,
-                "lat": (i * 75487 % 170000) / 1000.0 - 85.0}
+                "lon": lon, "lat": lat}
 
     tiles = with_tiles(ev.map_batches(tag, batch_format="numpy",
                                       batch_size=65536), zoom=3)
@@ -9899,10 +9899,10 @@ def _q174_tile_turnover(sf_dir: str):
 
     def tag(b: dict) -> dict:
         i = np.asarray(b["event_id"], dtype=np.int64)
+        lon, lat = _geotag(i)
         return {"day": (np.asarray(b["ts"]).astype("datetime64[us]")
                         .astype(np.int64) // 86_400_000_000),
-                "lon": (i * 61803 % 360000) / 1000.0 - 180.0,
-                "lat": (i * 75487 % 170000) / 1000.0 - 85.0}
+                "lon": lon, "lat": lat}
 
     def distinct(b: dict) -> pd.DataFrame:
         return (pd.DataFrame({"day": b["day"], "tx": b["tile_x"],
@@ -10261,12 +10261,8 @@ def _q178_outliers(sf_dir: str):
 
     ev = _read(sf_dir, "events", columns=["event_type", "value"])
 
-    def qval(col) -> np.ndarray:
-        return np.rint(np.asarray(col, np.float64) * 1000) \
-            .astype(np.int64)
-
     def stats(b: dict) -> pd.DataFrame:
-        q = qval(b["value"])
+        q = _milli(b["value"])
         g = (pd.DataFrame({"event_type": np.asarray(b["event_type"]),
                            "n": np.ones(len(q), np.int64),
                            "s": q, "q2": q * q})
@@ -10285,7 +10281,7 @@ def _q178_outliers(sf_dir: str):
     def flag(b: dict) -> pd.DataFrame:
         tab = ray.get(ref)
         ty = np.asarray(b["event_type"])
-        q = qval(b["value"])
+        q = _milli(b["value"])
         out = np.zeros(len(q), dtype=np.int64)
         for t, (n, s, thr) in tab.items():
             m = ty == t
@@ -10477,9 +10473,9 @@ def _q181_hhi(sf_dir: str):
 
     def add_geo(b: dict) -> dict:
         i = np.asarray(b["doc_id"], dtype=np.int64)
+        lon, lat = _geotag(i)
         return {"source": np.asarray(b["source"]),
-                "lon": (i * 61803 % 360000) / 1000.0 - 180.0,
-                "lat": (i * 75487 % 170000) / 1000.0 - 85.0}
+                "lon": lon, "lat": lat}
 
     def partial(b: dict) -> pd.DataFrame:
         return (pd.DataFrame({"tx": b["tile_x"], "ty": b["tile_y"],
@@ -10540,10 +10536,10 @@ def _q182_covisits(sf_dir: str):
     def tag(b: dict) -> dict:
         i = np.asarray(b["event_id"], dtype=np.int64)
         t = np.asarray(b["ts"]).astype("datetime64[us]").astype(np.int64)
+        lon, lat = _geotag(i)
         return {"user_id": np.asarray(b["user_id"], dtype=np.int64),
                 "day": t // 86_400_000_000,
-                "lon": (i * 61803 % 360000) / 1000.0 - 180.0,
-                "lat": (i * 75487 % 170000) / 1000.0 - 85.0}
+                "lon": lon, "lat": lat}
 
     def distinct(b: dict) -> pd.DataFrame:
         df = (pd.DataFrame({"tx": b["tile_x"], "ty": b["tile_y"],
@@ -10852,10 +10848,10 @@ def _q186_rhumb_length(sf_dir: str):
 
     def tag(b: dict) -> pd.DataFrame:
         i = np.asarray(b["doc_id"], dtype=np.int64)
+        lon, lat = _geotag(i)
         df = pd.DataFrame({
             "doc_id": i, "source": np.asarray(b["source"]),
-            "lon": (i * 61803 % 360000) / 1000.0 - 180.0,
-            "lat": (i * 75487 % 170000) / 1000.0 - 85.0})
+            "lon": lon, "lat": lat})
         df["_bk"] = stable_mod(df["source"].to_numpy(), nb)
         return df
 
@@ -11361,9 +11357,9 @@ def _q193_runner_up(sf_dir: str):
 
     def add_geo(b: dict) -> dict:
         i = np.asarray(b["doc_id"], dtype=np.int64)
+        lon, lat = _geotag(i)
         return {"source": np.asarray(b["source"]),
-                "lon": (i * 61803 % 360000) / 1000.0 - 180.0,
-                "lat": (i * 75487 % 170000) / 1000.0 - 85.0}
+                "lon": lon, "lat": lat}
 
     def partial(b: dict) -> pd.DataFrame:
         g = (pd.DataFrame({"tx": b["tile_x"], "ty": b["tile_y"],
@@ -11452,9 +11448,9 @@ def _q194_co_coverage(sf_dir: str):
 
     def add_geo(b: dict) -> dict:
         i = np.asarray(b["doc_id"], dtype=np.int64)
+        lon, lat = _geotag(i)
         return {"source": np.asarray(b["source"]),
-                "lon": (i * 61803 % 360000) / 1000.0 - 180.0,
-                "lat": (i * 75487 % 170000) / 1000.0 - 85.0}
+                "lon": lon, "lat": lat}
 
     def distinct(b: dict) -> pd.DataFrame:
         return (pd.DataFrame({"source": b["source"],
@@ -11742,10 +11738,10 @@ def _q198_lag_autocorr(sf_dir: str):
 
     def tag(b: dict) -> dict:
         i = np.asarray(b["event_id"], dtype=np.int64)
+        lon, lat = _geotag(i)
         return {"day": (np.asarray(b["ts"]).astype("datetime64[us]")
                         .astype(np.int64) // 86_400_000_000),
-                "lon": (i * 61803 % 360000) / 1000.0 - 180.0,
-                "lat": (i * 75487 % 170000) / 1000.0 - 85.0}
+                "lon": lon, "lat": lat}
 
     def partial(b: dict) -> pd.DataFrame:
         return (pd.DataFrame({"tx": b["tile_x"], "ty": b["tile_y"],
@@ -11922,10 +11918,10 @@ def _q200_spatial_curation(sf_dir: str):
 
     def add_geo(b: dict) -> dict:
         i = np.asarray(b["doc_id"], dtype=np.int64)
+        lon, lat = _geotag(i)
         return {"doc_id": i,
                 "n_chars": np.asarray(b["n_chars"], np.int64),
-                "lon": (i * 61803 % 360000) / 1000.0 - 180.0,
-                "lat": (i * 75487 % 170000) / 1000.0 - 85.0}
+                "lon": lon, "lat": lat}
 
     def prune(b: dict) -> pd.DataFrame:
         df = pd.DataFrame({"doc_id": b["doc_id"],
@@ -12141,8 +12137,7 @@ def _q203_grts_sample(sf_dir: str):
 
     def pick(b: dict) -> pd.DataFrame:
         i = np.asarray(b["doc_id"], dtype=np.int64)
-        lon = (i * 61803 % 360000) / 1000.0 - 180.0
-        lat = (i * 75487 % 170000) / 1000.0 - 85.0
+        lon, lat = _geotag(i)
         h = hilbert_cell(lon, lat, 8)
         take = (h % 61 == 0)
         g = (pd.DataFrame({"source": np.asarray(b["source"]),
@@ -12622,13 +12617,9 @@ def _q210_winsorized(sf_dir: str):
 
     ev = _read(sf_dir, "events", columns=["event_type", "value"])
 
-    def qv(col) -> np.ndarray:
-        return np.rint(np.asarray(col, np.float64) * 1000) \
-            .astype(np.int64)
-
     def hist(b: dict) -> pd.DataFrame:
         return (pd.DataFrame({"event_type": np.asarray(
-            b["event_type"]), "v": qv(b["value"])})
+            b["event_type"]), "v": _milli(b["value"])})
             .groupby(["event_type", "v"], as_index=False).size()
             .rename(columns={"size": "c"}))
 
@@ -12652,7 +12643,7 @@ def _q210_winsorized(sf_dir: str):
     def clip_sum(b: dict) -> pd.DataFrame:
         tab = ray.get(ref)
         ty = np.asarray(b["event_type"])
-        v = qv(b["value"])
+        v = _milli(b["value"])
         missing = set(pd.unique(ty)) - tab.keys()
         if missing:
             raise ValueError(f"event_type {min(map(repr, missing))} has "
@@ -12720,13 +12711,9 @@ def _q211_mad(sf_dir: str):
 
     ev = _read(sf_dir, "events", columns=["event_type", "value"])
 
-    def qv(col) -> np.ndarray:
-        return np.rint(np.asarray(col, np.float64) * 1000) \
-            .astype(np.int64)
-
     def hist(b: dict) -> pd.DataFrame:
         return (pd.DataFrame({"event_type": np.asarray(
-            b["event_type"]), "v": qv(b["value"])})
+            b["event_type"]), "v": _milli(b["value"])})
             .groupby(["event_type", "v"], as_index=False).size()
             .rename(columns={"size": "c"}))
 
@@ -12750,7 +12737,7 @@ def _q211_mad(sf_dir: str):
     def hist_dev(b: dict) -> pd.DataFrame:
         tab = ray.get(ref)
         ty = np.asarray(b["event_type"])
-        v = qv(b["value"])
+        v = _milli(b["value"])
         missing = set(pd.unique(ty)) - tab.keys()
         if missing:
             raise ValueError(f"event_type {min(map(repr, missing))} has "
@@ -12812,433 +12799,230 @@ def entry() -> Any:
     return _q21_images_tiles("/root/testdata/sf0.001")
 
 
+# The query registry, one row per query: (name, fn, oracle SQL,
+# timed_by_bench). queries() and oracle_sql() read it, and bench.py's
+# suite times the rows marked True. An oracle that is generated (q17,
+# q32, q68) is given as its generator, called only by oracle_sql().
+_QUERIES: list[tuple[str, Callable[[str], Any],
+                     str | Callable[[], str], bool]] = [
+    ("q01_pricing_summary", _q01_pricing, _Q01_SQL, True),
+    ("q02_order_status", _q02_order_status, _Q02_SQL, False),
+    ("q03_top_customers", _q03_top_customers, _Q03_SQL, False),
+    ("q04_events_by_type", _q04_events_by_type, _Q04_SQL, False),
+    ("q05_webmerc", _q05_webmerc, _Q05_SQL, True),
+    ("q06_tiles", _q06_tiles, _Q06_SQL, False),
+    ("q07_tile_counts", _q07_tile_counts, _Q07_SQL, True),
+    ("q08_grid_cells", _q08_grid_cells, _Q08_SQL, False),
+    ("q09_pip_rect_join", _q09_pip_rect, _Q09_SQL, True),
+    ("q10_knn", _q10_knn, _Q10_SQL, True),
+    ("q11_dedup_exact", _q11_dedup_exact, _Q11_SQL, True),
+    ("q12_token_stats", _q12_token_stats, _Q12_SQL, False),
+    ("q13_part_brand", _q13_part_brand, _Q13_SQL, False),
+    ("q14_ann_cosine", _q14_ann, _Q14_SQL, True),
+    ("q15_region_nation", _q15_region_nation, _Q15_SQL, False),
+    ("q16_utm", _q16_utm, _Q16_SQL, True),
+    ("q17_geodesic", _q17_geodesic, _gen_q17_sql, False),
+    ("q18_text_quality", _q18_text_quality, _Q18_SQL, True),
+    ("q19_minhash_pairs", _q19_minhash_pairs, _Q19_SQL, False),
+    ("q20_simhash", _q20_simhash, _Q20_SQL, False),
+    ("q21_images_tiles", _q21_images_tiles, _Q21_SQL, False),
+    ("q22_images_join", _q22_images_join, _Q22_SQL, False),
+    ("q23_ann_ivf", _q23_ivf, _Q14_SQL, False),
+    ("q24_dedup_images", _q24_dedup_images, _Q24_SQL, False),
+    ("q25_merc_scale", _q25_merc_scale, _Q25_SQL, False),
+    ("q26_ann_ivf_indexed", _q26_ann_ivf_indexed, _Q26_SQL, False),
+    ("q27_knn_indexed", _q27_knn_indexed, _Q10_SQL, False),
+    ("q28_datum_shift", _q28_datum_shift, _Q28_SQL, False),
+    ("q29_ngram_jaccard", _q29_ngram_jaccard, _Q29_SQL, False),
+    ("q30_asof_join", _q30_asof_join, _Q30_SQL, False),
+    ("q31_window_agg", _q31_window_agg, _Q31_SQL, False),
+    ("q32_geodesic_direct", _q32_geodesic_direct, _gen_q32_sql, False),
+    ("q33_dedup_embedding", _q33_dedup_embedding, _Q33_SQL, True),
+    ("q34_images_resize", _q34_images_resize, _Q34_SQL, True),
+    ("q35_video_frames", _q35_video_frames, _Q35_SQL, True),
+    ("q36_audio_features", _q36_audio_features, _Q36_SQL, True),
+    ("q37_range_join", _q37_range_join, _Q37_SQL, False),
+    ("q38_sessionize", _q38_sessionize, _Q38_SQL, True),
+    ("q39_stratified_sample", _q39_stratified_sample, _Q39_SQL, False),
+    ("q40_topk_per_group", _q40_topk_per_group, _Q40_SQL, False),
+    ("q41_grouped_quantiles", _q41_grouped_quantiles, _Q41_SQL, True),
+    ("q42_count_distinct", _q42_count_distinct, _Q42_SQL, False),
+    ("q43_geohash", _q43_geohash, _Q43_SQL, False),
+    ("q44_polygon_burn", _q44_polygon_burn, _Q44_SQL, False),
+    ("q45_dwithin_join", _q45_dwithin_join, _Q45_SQL, True),
+    ("q46_rolling_window", _q46_rolling_window, _Q46_SQL, True),
+    ("q47_pivot", _q47_pivot, _Q47_SQL, True),
+    ("q48_anti_join", _q48_anti_join, _Q48_SQL, False),
+    ("q49_zonal_stats", _q49_zonal_stats, _Q49_SQL, True),
+    ("q50_rollup", _q50_rollup, _Q50_SQL, False),
+    ("q51_heavy_hitters", _q51_heavy_hitters, _Q51_SQL, True),
+    ("q52_revenue_by_nation", _q52_revenue_by_nation, _Q52_SQL, True),
+    ("q53_unpivot", _q53_unpivot, _Q53_SQL, False),
+    ("q54_track_length", _q54_track_length, _Q54_SQL, False),
+    ("q55_raster_warp", _q55_raster_warp, _Q55_SQL, False),
+    ("q56_raster_sample", _q56_raster_sample, _Q56_SQL, False),
+    ("q57_hillshade", _q57_hillshade, _Q57_SQL, False),
+    ("q58_laea_warp", _q58_laea_warp, _Q58_SQL, False),
+    ("q59_tfidf", _q59_tfidf, _Q59_SQL, False),
+    ("q60_pmi_pairs", _q60_pmi_pairs, _Q60_SQL, False),
+    ("q61_dedup_clusters", _q61_dedup_clusters, _Q61_SQL, False),
+    ("q62_dedup_pipeline", _q62_dedup_pipeline, _Q62_SQL, False),
+    ("q63_kmeans_estep", _q63_kmeans_estep, _Q63_SQL, False),
+    ("q64_global_sort", _q64_global_sort, _Q64_SQL, False),
+    ("q65_blob_stats", _q65_blob_stats, _Q65_SQL, False),
+    ("q66_raster_pyramid", _q66_raster_pyramid, _Q66_SQL, False),
+    ("q67_track_densify", _q67_track_densify, _Q67_SQL, False),
+    ("q68_pip_polygons", _q68_pip_polygons, _q68_sql, False),
+    ("q69_bounds_cover", _q69_bounds_cover, _Q69_SQL, False),
+    ("q70_dedup_embedding_lsh", _q70_dedup_embedding_lsh, _Q70_SQL, False),
+    ("q71_overlay_area", _q71_overlay_area, _Q71_SQL, True),
+    ("q72_track_crossings", _q72_track_crossings, _Q72_SQL, True),
+    ("q73_substring_dedup", _q73_substring_dedup, _Q73_SQL, True),
+    ("q74_cube", _q74_cube, _Q74_SQL, True),
+    ("q75_grouped_stats", _q75_grouped_stats, _Q75_SQL, True),
+    ("q76_gram_matrix", _q76_gram_matrix, _Q76_SQL, True),
+    ("q77_profile", _q77_profile, _Q77_SQL, True),
+    ("q78_hex_bin", _q78_hex_bin, _Q78_SQL, True),
+    ("q79_inverted_index", _q79_inverted_index, _Q79_SQL, True),
+    ("q80_bm25", _q80_bm25, _Q80_SQL, True),
+    ("q81_dedup_incremental", _q81_dedup_incremental, _Q81_SQL, True),
+    ("q82_minhash_incremental", _q82_minhash_incremental, _Q82_SQL, True),
+    ("q83_ivf_append", _q83_ivf_append, _Q26_SQL, True),
+    ("q84_json_stats", _q84_json_stats, _Q84_SQL, True),
+    ("q85_pack_sequences", _q85_pack_sequences, _Q85_SQL, True),
+    ("q86_bloom_semi_join", _q86_bloom_semi_join, _Q86_SQL, True),
+    ("q87_gopher_quality", _q87_gopher_quality, _Q87_SQL, True),
+    ("q88_bloom_anti_join", _q88_bloom_anti_join, _Q88_SQL, True),
+    ("q89_decontaminate", _q89_decontaminate, _Q89_SQL, True),
+    ("q90_centroid_outliers", _q90_centroid_outliers, _Q90_SQL, True),
+    ("q91_gram_coverage", _q91_gram_coverage, _Q91_SQL, True),
+    ("q92_clip_retrieval", _q92_clip_retrieval, _Q92_SQL, True),
+    ("q93_geo_clip_retrieval", _q93_geo_clip_retrieval, _Q93_SQL, True),
+    ("q94_resample_ffill", _q94_resample_ffill, _Q94_SQL, True),
+    ("q95_top_percentile", _q95_top_percentile, _Q95_SQL, True),
+    ("q96_latest_by_key", _q96_latest_by_key, _Q96_SQL, True),
+    ("q97_curation_pipeline", _q97_curation_pipeline, _Q97_SQL, True),
+    ("q98_split_assign", _q98_split_assign, _Q98_SQL, True),
+    ("q99_bpe_pairs", _q99_bpe_pairs, _Q99_SQL, True),
+    ("q100_source_overlap", _q100_source_overlap, _Q100_SQL, True),
+    ("q101_jpeg_fidelity", _q101_jpeg_fidelity, _Q101_SQL, True),
+    ("q102_pii_redact", _q102_pii_redact, _Q102_SQL, True),
+    ("q103_repetition_filter", _q103_repetition_filter, _Q103_SQL, True),
+    ("q104_pagerank", _q104_pagerank, _Q104_SQL, True),
+    ("q105_funnel", _q105_funnel, _Q105_SQL, True),
+    ("q106_retention", _q106_retention, _Q106_SQL, True),
+    ("q107_snapshot_diff", _q107_snapshot_diff, _Q107_SQL, True),
+    ("q108_salted_join", _q108_salted_join, _Q108_SQL, True),
+    ("q109_map_match", _q109_map_match, _Q109_SQL, True),
+    ("q110_idw_grid", _q110_idw_grid, _Q110_SQL, True),
+    ("q111_contours", _q111_contours, _Q111_SQL, True),
+    ("q112_triangles", _q112_triangles, _Q112_SQL, True),
+    ("q113_image_patches", _q113_image_patches, _Q113_SQL, True),
+    ("q114_scd2", _q114_scd2, _Q114_SQL, True),
+    ("q115_hilbert", _q115_hilbert, _Q115_SQL, True),
+    ("q116_late_events", _q116_late_events, _Q116_SQL, True),
+    ("q117_cross_track", _q117_cross_track, _Q117_SQL, True),
+    ("q118_kmeans_lloyd", _q118_kmeans_lloyd, _Q118_SQL, True),
+    ("q119_dbscan_core", _q119_dbscan_core, _Q119_SQL, True),
+    ("q120_hotspots", _q120_hotspots, _Q120_SQL, True),
+    ("q121_ahash_neardup", _q121_ahash_neardup, _Q121_SQL, True),
+    ("q122_fuzzy_join", _q122_fuzzy_join, _Q122_SQL, True),
+    ("q123_skyline", _q123_skyline, _Q123_SQL, True),
+    ("q124_kmv_distinct", _q124_kmv_distinct, _Q124_SQL, True),
+    ("q125_priority_sample", _q125_priority_sample, _Q125_SQL, True),
+    ("q126_bfs_hops", _q126_bfs_hops, _Q126_SQL, True),
+    ("q127_dominant_color", _q127_dominant_color, _Q127_SQL, True),
+    ("q128_count_min", _q128_count_min, _Q128_SQL, True),
+    ("q129_pq_adc", _q129_pq_adc, _Q129_SQL, True),
+    ("q130_staypoints", _q130_staypoints, _Q130_SQL, True),
+    ("q131_rrf_fusion", _q131_rrf_fusion, _Q131_SQL, True),
+    ("q132_sharpness", _q132_sharpness, _Q132_SQL, True),
+    ("q133_scene_cuts", _q133_scene_cuts, _Q133_SQL, True),
+    ("q134_simplify", _q134_simplify, _Q134_SQL, True),
+    ("q135_hex_smooth", _q135_hex_smooth, _Q135_SQL, True),
+    ("q136_sssp", _q136_sssp, _Q136_SQL, True),
+    ("q137_weighted_median", _q137_weighted_median, _Q137_SQL, True),
+    ("q138_transitions", _q138_transitions, _Q138_SQL, True),
+    ("q139_trend", _q139_trend, _Q139_SQL, True),
+    ("q140_cdc_chunks", _q140_cdc_chunks, _Q140_SQL, True),
+    ("q141_stratified_priority", _q141_stratified_priority, _Q141_SQL, True),
+    ("q142_hist_equalize", _q142_hist_equalize, _Q142_SQL, True),
+    ("q143_hist_quantile", _q143_hist_quantile, _Q143_SQL, True),
+    ("q144_dwell_time", _q144_dwell_time, _Q144_SQL, True),
+    ("q145_corr_matrix", _q145_corr_matrix, _Q145_SQL, True),
+    ("q146_source_similarity", _q146_source_similarity, _Q146_SQL, True),
+    ("q147_voronoi_assign", _q147_voronoi_assign, _Q147_SQL, True),
+    ("q148_gyration", _q148_gyration, _Q148_SQL, True),
+    ("q149_peak_hour", _q149_peak_hour, _Q149_SQL, True),
+    ("q150_gini", _q150_gini, _Q150_SQL, True),
+    ("q151_morans_i", _q151_morans_i, _Q151_SQL, False),
+    ("q152_quadtree", _q152_quadtree, _Q152_SQL, False),
+    ("q153_snap_segments", _q153_snap_segments, _Q153_SQL, False),
+    ("q154_mann_kendall", _q154_mann_kendall, _Q154_SQL, False),
+    ("q155_glcm", _q155_glcm, _Q155_SQL, False),
+    ("q156_heaps", _q156_heaps, _Q156_SQL, False),
+    ("q157_bearing_hist", _q157_bearing_hist, _Q157_SQL, False),
+    ("q158_exploration", _q158_exploration, _Q158_SQL, False),
+    ("q159_gearys_c", _q159_gearys_c, _Q159_SQL, False),
+    ("q160_ripley_k", _q160_ripley_k, _Q160_SQL, False),
+    ("q161_knox", _q161_knox, _Q161_SQL, False),
+    ("q162_image_moments", _q162_image_moments, _Q162_SQL, False),
+    ("q163_od_matrix", _q163_od_matrix, _Q163_SQL, False),
+    ("q164_colocation", _q164_colocation, _Q164_SQL, False),
+    ("q165_skipgrams", _q165_skipgrams, _Q165_SQL, False),
+    ("q166_benford", _q166_benford, _Q166_SQL, False),
+    ("q167_dup_histogram", _q167_dup_histogram, _Q167_SQL, False),
+    ("q168_interarrival", _q168_interarrival, _Q168_SQL, False),
+    ("q169_degree_hist", _q169_degree_hist, _Q169_SQL, False),
+    ("q170_assortativity", _q170_assortativity, _Q170_SQL, False),
+    ("q171_clustering_coeff", _q171_clustering_coeff, _Q171_SQL, False),
+    ("q172_attribution", _q172_attribution, _Q172_SQL, False),
+    ("q173_setdist", _q173_setdist, _Q173_SQL, False),
+    ("q174_tile_turnover", _q174_tile_turnover, _Q174_SQL, False),
+    ("q175_assoc_rules", _q175_assoc_rules, _Q175_SQL, False),
+    ("q176_haar_energy", _q176_haar_energy, _Q176_SQL, False),
+    ("q177_rle_runs", _q177_rle_runs, _Q177_SQL, False),
+    ("q178_outliers", _q178_outliers, _Q178_SQL, False),
+    ("q179_ewma_bursts", _q179_ewma_bursts, _Q179_SQL, False),
+    ("q180_user_extents", _q180_user_extents, _Q180_SQL, False),
+    ("q181_hhi", _q181_hhi, _Q181_SQL, False),
+    ("q182_covisits", _q182_covisits, _Q182_SQL, False),
+    ("q183_adoption", _q183_adoption, _Q183_SQL, False),
+    ("q184_orientation_tensor", _q184_orientation_tensor, _Q184_SQL, False),
+    ("q185_percolation", _q185_percolation, _Q185_SQL, False),
+    ("q186_rhumb_length", _q186_rhumb_length, _Q186_SQL, False),
+    ("q187_lcp_stats", _q187_lcp_stats, _Q187_SQL, False),
+    ("q188_ks_lengths", _q188_ks_lengths, _Q188_SQL, False),
+    ("q189_local_moran", _q189_local_moran, _Q189_SQL, False),
+    ("q190_getis_ord", _q190_getis_ord, _Q190_SQL, False),
+    ("q191_variogram", _q191_variogram, _Q191_SQL, False),
+    ("q192_box_counting", _q192_box_counting, _Q192_SQL, False),
+    ("q193_runner_up", _q193_runner_up, _Q193_SQL, False),
+    ("q194_co_coverage", _q194_co_coverage, _Q194_SQL, False),
+    ("q195_chi_square", _q195_chi_square, _Q195_SQL, False),
+    ("q196_spearman", _q196_spearman, _Q196_SQL, False),
+    ("q197_cusum", _q197_cusum, _Q197_SQL, False),
+    ("q198_lag_autocorr", _q198_lag_autocorr, _Q198_SQL, False),
+    ("q199_max_silence", _q199_max_silence, _Q199_SQL, False),
+    ("q200_spatial_curation", _q200_spatial_curation, _Q200_SQL, False),
+    ("q201_utm_zones", _q201_utm_zones, _Q201_SQL, False),
+    ("q202_convergence", _q202_convergence, _Q202_SQL, False),
+    ("q203_grts_sample", _q203_grts_sample, _Q203_SQL, False),
+    ("q204_cluster_sample", _q204_cluster_sample, _Q204_SQL, False),
+    ("q205_correlogram", _q205_correlogram, _Q205_SQL, False),
+    ("q206_key_skew", _q206_key_skew, _Q206_SQL, False),
+    ("q207_temporal_motifs", _q207_temporal_motifs, _Q207_SQL, False),
+    ("q208_vignetting", _q208_vignetting, _Q208_SQL, False),
+    ("q209_time_pcf", _q209_time_pcf, _Q209_SQL, False),
+    ("q210_winsorized", _q210_winsorized, _Q210_SQL, False),
+    ("q211_mad", _q211_mad, _Q211_SQL, False),
+]
+
+
 def queries() -> dict[str, Callable[[str], Any]]:
-    return {
-        "q01_pricing_summary": _q01_pricing,
-        "q02_order_status": _q02_order_status,
-        "q03_top_customers": _q03_top_customers,
-        "q04_events_by_type": _q04_events_by_type,
-        "q05_webmerc": _q05_webmerc,
-        "q06_tiles": _q06_tiles,
-        "q07_tile_counts": _q07_tile_counts,
-        "q08_grid_cells": _q08_grid_cells,
-        "q09_pip_rect_join": _q09_pip_rect,
-        "q10_knn": _q10_knn,
-        "q11_dedup_exact": _q11_dedup_exact,
-        "q12_token_stats": _q12_token_stats,
-        "q13_part_brand": _q13_part_brand,
-        "q14_ann_cosine": _q14_ann,
-        "q15_region_nation": _q15_region_nation,
-        "q16_utm": _q16_utm,
-        "q17_geodesic": _q17_geodesic,
-        "q18_text_quality": _q18_text_quality,
-        "q19_minhash_pairs": _q19_minhash_pairs,
-        "q20_simhash": _q20_simhash,
-        "q21_images_tiles": _q21_images_tiles,
-        "q22_images_join": _q22_images_join,
-        "q23_ann_ivf": _q23_ivf,
-        "q24_dedup_images": _q24_dedup_images,
-        "q25_merc_scale": _q25_merc_scale,
-        "q26_ann_ivf_indexed": _q26_ann_ivf_indexed,
-        "q27_knn_indexed": _q27_knn_indexed,
-        "q28_datum_shift": _q28_datum_shift,
-        "q29_ngram_jaccard": _q29_ngram_jaccard,
-        "q30_asof_join": _q30_asof_join,
-        "q31_window_agg": _q31_window_agg,
-        "q32_geodesic_direct": _q32_geodesic_direct,
-        "q33_dedup_embedding": _q33_dedup_embedding,
-        "q34_images_resize": _q34_images_resize,
-        "q35_video_frames": _q35_video_frames,
-        "q36_audio_features": _q36_audio_features,
-        "q37_range_join": _q37_range_join,
-        "q38_sessionize": _q38_sessionize,
-        "q39_stratified_sample": _q39_stratified_sample,
-        "q40_topk_per_group": _q40_topk_per_group,
-        "q41_grouped_quantiles": _q41_grouped_quantiles,
-        "q42_count_distinct": _q42_count_distinct,
-        "q43_geohash": _q43_geohash,
-        "q44_polygon_burn": _q44_polygon_burn,
-        "q45_dwithin_join": _q45_dwithin_join,
-        "q46_rolling_window": _q46_rolling_window,
-        "q47_pivot": _q47_pivot,
-        "q48_anti_join": _q48_anti_join,
-        "q49_zonal_stats": _q49_zonal_stats,
-        "q50_rollup": _q50_rollup,
-        "q51_heavy_hitters": _q51_heavy_hitters,
-        "q52_revenue_by_nation": _q52_revenue_by_nation,
-        "q53_unpivot": _q53_unpivot,
-        "q54_track_length": _q54_track_length,
-        "q55_raster_warp": _q55_raster_warp,
-        "q56_raster_sample": _q56_raster_sample,
-        "q57_hillshade": _q57_hillshade,
-        "q58_laea_warp": _q58_laea_warp,
-        "q59_tfidf": _q59_tfidf,
-        "q60_pmi_pairs": _q60_pmi_pairs,
-        "q61_dedup_clusters": _q61_dedup_clusters,
-        "q62_dedup_pipeline": _q62_dedup_pipeline,
-        "q63_kmeans_estep": _q63_kmeans_estep,
-        "q64_global_sort": _q64_global_sort,
-        "q65_blob_stats": _q65_blob_stats,
-        "q66_raster_pyramid": _q66_raster_pyramid,
-        "q67_track_densify": _q67_track_densify,
-        "q68_pip_polygons": _q68_pip_polygons,
-        "q69_bounds_cover": _q69_bounds_cover,
-        "q70_dedup_embedding_lsh": _q70_dedup_embedding_lsh,
-        "q71_overlay_area": _q71_overlay_area,
-        "q72_track_crossings": _q72_track_crossings,
-        "q73_substring_dedup": _q73_substring_dedup,
-        "q74_cube": _q74_cube,
-        "q75_grouped_stats": _q75_grouped_stats,
-        "q76_gram_matrix": _q76_gram_matrix,
-        "q77_profile": _q77_profile,
-        "q78_hex_bin": _q78_hex_bin,
-        "q79_inverted_index": _q79_inverted_index,
-        "q80_bm25": _q80_bm25,
-        "q81_dedup_incremental": _q81_dedup_incremental,
-        "q82_minhash_incremental": _q82_minhash_incremental,
-        "q83_ivf_append": _q83_ivf_append,
-        "q84_json_stats": _q84_json_stats,
-        "q85_pack_sequences": _q85_pack_sequences,
-        "q86_bloom_semi_join": _q86_bloom_semi_join,
-        "q87_gopher_quality": _q87_gopher_quality,
-        "q88_bloom_anti_join": _q88_bloom_anti_join,
-        "q89_decontaminate": _q89_decontaminate,
-        "q90_centroid_outliers": _q90_centroid_outliers,
-        "q91_gram_coverage": _q91_gram_coverage,
-        "q92_clip_retrieval": _q92_clip_retrieval,
-        "q93_geo_clip_retrieval": _q93_geo_clip_retrieval,
-        "q94_resample_ffill": _q94_resample_ffill,
-        "q95_top_percentile": _q95_top_percentile,
-        "q96_latest_by_key": _q96_latest_by_key,
-        "q97_curation_pipeline": _q97_curation_pipeline,
-        "q98_split_assign": _q98_split_assign,
-        "q99_bpe_pairs": _q99_bpe_pairs,
-        "q100_source_overlap": _q100_source_overlap,
-        "q101_jpeg_fidelity": _q101_jpeg_fidelity,
-        "q102_pii_redact": _q102_pii_redact,
-        "q103_repetition_filter": _q103_repetition_filter,
-        "q104_pagerank": _q104_pagerank,
-        "q105_funnel": _q105_funnel,
-        "q106_retention": _q106_retention,
-        "q107_snapshot_diff": _q107_snapshot_diff,
-        "q108_salted_join": _q108_salted_join,
-        "q109_map_match": _q109_map_match,
-        "q110_idw_grid": _q110_idw_grid,
-        "q111_contours": _q111_contours,
-        "q112_triangles": _q112_triangles,
-        "q113_image_patches": _q113_image_patches,
-        "q114_scd2": _q114_scd2,
-        "q115_hilbert": _q115_hilbert,
-        "q116_late_events": _q116_late_events,
-        "q117_cross_track": _q117_cross_track,
-        "q118_kmeans_lloyd": _q118_kmeans_lloyd,
-        "q119_dbscan_core": _q119_dbscan_core,
-        "q120_hotspots": _q120_hotspots,
-        "q121_ahash_neardup": _q121_ahash_neardup,
-        "q122_fuzzy_join": _q122_fuzzy_join,
-        "q123_skyline": _q123_skyline,
-        "q124_kmv_distinct": _q124_kmv_distinct,
-        "q125_priority_sample": _q125_priority_sample,
-        "q126_bfs_hops": _q126_bfs_hops,
-        "q127_dominant_color": _q127_dominant_color,
-        "q128_count_min": _q128_count_min,
-        "q129_pq_adc": _q129_pq_adc,
-        "q130_staypoints": _q130_staypoints,
-        "q131_rrf_fusion": _q131_rrf_fusion,
-        "q132_sharpness": _q132_sharpness,
-        "q133_scene_cuts": _q133_scene_cuts,
-        "q134_simplify": _q134_simplify,
-        "q135_hex_smooth": _q135_hex_smooth,
-        "q136_sssp": _q136_sssp,
-        "q137_weighted_median": _q137_weighted_median,
-        "q138_transitions": _q138_transitions,
-        "q139_trend": _q139_trend,
-        "q140_cdc_chunks": _q140_cdc_chunks,
-        "q141_stratified_priority": _q141_stratified_priority,
-        "q142_hist_equalize": _q142_hist_equalize,
-        "q143_hist_quantile": _q143_hist_quantile,
-        "q144_dwell_time": _q144_dwell_time,
-        "q145_corr_matrix": _q145_corr_matrix,
-        "q146_source_similarity": _q146_source_similarity,
-        "q147_voronoi_assign": _q147_voronoi_assign,
-        "q148_gyration": _q148_gyration,
-        "q149_peak_hour": _q149_peak_hour,
-        "q150_gini": _q150_gini,
-        "q151_morans_i": _q151_morans_i,
-        "q152_quadtree": _q152_quadtree,
-        "q153_snap_segments": _q153_snap_segments,
-        "q154_mann_kendall": _q154_mann_kendall,
-        "q155_glcm": _q155_glcm,
-        "q156_heaps": _q156_heaps,
-        "q157_bearing_hist": _q157_bearing_hist,
-        "q158_exploration": _q158_exploration,
-        "q159_gearys_c": _q159_gearys_c,
-        "q160_ripley_k": _q160_ripley_k,
-        "q161_knox": _q161_knox,
-        "q162_image_moments": _q162_image_moments,
-        "q163_od_matrix": _q163_od_matrix,
-        "q164_colocation": _q164_colocation,
-        "q165_skipgrams": _q165_skipgrams,
-        "q166_benford": _q166_benford,
-        "q167_dup_histogram": _q167_dup_histogram,
-        "q168_interarrival": _q168_interarrival,
-        "q169_degree_hist": _q169_degree_hist,
-        "q170_assortativity": _q170_assortativity,
-        "q171_clustering_coeff": _q171_clustering_coeff,
-        "q172_attribution": _q172_attribution,
-        "q173_setdist": _q173_setdist,
-        "q174_tile_turnover": _q174_tile_turnover,
-        "q175_assoc_rules": _q175_assoc_rules,
-        "q176_haar_energy": _q176_haar_energy,
-        "q177_rle_runs": _q177_rle_runs,
-        "q178_outliers": _q178_outliers,
-        "q179_ewma_bursts": _q179_ewma_bursts,
-        "q180_user_extents": _q180_user_extents,
-        "q181_hhi": _q181_hhi,
-        "q182_covisits": _q182_covisits,
-        "q183_adoption": _q183_adoption,
-        "q184_orientation_tensor": _q184_orientation_tensor,
-        "q185_percolation": _q185_percolation,
-        "q186_rhumb_length": _q186_rhumb_length,
-        "q187_lcp_stats": _q187_lcp_stats,
-        "q188_ks_lengths": _q188_ks_lengths,
-        "q189_local_moran": _q189_local_moran,
-        "q190_getis_ord": _q190_getis_ord,
-        "q191_variogram": _q191_variogram,
-        "q192_box_counting": _q192_box_counting,
-        "q193_runner_up": _q193_runner_up,
-        "q194_co_coverage": _q194_co_coverage,
-        "q195_chi_square": _q195_chi_square,
-        "q196_spearman": _q196_spearman,
-        "q197_cusum": _q197_cusum,
-        "q198_lag_autocorr": _q198_lag_autocorr,
-        "q199_max_silence": _q199_max_silence,
-        "q200_spatial_curation": _q200_spatial_curation,
-        "q201_utm_zones": _q201_utm_zones,
-        "q202_convergence": _q202_convergence,
-        "q203_grts_sample": _q203_grts_sample,
-        "q204_cluster_sample": _q204_cluster_sample,
-        "q205_correlogram": _q205_correlogram,
-        "q206_key_skew": _q206_key_skew,
-        "q207_temporal_motifs": _q207_temporal_motifs,
-        "q208_vignetting": _q208_vignetting,
-        "q209_time_pcf": _q209_time_pcf,
-        "q210_winsorized": _q210_winsorized,
-        "q211_mad": _q211_mad,
-    }
+    return {name: fn for name, fn, _sql, _bench in _QUERIES}
 
 
 def oracle_sql() -> dict[str, str]:
-    return {
-        "q01_pricing_summary": _Q01_SQL,
-        "q02_order_status": _Q02_SQL,
-        "q03_top_customers": _Q03_SQL,
-        "q04_events_by_type": _Q04_SQL,
-        "q05_webmerc": _Q05_SQL,
-        "q06_tiles": _Q06_SQL,
-        "q07_tile_counts": _Q07_SQL,
-        "q08_grid_cells": _Q08_SQL,
-        "q09_pip_rect_join": _Q09_SQL,
-        "q10_knn": _Q10_SQL,
-        "q11_dedup_exact": _Q11_SQL,
-        "q12_token_stats": _Q12_SQL,
-        "q13_part_brand": _Q13_SQL,
-        "q14_ann_cosine": _Q14_SQL,
-        "q15_region_nation": _Q15_SQL,
-        "q18_text_quality": _Q18_SQL,
-        "q19_minhash_pairs": _Q19_SQL,
-        "q20_simhash": _Q20_SQL,
-        "q21_images_tiles": _Q21_SQL,
-        "q22_images_join": _Q22_SQL,
-        "q25_merc_scale": _Q25_SQL,
-        "q26_ann_ivf_indexed": _Q26_SQL,
-        "q16_utm": _Q16_SQL,
-        "q17_geodesic": _gen_q17_sql(),
-        "q23_ann_ivf": _Q14_SQL,
-        "q24_dedup_images": _Q24_SQL,
-        "q27_knn_indexed": _Q10_SQL,
-        "q28_datum_shift": _Q28_SQL,
-        "q29_ngram_jaccard": _Q29_SQL,
-        "q30_asof_join": _Q30_SQL,
-        "q31_window_agg": _Q31_SQL,
-        "q32_geodesic_direct": _gen_q32_sql(),
-        "q33_dedup_embedding": _Q33_SQL,
-        "q34_images_resize": _Q34_SQL,
-        "q35_video_frames": _Q35_SQL,
-        "q36_audio_features": _Q36_SQL,
-        "q37_range_join": _Q37_SQL,
-        "q38_sessionize": _Q38_SQL,
-        "q39_stratified_sample": _Q39_SQL,
-        "q40_topk_per_group": _Q40_SQL,
-        "q41_grouped_quantiles": _Q41_SQL,
-        "q42_count_distinct": _Q42_SQL,
-        "q43_geohash": _Q43_SQL,
-        "q44_polygon_burn": _Q44_SQL,
-        "q45_dwithin_join": _Q45_SQL,
-        "q46_rolling_window": _Q46_SQL,
-        "q47_pivot": _Q47_SQL,
-        "q48_anti_join": _Q48_SQL,
-        "q49_zonal_stats": _Q49_SQL,
-        "q50_rollup": _Q50_SQL,
-        "q51_heavy_hitters": _Q51_SQL,
-        "q52_revenue_by_nation": _Q52_SQL,
-        "q53_unpivot": _Q53_SQL,
-        "q54_track_length": _Q54_SQL,
-        "q55_raster_warp": _Q55_SQL,
-        "q56_raster_sample": _Q56_SQL,
-        "q57_hillshade": _Q57_SQL,
-        "q58_laea_warp": _Q58_SQL,
-        "q59_tfidf": _Q59_SQL,
-        "q60_pmi_pairs": _Q60_SQL,
-        "q61_dedup_clusters": _Q61_SQL,
-        "q62_dedup_pipeline": _Q62_SQL,
-        "q63_kmeans_estep": _Q63_SQL,
-        "q64_global_sort": _Q64_SQL,
-        "q65_blob_stats": _Q65_SQL,
-        "q66_raster_pyramid": _Q66_SQL,
-        "q67_track_densify": _Q67_SQL,
-        "q68_pip_polygons": _q68_sql(),
-        "q69_bounds_cover": _Q69_SQL,
-        "q70_dedup_embedding_lsh": _Q70_SQL,
-        "q71_overlay_area": _Q71_SQL,
-        "q72_track_crossings": _Q72_SQL,
-        "q73_substring_dedup": _Q73_SQL,
-        "q74_cube": _Q74_SQL,
-        "q75_grouped_stats": _Q75_SQL,
-        "q76_gram_matrix": _Q76_SQL,
-        "q77_profile": _Q77_SQL,
-        "q78_hex_bin": _Q78_SQL,
-        "q79_inverted_index": _Q79_SQL,
-        "q80_bm25": _Q80_SQL,
-        "q81_dedup_incremental": _Q81_SQL,
-        "q82_minhash_incremental": _Q82_SQL,
-        "q83_ivf_append": _Q26_SQL,
-        "q84_json_stats": _Q84_SQL,
-        "q85_pack_sequences": _Q85_SQL,
-        "q86_bloom_semi_join": _Q86_SQL,
-        "q87_gopher_quality": _Q87_SQL,
-        "q88_bloom_anti_join": _Q88_SQL,
-        "q89_decontaminate": _Q89_SQL,
-        "q90_centroid_outliers": _Q90_SQL,
-        "q91_gram_coverage": _Q91_SQL,
-        "q92_clip_retrieval": _Q92_SQL,
-        "q93_geo_clip_retrieval": _Q93_SQL,
-        "q94_resample_ffill": _Q94_SQL,
-        "q95_top_percentile": _Q95_SQL,
-        "q96_latest_by_key": _Q96_SQL,
-        "q97_curation_pipeline": _Q97_SQL,
-        "q98_split_assign": _Q98_SQL,
-        "q99_bpe_pairs": _Q99_SQL,
-        "q100_source_overlap": _Q100_SQL,
-        "q101_jpeg_fidelity": _Q101_SQL,
-        "q102_pii_redact": _Q102_SQL,
-        "q103_repetition_filter": _Q103_SQL,
-        "q104_pagerank": _Q104_SQL,
-        "q105_funnel": _Q105_SQL,
-        "q106_retention": _Q106_SQL,
-        "q107_snapshot_diff": _Q107_SQL,
-        "q108_salted_join": _Q108_SQL,
-        "q109_map_match": _Q109_SQL,
-        "q110_idw_grid": _Q110_SQL,
-        "q111_contours": _Q111_SQL,
-        "q112_triangles": _Q112_SQL,
-        "q113_image_patches": _Q113_SQL,
-        "q114_scd2": _Q114_SQL,
-        "q115_hilbert": _Q115_SQL,
-        "q116_late_events": _Q116_SQL,
-        "q117_cross_track": _Q117_SQL,
-        "q118_kmeans_lloyd": _Q118_SQL,
-        "q119_dbscan_core": _Q119_SQL,
-        "q120_hotspots": _Q120_SQL,
-        "q121_ahash_neardup": _Q121_SQL,
-        "q122_fuzzy_join": _Q122_SQL,
-        "q123_skyline": _Q123_SQL,
-        "q124_kmv_distinct": _Q124_SQL,
-        "q125_priority_sample": _Q125_SQL,
-        "q126_bfs_hops": _Q126_SQL,
-        "q127_dominant_color": _Q127_SQL,
-        "q128_count_min": _Q128_SQL,
-        "q129_pq_adc": _Q129_SQL,
-        "q130_staypoints": _Q130_SQL,
-        "q131_rrf_fusion": _Q131_SQL,
-        "q132_sharpness": _Q132_SQL,
-        "q133_scene_cuts": _Q133_SQL,
-        "q134_simplify": _Q134_SQL,
-        "q135_hex_smooth": _Q135_SQL,
-        "q136_sssp": _Q136_SQL,
-        "q137_weighted_median": _Q137_SQL,
-        "q138_transitions": _Q138_SQL,
-        "q139_trend": _Q139_SQL,
-        "q140_cdc_chunks": _Q140_SQL,
-        "q141_stratified_priority": _Q141_SQL,
-        "q142_hist_equalize": _Q142_SQL,
-        "q143_hist_quantile": _Q143_SQL,
-        "q144_dwell_time": _Q144_SQL,
-        "q145_corr_matrix": _Q145_SQL,
-        "q146_source_similarity": _Q146_SQL,
-        "q147_voronoi_assign": _Q147_SQL,
-        "q148_gyration": _Q148_SQL,
-        "q149_peak_hour": _Q149_SQL,
-        "q150_gini": _Q150_SQL,
-        "q151_morans_i": _Q151_SQL,
-        "q152_quadtree": _Q152_SQL,
-        "q153_snap_segments": _Q153_SQL,
-        "q154_mann_kendall": _Q154_SQL,
-        "q155_glcm": _Q155_SQL,
-        "q156_heaps": _Q156_SQL,
-        "q157_bearing_hist": _Q157_SQL,
-        "q158_exploration": _Q158_SQL,
-        "q159_gearys_c": _Q159_SQL,
-        "q160_ripley_k": _Q160_SQL,
-        "q161_knox": _Q161_SQL,
-        "q162_image_moments": _Q162_SQL,
-        "q163_od_matrix": _Q163_SQL,
-        "q164_colocation": _Q164_SQL,
-        "q165_skipgrams": _Q165_SQL,
-        "q166_benford": _Q166_SQL,
-        "q167_dup_histogram": _Q167_SQL,
-        "q168_interarrival": _Q168_SQL,
-        "q169_degree_hist": _Q169_SQL,
-        "q170_assortativity": _Q170_SQL,
-        "q171_clustering_coeff": _Q171_SQL,
-        "q172_attribution": _Q172_SQL,
-        "q173_setdist": _Q173_SQL,
-        "q174_tile_turnover": _Q174_SQL,
-        "q175_assoc_rules": _Q175_SQL,
-        "q176_haar_energy": _Q176_SQL,
-        "q177_rle_runs": _Q177_SQL,
-        "q178_outliers": _Q178_SQL,
-        "q179_ewma_bursts": _Q179_SQL,
-        "q180_user_extents": _Q180_SQL,
-        "q181_hhi": _Q181_SQL,
-        "q182_covisits": _Q182_SQL,
-        "q183_adoption": _Q183_SQL,
-        "q184_orientation_tensor": _Q184_SQL,
-        "q185_percolation": _Q185_SQL,
-        "q186_rhumb_length": _Q186_SQL,
-        "q187_lcp_stats": _Q187_SQL,
-        "q188_ks_lengths": _Q188_SQL,
-        "q189_local_moran": _Q189_SQL,
-        "q190_getis_ord": _Q190_SQL,
-        "q191_variogram": _Q191_SQL,
-        "q192_box_counting": _Q192_SQL,
-        "q193_runner_up": _Q193_SQL,
-        "q194_co_coverage": _Q194_SQL,
-        "q195_chi_square": _Q195_SQL,
-        "q196_spearman": _Q196_SQL,
-        "q197_cusum": _Q197_SQL,
-        "q198_lag_autocorr": _Q198_SQL,
-        "q199_max_silence": _Q199_SQL,
-        "q200_spatial_curation": _Q200_SQL,
-        "q201_utm_zones": _Q201_SQL,
-        "q202_convergence": _Q202_SQL,
-        "q203_grts_sample": _Q203_SQL,
-        "q204_cluster_sample": _Q204_SQL,
-        "q205_correlogram": _Q205_SQL,
-        "q206_key_skew": _Q206_SQL,
-        "q207_temporal_motifs": _Q207_SQL,
-        "q208_vignetting": _Q208_SQL,
-        "q209_time_pcf": _Q209_SQL,
-        "q210_winsorized": _Q210_SQL,
-        "q211_mad": _Q211_SQL,
-    }
+    return {name: sql() if callable(sql) else sql
+            for name, _fn, sql, _bench in _QUERIES}

@@ -121,36 +121,12 @@ def run_suite(sf_dir: str) -> dict:
             return n
         return len(ds)
 
-    timed("q01_pricing_summary", lambda: consume(E._q01_pricing(sf_dir)))
-    timed("q05_webmerc", lambda: consume(E._q05_webmerc(sf_dir)))
-    timed("q07_tile_counts", lambda: consume(E._q07_tile_counts(sf_dir)))
-    timed("q09_pip_rect_join", lambda: consume(E._q09_pip_rect(sf_dir)))
-    timed("q10_knn", lambda: consume(E._q10_knn(sf_dir)))
-    timed("q11_dedup_exact", lambda: consume(E._q11_dedup_exact(sf_dir)))
-    timed("q14_ann_cosine", lambda: consume(E._q14_ann(sf_dir)))
-    timed("q16_utm", lambda: consume(E._q16_utm(sf_dir)))
-    timed("q18_text_quality", lambda: consume(E._q18_text_quality(sf_dir)))
+    for name, fn, _sql, timed_by_bench in E._QUERIES:
+        if timed_by_bench:
+            timed(name, lambda: consume(fn(sf_dir)))
     timed("q24_dedup_images_small", lambda: consume(
         E._q24_dedup_images(sf_dir.replace("sf0.1", "sf0.01"))
         if "sf0.1" in sf_dir else E._q24_dedup_images(sf_dir)))
-    timed("q33_dedup_embedding",
-          lambda: consume(E._q33_dedup_embedding(sf_dir)))
-    timed("q34_images_resize",
-          lambda: consume(E._q34_images_resize(sf_dir)))
-    timed("q35_video_frames",
-          lambda: consume(E._q35_video_frames(sf_dir)))
-    timed("q36_audio_features",
-          lambda: consume(E._q36_audio_features(sf_dir)))
-    timed("q38_sessionize", lambda: consume(E._q38_sessionize(sf_dir)))
-    timed("q41_grouped_quantiles",
-          lambda: consume(E._q41_grouped_quantiles(sf_dir)))
-    timed("q45_dwithin_join",
-          lambda: consume(E._q45_dwithin_join(sf_dir)))
-    timed("q46_rolling_window",
-          lambda: consume(E._q46_rolling_window(sf_dir)))
-    timed("q47_pivot", lambda: consume(E._q47_pivot(sf_dir)))
-    timed("q49_zonal_stats",
-          lambda: consume(E._q49_zonal_stats(sf_dir)))
 
     # raster axis at bench scale: the driver queries size the DEM table
     # by the (fixed-size) documents table, so re-run warp + hillshade
@@ -220,170 +196,6 @@ def run_suite(sf_dir: str) -> dict:
         return consume(tfidf_topk(ds))
 
     timed("tfidf_topk", _tfidf)
-    timed("q51_heavy_hitters",
-          lambda: consume(E._q51_heavy_hitters(sf_dir)))
-    timed("q52_revenue_by_nation",
-          lambda: consume(E._q52_revenue_by_nation(sf_dir)))
-    timed("q71_overlay_area",
-          lambda: consume(E._q71_overlay_area(sf_dir)))
-    timed("q72_track_crossings",
-          lambda: consume(E._q72_track_crossings(sf_dir)))
-    timed("q73_substring_dedup",
-          lambda: consume(E._q73_substring_dedup(sf_dir)))
-    timed("q74_cube",
-          lambda: consume(E._q74_cube(sf_dir)))
-    timed("q75_grouped_stats",
-          lambda: consume(E._q75_grouped_stats(sf_dir)))
-    timed("q76_gram_matrix",
-          lambda: consume(E._q76_gram_matrix(sf_dir)))
-    timed("q77_profile",
-          lambda: consume(E._q77_profile(sf_dir)))
-    timed("q78_hex_bin",
-          lambda: consume(E._q78_hex_bin(sf_dir)))
-    timed("q79_inverted_index",
-          lambda: consume(E._q79_inverted_index(sf_dir)))
-    timed("q80_bm25",
-          lambda: consume(E._q80_bm25(sf_dir)))
-    timed("q81_dedup_incremental",
-          lambda: consume(E._q81_dedup_incremental(sf_dir)))
-    timed("q82_minhash_incremental",
-          lambda: consume(E._q82_minhash_incremental(sf_dir)))
-    timed("q83_ivf_append",
-          lambda: consume(E._q83_ivf_append(sf_dir)))
-    timed("q84_json_stats",
-          lambda: consume(E._q84_json_stats(sf_dir)))
-    timed("q85_pack_sequences",
-          lambda: consume(E._q85_pack_sequences(sf_dir)))
-    timed("q86_bloom_semi_join",
-          lambda: consume(E._q86_bloom_semi_join(sf_dir)))
-    timed("q87_gopher_quality",
-          lambda: consume(E._q87_gopher_quality(sf_dir)))
-    timed("q88_bloom_anti_join",
-          lambda: consume(E._q88_bloom_anti_join(sf_dir)))
-    timed("q89_decontaminate",
-          lambda: consume(E._q89_decontaminate(sf_dir)))
-    timed("q90_centroid_outliers",
-          lambda: consume(E._q90_centroid_outliers(sf_dir)))
-    timed("q91_gram_coverage",
-          lambda: consume(E._q91_gram_coverage(sf_dir)))
-    timed("q92_clip_retrieval",
-          lambda: consume(E._q92_clip_retrieval(sf_dir)))
-    timed("q93_geo_clip_retrieval",
-          lambda: consume(E._q93_geo_clip_retrieval(sf_dir)))
-    timed("q94_resample_ffill",
-          lambda: consume(E._q94_resample_ffill(sf_dir)))
-    timed("q95_top_percentile",
-          lambda: consume(E._q95_top_percentile(sf_dir)))
-    timed("q96_latest_by_key",
-          lambda: consume(E._q96_latest_by_key(sf_dir)))
-    timed("q97_curation_pipeline",
-          lambda: consume(E._q97_curation_pipeline(sf_dir)))
-    timed("q98_split_assign",
-          lambda: consume(E._q98_split_assign(sf_dir)))
-    timed("q99_bpe_pairs",
-          lambda: consume(E._q99_bpe_pairs(sf_dir)))
-    timed("q100_source_overlap",
-          lambda: consume(E._q100_source_overlap(sf_dir)))
-    timed("q101_jpeg_fidelity",
-          lambda: consume(E._q101_jpeg_fidelity(sf_dir)))
-    timed("q102_pii_redact",
-          lambda: consume(E._q102_pii_redact(sf_dir)))
-    timed("q103_repetition_filter",
-          lambda: consume(E._q103_repetition_filter(sf_dir)))
-    timed("q104_pagerank",
-          lambda: consume(E._q104_pagerank(sf_dir)))
-    timed("q105_funnel",
-          lambda: consume(E._q105_funnel(sf_dir)))
-    timed("q106_retention",
-          lambda: consume(E._q106_retention(sf_dir)))
-    timed("q107_snapshot_diff",
-          lambda: consume(E._q107_snapshot_diff(sf_dir)))
-    timed("q108_salted_join",
-          lambda: consume(E._q108_salted_join(sf_dir)))
-    timed("q109_map_match",
-          lambda: consume(E._q109_map_match(sf_dir)))
-    timed("q110_idw_grid",
-          lambda: consume(E._q110_idw_grid(sf_dir)))
-    timed("q111_contours",
-          lambda: consume(E._q111_contours(sf_dir)))
-    timed("q112_triangles",
-          lambda: consume(E._q112_triangles(sf_dir)))
-    timed("q113_image_patches",
-          lambda: consume(E._q113_image_patches(sf_dir)))
-    timed("q114_scd2",
-          lambda: consume(E._q114_scd2(sf_dir)))
-    timed("q115_hilbert",
-          lambda: consume(E._q115_hilbert(sf_dir)))
-    timed("q116_late_events",
-          lambda: consume(E._q116_late_events(sf_dir)))
-    timed("q117_cross_track",
-          lambda: consume(E._q117_cross_track(sf_dir)))
-    timed("q118_kmeans_lloyd",
-          lambda: consume(E._q118_kmeans_lloyd(sf_dir)))
-    timed("q119_dbscan_core",
-          lambda: consume(E._q119_dbscan_core(sf_dir)))
-    timed("q120_hotspots",
-          lambda: consume(E._q120_hotspots(sf_dir)))
-    timed("q121_ahash_neardup",
-          lambda: consume(E._q121_ahash_neardup(sf_dir)))
-    timed("q122_fuzzy_join",
-          lambda: consume(E._q122_fuzzy_join(sf_dir)))
-    timed("q123_skyline",
-          lambda: consume(E._q123_skyline(sf_dir)))
-    timed("q124_kmv_distinct",
-          lambda: consume(E._q124_kmv_distinct(sf_dir)))
-    timed("q125_priority_sample",
-          lambda: consume(E._q125_priority_sample(sf_dir)))
-    timed("q126_bfs_hops",
-          lambda: consume(E._q126_bfs_hops(sf_dir)))
-    timed("q127_dominant_color",
-          lambda: consume(E._q127_dominant_color(sf_dir)))
-    timed("q128_count_min",
-          lambda: consume(E._q128_count_min(sf_dir)))
-    timed("q129_pq_adc",
-          lambda: consume(E._q129_pq_adc(sf_dir)))
-    timed("q130_staypoints",
-          lambda: consume(E._q130_staypoints(sf_dir)))
-    timed("q131_rrf_fusion",
-          lambda: consume(E._q131_rrf_fusion(sf_dir)))
-    timed("q132_sharpness",
-          lambda: consume(E._q132_sharpness(sf_dir)))
-    timed("q133_scene_cuts",
-          lambda: consume(E._q133_scene_cuts(sf_dir)))
-    timed("q134_simplify",
-          lambda: consume(E._q134_simplify(sf_dir)))
-    timed("q135_hex_smooth",
-          lambda: consume(E._q135_hex_smooth(sf_dir)))
-    timed("q136_sssp",
-          lambda: consume(E._q136_sssp(sf_dir)))
-    timed("q137_weighted_median",
-          lambda: consume(E._q137_weighted_median(sf_dir)))
-    timed("q138_transitions",
-          lambda: consume(E._q138_transitions(sf_dir)))
-    timed("q139_trend",
-          lambda: consume(E._q139_trend(sf_dir)))
-    timed("q140_cdc_chunks",
-          lambda: consume(E._q140_cdc_chunks(sf_dir)))
-    timed("q141_stratified_priority",
-          lambda: consume(E._q141_stratified_priority(sf_dir)))
-    timed("q142_hist_equalize",
-          lambda: consume(E._q142_hist_equalize(sf_dir)))
-    timed("q143_hist_quantile",
-          lambda: consume(E._q143_hist_quantile(sf_dir)))
-    timed("q144_dwell_time",
-          lambda: consume(E._q144_dwell_time(sf_dir)))
-    timed("q145_corr_matrix",
-          lambda: consume(E._q145_corr_matrix(sf_dir)))
-    timed("q146_source_similarity",
-          lambda: consume(E._q146_source_similarity(sf_dir)))
-    timed("q147_voronoi_assign",
-          lambda: consume(E._q147_voronoi_assign(sf_dir)))
-    timed("q148_gyration",
-          lambda: consume(E._q148_gyration(sf_dir)))
-    timed("q149_peak_hour",
-          lambda: consume(E._q149_peak_hour(sf_dir)))
-    timed("q150_gini",
-          lambda: consume(E._q150_gini(sf_dir)))
 
     total = round(sum(timings.values()), 3)
     return {
@@ -458,14 +270,8 @@ def run_shuffle_once(sf_dir: str, num_cpus: int) -> dict:
     dt, tiles = None, 0
     for _pass in range(2):
         t0 = time.time()
-        if os.environ.get("SCALING_SHUFFLE_CENSUS", "0") == "1":
-            # the censused Dataset-input path (one execution while its
-            # partial table fits the driver), kept measurable for A/B
-            # against the fused path
-            tiles = headline_salted_agg(n)
-        else:
-            tiles = len(tile_counts_salted_fused(n, zoom=7, salt=16,
-                                                 num_cpus=num_cpus))
+        tiles = len(tile_counts_salted_fused(n, zoom=7, salt=16,
+                                             num_cpus=num_cpus))
         d = time.time() - t0
         dt = d if dt is None else min(dt, d)
     ray.shutdown()
@@ -547,11 +353,6 @@ def main() -> None:
     from ray.data import DataContext
 
     DataContext.get_current().enable_progress_bars = False
-    if os.environ.get("BENCH_NO_RESERVATION", "0") == "1":
-        # A/B probe: Ray Data's op resource reservation can starve a
-        # map stage that shares its plan with an all-to-all at small
-        # cpu counts; this flag measures that effect on the whole suite
-        DataContext.get_current().op_resource_reservation_enabled = False
     result = run_suite(SF_DIR)
     ray.shutdown()
     print(json.dumps(result))

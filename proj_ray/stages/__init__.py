@@ -19,6 +19,11 @@ size to bundle rows, Ray fuses a chain of them (and the read before
 it) into one operator with one task per input block, so a small input
 should arrive as one block (`dsutil.read_parquet`).
 
+Row order: a stage keeps the order of rows within a block, but, like
+Ray Data with `preserve_order` off, it does not promise the order of
+rows across blocks. Blocks come back as their tasks finish, so match a
+stage's output rows by key, not by position.
+
 Nothing here materializes the full dataset; everything streams.
 """
 

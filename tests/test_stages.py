@@ -10,7 +10,10 @@ def test_reproject_dataset(ray_session):
     rows = [{"lon": 12.0, "lat": 55.0}, {"lon": 2.0, "lat": 49.0}]
     out = reproject(rd.from_items(rows),
                     "+proj=utm +zone=32 +ellps=WGS84").to_pandas()
-    assert abs(out["x"][0] - 691875.632137542) < 1e-6
+    # the two rows are two blocks, returned in either order: match by key
+    assert len(out) == 2
+    x = out.set_index(["lon", "lat"])["x"]
+    assert abs(x[(12.0, 55.0)] - 691875.632137542) < 1e-6
 
 
 def test_cells_tiles_census(ray_session):

@@ -99,10 +99,6 @@ def main(sf_dir: str, only: list[str]) -> int:
             failures += 1
             continue
         dt = time.time() - t0
-        if name not in oracles:
-            print(f"{name:24s} rows={len(res):7d} ({dt:5.1f}s) "
-                  f"[rows-only check]")
-            continue
         try:
             sql_df = con.execute(oracles[name]).fetchdf()
         except Exception as exc:  # noqa: BLE001

@@ -574,8 +574,8 @@ def _q13_part_brand(sf_dir: str):
     part = _read(sf_dir, "part",
                  columns=["p_partkey", "p_brand"]).to_pandas()
     # sparse sorted-key lookup: memory O(#parts), not O(max partkey);
-    # above stages.BROADCAST_ROW_LIMIT callers should switch to the
-    # hash-shuffle join fallback (stages.broadcast_lookup_join)
+    # above stages.BROADCAST_ROW_LIMIT a caller should fall back to a
+    # hash-shuffle join, as q52 does for its dimensions
     ref = ray.put(BroadcastLookup(part["p_partkey"].to_numpy(),
                                   {"brand": part["p_brand"].to_numpy()}))
 

@@ -27,10 +27,11 @@ lives in `proj_ray.dsutil` and is read at call time, so it also steers
 from __future__ import annotations
 
 import numpy as np
-
+import pyarrow as pa
 
 from proj_ray import dsutil
 from proj_ray.dsutil import pull_pandas  # noqa: F401  (re-export)
+from proj_ray.stages import _f64, _with_columns
 
 
 def geotag_dataset(n_rows: int, parallelism: int | None = None):
@@ -54,13 +55,13 @@ def geotag_dataset(n_rows: int, parallelism: int | None = None):
         # 64 blocks so small inputs still parallelize
         parallelism = max(64, (n_rows + 384_000 - 1) // 384_000)
 
-    def gen(batch: dict) -> dict:
-        idx = np.asarray(batch["id"], dtype=np.int64)
-        lon, lat = geotags(idx)
-        return {"image_id": idx, "lon": lon, "lat": lat}
+    def gen(batch):
+        lon, lat = geotags(batch.column("id").to_numpy())
+        return _with_columns(batch.rename_columns(["image_id"]),
+                             {"lon": lon, "lat": lat})
 
     return rd.range(n_rows, override_num_blocks=max(parallelism, 1)) \
-        .map_batches(gen, batch_format="numpy")
+        .map_batches(gen, batch_format="pyarrow")
 
 
 class FusedSpatialStage:
@@ -208,10 +209,11 @@ def bucketed_sum(parts, key_col: str, val_col: str, out_col: str,
     if n_buckets is None:
         n_buckets = 4 * max(1, int(ray.cluster_resources().get("CPU", 8)))
 
-    def add_bk(b: dict) -> dict:
-        k = np.asarray(b[key_col], dtype=np.int64)
+    def add_bk(b):
+        k = np.asarray(b.column(key_col).to_numpy(), dtype=np.int64)
         bk = (splitmix64(k) % np.uint64(n_buckets)).astype(np.int64)
-        return {key_col: k, val_col: b[val_col], "_bk": bk}
+        return _with_columns(b.select([key_col, val_col]),
+                             {key_col: k, "_bk": bk})
 
     def comb(g: pd.DataFrame) -> pd.DataFrame:
         k = g[key_col].to_numpy()
@@ -221,7 +223,7 @@ def bucketed_sum(parts, key_col: str, val_col: str, out_col: str,
         np.add.at(s, inv, n)
         return pd.DataFrame({key_col: uk, out_col: s})
 
-    return (parts.map_batches(add_bk, batch_format="numpy")
+    return (parts.map_batches(add_bk, batch_format="pyarrow")
             .groupby("_bk")
             .map_groups(lambda g: comb(g.drop(columns=["_bk"])),
                         batch_format="pandas"))
@@ -334,11 +336,13 @@ def tile_counts_salted_fused(n_rows: int, zoom: int = 7, salt: int = 16,
             .rename(columns={"n_sub": "n"}))
 
 
-def _combine_partials(b: dict) -> dict:
-    uk, inv = np.unique(np.asarray(b["tile_key"]), return_inverse=True)
+def _combine_partials(b):
+    uk, inv = np.unique(b.column("tile_key").to_numpy(),
+                        return_inverse=True)
     s = np.zeros(len(uk), dtype=np.int64)
-    np.add.at(s, inv, np.asarray(b["n_part"], dtype=np.int64))
-    return {"tile_key": uk, "n_part": s}
+    np.add.at(s, inv, np.asarray(b.column("n_part").to_numpy(),
+                                 dtype=np.int64))
+    return pa.table({"tile_key": uk, "n_part": s})
 
 
 def tile_counts_salted(ds, zoom: int = 7, threshold: int | None = None,
@@ -351,6 +355,10 @@ def tile_counts_salted(ds, zoom: int = 7, threshold: int | None = None,
     key packing and a unique-combine hand-fused into ONE fn on whole
     blocks: separate map operators paid ~0.3 us/row at every operator
     boundary) and materializes them, so the raw rows are read once.
+    Like every map here it runs on Arrow batches: it reads only `lon`
+    and `lat` as NumPy and returns a new Arrow (tile_key, n_part)
+    table, so Ray never infers the type of an int64 NumPy column (see
+    the `proj_ray.stages` docstring).
     Then the partial table (#tiles x #blocks rows at most) decides:
 
     - at or under DRIVER_FINISH_ROWS rows `bucketed_sum` sums it on
@@ -367,15 +375,16 @@ def tile_counts_salted(ds, zoom: int = 7, threshold: int | None = None,
     driver."""
     import ray
 
-    def tile_partials(b: dict) -> dict:
+    def tile_partials(b):
         from proj_ray.tiles import tile_assign
 
-        tx, ty, _valid = tile_assign(b["lon"], b["lat"], zoom)
+        tx, ty, _valid = tile_assign(_f64(b, "lon"), _f64(b, "lat"), zoom)
         key = tx * np.int64(1 << 30) + ty
         keys, counts = np.unique(key, return_counts=True)
-        return {"tile_key": keys, "n_part": counts.astype(np.int64)}
+        return pa.table({"tile_key": keys,
+                         "n_part": counts.astype(np.int64)})
 
-    parts = ds.map_batches(tile_partials, batch_format="numpy",
+    parts = ds.map_batches(tile_partials, batch_format="pyarrow",
                            batch_size=None).materialize()
     if parts.count() <= dsutil.DRIVER_FINISH_ROWS:
         return bucketed_sum(parts, "tile_key", "n_part", "n")
@@ -389,7 +398,7 @@ def tile_counts_salted(ds, zoom: int = 7, threshold: int | None = None,
         # Its own job: an in-chain repartition would become the whole
         # plan's block target and re-serialize the map above
         parts = (parts.repartition(2 * ncpu)
-                 .map_batches(_combine_partials, batch_format="numpy",
+                 .map_batches(_combine_partials, batch_format="pyarrow",
                               batch_size=None)
                  .materialize())
     if not salted:
@@ -403,11 +412,11 @@ def tile_counts_salted(ds, zoom: int = 7, threshold: int | None = None,
         hot.update(int(c) for c in np.asarray(b["tile_key"])[sel])
     hot_sorted = np.sort(np.fromiter(hot, dtype=np.int64, count=len(hot)))
 
-    def salt_parts(b: dict) -> dict:
+    def salt_parts(b):
         from proj_ray.functions._hash import splitmix64
 
-        keys = np.asarray(b["tile_key"], dtype=np.int64)
-        n = np.asarray(b["n_part"], dtype=np.int64)
+        keys = np.asarray(b.column("tile_key").to_numpy(), dtype=np.int64)
+        n = np.asarray(b.column("n_part").to_numpy(), dtype=np.int64)
         if len(hot_sorted):
             pos = np.searchsorted(hot_sorted, keys)
             pos[pos >= len(hot_sorted)] = 0
@@ -419,20 +428,21 @@ def tile_counts_salted(ds, zoom: int = 7, threshold: int | None = None,
         sub = np.int64(splitmix64(np.asarray(
             [abs(int(n.sum())) + len(n)], dtype=np.uint64))[0]
             % np.uint64(salt))
-        return {"cell_salted": keys * np.int64(salt)
-                + np.where(is_hot, sub, np.int64(0)),
-                "n_part": n}
+        return pa.table({"cell_salted": keys * np.int64(salt)
+                         + np.where(is_hot, sub, np.int64(0)),
+                         "n_part": n})
 
     part = bucketed_sum(parts.map_batches(salt_parts,
-                                          batch_format="numpy"),
+                                          batch_format="pyarrow"),
                         "cell_salted", "n_part", "n_sub")
 
-    def unsalt(b: dict) -> dict:
-        return {"tile_key": np.asarray(b["cell_salted"]) // salt,
-                "n_sub": b["n_sub"]}
+    def unsalt(b):
+        return pa.table({
+            "tile_key": b.column("cell_salted").to_numpy() // salt,
+            "n_sub": b.column("n_sub")})
 
     # un-salt merge: the salted output is <= #tiles + #hot*salt rows, so
     # it usually finishes on the driver
-    return bucketed_sum(part.map_batches(unsalt, batch_format="numpy"),
+    return bucketed_sum(part.map_batches(unsalt, batch_format="pyarrow"),
                         "tile_key", "n_sub", "n")
 

@@ -12,12 +12,32 @@ Every stage is a thin wrapper that applies a vectorized kernel with
   - wide steps (census, knn merge, tile agg)  -> groupby/aggregate with
     pre-aggregation inside map_batches where possible
 
-The row-wise stages (reproject, with_cells, with_tiles, spatial_join)
-make one call per block; the reprojection and PIP kernels slice it
-internally (`Operation.CHUNK`, `PolygonIndex.CHUNK`). With no batch
-size to bundle rows, Ray fuses a chain of them (and the read before
-it) into one operator with one task per input block, so a small input
-should arrive as one block (`dsutil.read_parquet`).
+The row-wise stages (reproject, with_cells, with_tiles,
+with_salted_cells, spatial_join) run on Arrow batches
+(`batch_format="pyarrow"`). Each reads only its input columns as NumPy
+(`_f64`), runs its kernel, and sets its outputs with `pa.array`
+(`_with_columns`: an existing column is replaced in its position, a
+new one is appended); every other column passes through untouched,
+with its Arrow type. A NumPy-dict batch would be dearer and lossy:
+Ray turns each returned NumPy column back into Arrow by inferring its
+type, and for int64 and bool arrays that inference walks the array
+element by element (driver probe, pyarrow 16.1, Ray 2.49.2, 4 vCPUs:
+16-20 ms per 100k int64 values and 12-13 ms per 100k bools, against
+<0.3 ms for `pa.array`; with_tiles' 12.5k-row block cost 8.5-9.5 ms
+to convert against ~0.4 ms for its kernel). The round trip also turned
+dictionary and large_string columns into string, dropped a timestamp's
+time zone and turned list columns into tensor extensions. A map that
+builds a new table (`pipelines.spatial`) makes it with `pa.table`,
+which converts each column with `pa.array` too. A pandas or NumPy
+input block still works: Ray converts it to Arrow for the stage. Ray
+hands an empty block to the next operator without calling the stage,
+so an empty block does not gain the stage's columns.
+
+These stages make one call per block; the reprojection and PIP
+kernels slice it internally (`Operation.CHUNK`, `PolygonIndex.CHUNK`).
+With no batch size to bundle rows, Ray fuses a chain of them (and the
+read before it) into one operator with one task per input block, so a
+small input should arrive as one block (`dsutil.read_parquet`).
 
 Row order: a stage keeps the order of rows within a block, but, like
 Ray Data with `preserve_order` off, it does not promise the order of
@@ -44,6 +64,26 @@ def _cached_op(defn: str):
     return create_operation(defn)
 
 
+def _f64(batch, col: str) -> np.ndarray:
+    """Column `col` of an Arrow batch as a float64 NumPy array (nulls
+    read as NaN; zero-copy when it is one null-free float64 chunk)."""
+    return np.asarray(batch.column(col).to_numpy(), dtype=np.float64)
+
+
+def _with_columns(batch, cols: dict):
+    """`batch` with each NumPy array of `cols` set as an Arrow column:
+    an existing column is replaced in its position, a new one is
+    appended. Every other column passes through untouched."""
+    import pyarrow as pa
+
+    for name, values in cols.items():
+        arr = pa.array(values)
+        i = batch.schema.get_field_index(name)
+        batch = (batch.set_column(i, name, arr) if i >= 0
+                 else batch.append_column(name, arr))
+    return batch
+
+
 def reproject(ds, defn: str, direction: str = "fwd",
               x_col: str = "lon", y_col: str = "lat",
               out_x: str = "x", out_y: str = "y",
@@ -54,10 +94,10 @@ def reproject(ds, defn: str, direction: str = "fwd",
     kernel runs on whole NumPy views of the Arrow columns.
     """
 
-    def fn(batch: dict) -> dict:
+    def fn(batch):
         op = _cached_op(defn)
-        x = np.asarray(batch[x_col], dtype=np.float64)
-        y = np.asarray(batch[y_col], dtype=np.float64)
+        x = _f64(batch, x_col)
+        y = _f64(batch, y_col)
         if degrees_in and op.angular_input:
             x = np.radians(x)
             y = np.radians(y)
@@ -68,36 +108,33 @@ def reproject(ds, defn: str, direction: str = "fwd",
         if degrees_out and op.angular_output:
             rx = np.degrees(rx)
             ry = np.degrees(ry)
-        batch[out_x] = rx
-        batch[out_y] = ry
-        return batch
+        return _with_columns(batch, {out_x: rx, out_y: ry})
 
-    return ds.map_batches(fn, batch_format="numpy", batch_size=None)
+    return ds.map_batches(fn, batch_format="pyarrow", batch_size=None)
 
 
 def with_cells(ds, level: int, lon_col: str = "lon", lat_col: str = "lat",
                out: str = "cell"):
     """Add the Morton/webmerc cell id column — the shuffle key."""
 
-    def fn(batch: dict) -> dict:
-        batch[out] = C.cell_id(batch[lon_col], batch[lat_col], level)
-        return batch
+    def fn(batch):
+        return _with_columns(batch, {out: C.cell_id(
+            _f64(batch, lon_col), _f64(batch, lat_col), level)})
 
-    return ds.map_batches(fn, batch_format="numpy", batch_size=None)
+    return ds.map_batches(fn, batch_format="pyarrow", batch_size=None)
 
 
 def with_tiles(ds, zoom: int, lon_col: str = "lon", lat_col: str = "lat"):
     """Add z/x/y tile assignment columns."""
 
-    def fn(batch: dict) -> dict:
-        tx, ty, valid = T.tile_assign(batch[lon_col], batch[lat_col], zoom)
-        batch["tile_z"] = np.full(len(tx), zoom, dtype=np.int64)
-        batch["tile_x"] = tx
-        batch["tile_y"] = ty
-        batch["tile_valid"] = valid
-        return batch
+    def fn(batch):
+        tx, ty, valid = T.tile_assign(_f64(batch, lon_col),
+                                      _f64(batch, lat_col), zoom)
+        return _with_columns(batch, {
+            "tile_z": np.full(len(tx), zoom, dtype=np.int64),
+            "tile_x": tx, "tile_y": ty, "tile_valid": valid})
 
-    return ds.map_batches(fn, batch_format="numpy", batch_size=None)
+    return ds.map_batches(fn, batch_format="pyarrow", batch_size=None)
 
 
 def cell_census(ds, cell_col: str = "cell"):
@@ -145,12 +182,12 @@ def with_salted_cells(ds, hot: set, salt: int = 16,
     """Split hot cells into `salt` deterministic sub-keys before groupby."""
     hot_frozen = frozenset(hot)
 
-    def fn(batch: dict) -> dict:
-        rk = _stable_row_key(batch[key_col])
-        batch[out] = C.salt_cells(batch[cell_col], rk, hot_frozen, salt)
-        return batch
+    def fn(batch):
+        rk = _stable_row_key(batch.column(key_col).to_numpy())
+        return _with_columns(batch, {out: C.salt_cells(
+            batch.column(cell_col).to_numpy(), rk, hot_frozen, salt)})
 
-    return ds.map_batches(fn, batch_format="numpy")
+    return ds.map_batches(fn, batch_format="pyarrow")
 
 
 @functools.lru_cache(maxsize=4)
@@ -184,11 +221,9 @@ class PIPJoiner:
         import pyarrow as pa
 
         index = _cached_index(self.index_ref)
-        lon = batch.column(self.lon_col).to_numpy(zero_copy_only=False)
-        lat = batch.column(self.lat_col).to_numpy(zero_copy_only=False)
         # pairs come sorted by (point, polygon)
-        pts, polys = index.query(np.asarray(lon, dtype=np.float64),
-                                 np.asarray(lat, dtype=np.float64))
+        pts, polys = index.query(_f64(batch, self.lon_col),
+                                 _f64(batch, self.lat_col))
         n = batch.num_rows
         if self.how == "inner":
             out = batch.take(pa.array(pts))
@@ -258,41 +293,6 @@ class BroadcastLookup:
                 got = np.where(found, got, default)
             out[k] = got
         return out, found
-
-
-def broadcast_lookup_join(ds, small_df, key_col: str, probe_col: str,
-                          val_cols: list[str],
-                          max_rows: int = BROADCAST_ROW_LIMIT,
-                          num_partitions: int = 64):
-    """Attach `val_cols` from a small table to every row of `ds`.
-
-    Small side below `max_rows`: one `ray.put` of a sparse sorted-key
-    lookup, probed per batch with searchsorted (broadcast join — no
-    shuffle of ds). Above the limit: fall back to Ray Data's hash
-    shuffle join so the driver never materializes an unbounded table.
-    """
-    import ray
-
-    if len(small_df) > max_rows:
-        import ray.data as rd
-
-        small = rd.from_pandas(small_df[[key_col] + val_cols])
-        nparts = max(2, min(num_partitions, int(
-            ray.cluster_resources().get("CPU", 4)) - 1))
-        return ds.join(small, join_type="inner",
-                       num_partitions=nparts,
-                       on=(probe_col,), right_on=(key_col,))
-    lk = BroadcastLookup(small_df[key_col].to_numpy(),
-                         {c: small_df[c].to_numpy() for c in val_cols})
-    ref = ray.put(lk)
-
-    def attach(batch: dict) -> dict:
-        vals, _ = ray.get(ref).take(np.asarray(batch[probe_col]))
-        for c in val_cols:
-            batch[c] = vals[c]
-        return batch
-
-    return ds.map_batches(attach, batch_format="numpy")
 
 
 def _window_cells(qtx: int, qty: int, r: int, level: int) -> np.ndarray:
@@ -712,8 +712,9 @@ def dwithin_join(ds, query_lon, query_lat, radius_m: float,
     (|dlat| <= radius) prunes the trig for far rows first. At scale
     with a LARGE query side, route both sides through `with_cells` at
     a level sized to the radius and join per cell-ring instead — this
-    broadcast variant is the small-query-side fast path, mirroring
-    `broadcast_lookup_join` vs its shuffle fallback.
+    broadcast variant is the small-query-side fast path, the same split
+    q52 makes between `BroadcastLookup` and a shuffle join at
+    `BROADCAST_ROW_LIMIT`.
 
     The formula is written in the exact operation order a DuckDB
     oracle reproduces: a = sin^2(dphi/2) + cos(phi1) cos(phi2)

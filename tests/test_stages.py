@@ -16,6 +16,95 @@ def test_reproject_dataset(ray_session):
     assert abs(x[(12.0, 55.0)] - 691875.632137542) < 1e-6
 
 
+def _payload_table(lon_chunks):
+    """Six rows: id, a two-chunk-or-not lon, lat, a stale string `x`,
+    and payload columns of types a NumPy round trip would not keep."""
+    import pyarrow as pa
+
+    lon = pa.chunked_array(lon_chunks, type=pa.float64())
+    return pa.table({
+        "id": pa.array(np.arange(6, dtype=np.int64)),
+        "lon": lon,
+        "lat": pa.array([45.0, 10.0, -20.0, 30.0, 0.25, -60.0]),
+        "x": pa.array(["stale"] * 6),
+        "tag": pa.array(["a", "b", "a", "c", "b", "a"]).dictionary_encode(),
+        "caption": pa.array(["one", "", "three", None, "five", "six"],
+                            type=pa.large_string()),
+        "ts": pa.array([0, 1_700_000_000_123, None, 5, 6, 7],
+                       type=pa.timestamp("ms", tz="UTC")),
+        "emb": pa.array([[1.0, 2.0], [], None, [3.5], [0.0, -1.0, 2.0],
+                         [4.0]], type=pa.list_(pa.float32())),
+    })
+
+
+def test_stages_keep_arrow_schema_of_columns_they_do_not_compute(
+        ray_session):
+    """reproject -> with_tiles -> with_cells -> spatial_join(left) keep
+    the Arrow type and values of every column they do not compute; a
+    null lon gives a NaN x and an invalid tile; an existing `x` is
+    replaced in its position; a two-chunk lon reads like one chunk."""
+    import pyarrow as pa
+    import ray.data as rd
+
+    from proj_ray import join, stages
+    from proj_ray.cells import lonlat_to_webmerc
+
+    index = join.PolygonIndex([7], [np.array([0.0, 20.0, 20.0, 0.0])],
+                              [np.array([40.0, 40.0, 50.0, 50.0])])
+    payload = ["tag", "caption", "ts", "emb"]
+
+    def run(table):
+        ds = rd.from_arrow(table)
+        ds = stages.reproject(ds, "+proj=webmerc +ellps=WGS84")
+        ds = stages.with_tiles(ds, zoom=4)
+        ds = stages.with_cells(ds, level=4)
+        ds = stages.spatial_join(ds, index, how="left")
+        return pa.concat_tables(
+            ds.iter_batches(batch_format="pyarrow", batch_size=None)
+        ).sort_by("id")
+
+    lon = [10.0, None, -3.5, 120.0, 0.5, -170.0]
+    one = _payload_table([lon])
+    two = _payload_table([lon[:3], lon[3:]])
+    chunks = rd.from_arrow(two).map_batches(
+        lambda t: pa.table({"n": [t.column("lon").num_chunks]}),
+        batch_format="pyarrow", batch_size=None).take_all()
+    assert chunks == [{"n": 2}]  # the stages really see two chunks
+
+    out = run(one)
+    assert out.schema.names == [
+        "id", "lon", "lat", "x", "tag", "caption", "ts", "emb", "y",
+        "tile_z", "tile_x", "tile_y", "tile_valid", "cell", "poly_id"]
+    for name in payload:
+        assert out.schema.field(name).type == one.schema.field(name).type
+        assert out.column(name).to_pylist() == one.column(name).to_pylist()
+    assert str(out.schema.field("ts").type) == "timestamp[ms, tz=UTC]"
+
+    x = out.column("x").to_numpy()
+    assert out.schema.field("x").type == pa.float64()
+    assert np.isnan(x[1]) and np.isfinite(np.delete(x, 1)).all()
+    ok = np.array([v is not None for v in lon])
+    wx, _ = lonlat_to_webmerc(np.array(lon, dtype=np.float64)[ok],
+                              one.column("lat").to_numpy()[ok])
+    assert np.allclose(x[ok], wx, rtol=0, atol=1e-6)
+    assert out.column("tile_valid").to_pylist() == [True, False, True,
+                                                    True, True, True]
+    assert out.column("cell").to_pylist()[1] == -1
+    assert out.column("poly_id").to_pylist() == [7, None, None, None,
+                                                 None, None]
+
+    out2 = run(two)
+    assert out2.schema == out.schema
+    for name in out.schema.names:
+        if name in ("x", "y"):  # NaN in the null-lon row
+            assert np.array_equal(out2.column(name).to_numpy(),
+                                  out.column(name).to_numpy(),
+                                  equal_nan=True)
+        else:
+            assert out2.column(name).to_pylist() == \
+                out.column(name).to_pylist(), name
+
+
 def test_cells_tiles_census(ray_session):
     from proj_ray.images import images_dataset
     from proj_ray.stages import with_cells, with_tiles, cell_census, \

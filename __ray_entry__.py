@@ -28,6 +28,8 @@ from typing import Any
 
 import numpy as np
 
+from proj_ray.dsutil import merged
+from proj_ray.exchange import co_partition
 from proj_ray.sqlmirror import geotag as _geotag
 from proj_ray.sqlmirror import milli as _milli
 
@@ -5321,7 +5323,7 @@ ORDER BY source
 """
 
 
-def _trade_pairs(sf_dir: str, cap: int, nb: int = 64):
+def _trade_pairs(sf_dir: str, cap: int):
     """(o_custkey, l_suppkey) trade pairs from orders x lineitem —
     the shared edge source of the graph queries (q104 pagerank, q126
     BFS). Broadcast-joins the orders side below `cap` rows; above it,
@@ -5356,15 +5358,13 @@ def _trade_pairs(sf_dir: str, cap: int, nb: int = 64):
         k = np.asarray(b["l_orderkey"], dtype=np.int64)
         return {"k": k,
                 "v": np.asarray(b["l_suppkey"], dtype=np.int64),
-                "side": np.zeros(len(k), np.int8),
-                "_bk": (k % nb + nb) % nb}
+                "side": np.zeros(len(k), np.int8)}
 
     def o_rows(b: dict) -> dict:
         k = np.asarray(b["o_orderkey"], dtype=np.int64)
         return {"k": k,
                 "v": np.asarray(b["o_custkey"], dtype=np.int64),
-                "side": np.ones(len(k), np.int8),
-                "_bk": (k % nb + nb) % nb}
+                "side": np.ones(len(k), np.int8)}
 
     def merge(g: pd.DataFrame) -> pd.DataFrame:
         left = g[g["side"] == 0]
@@ -5374,9 +5374,10 @@ def _trade_pairs(sf_dir: str, cap: int, nb: int = 64):
         return pd.DataFrame({"c": m["c"].to_numpy(np.int64),
                              "s": m["v"].to_numpy(np.int64)})
 
-    return (li.map_batches(li_rows, batch_format="numpy")
-            .union(orders_ds.map_batches(o_rows, batch_format="numpy"))
-            .groupby("_bk").map_groups(merge, batch_format="pandas"))
+    return co_partition(
+        [li.map_batches(li_rows, batch_format="numpy"),
+         orders_ds.map_batches(o_rows, batch_format="numpy")],
+        "k", merge)
 
 
 def _q104_pagerank(sf_dir: str, iters: int = 5, dim_cap=None):
@@ -5403,7 +5404,6 @@ def _q104_pagerank(sf_dir: str, iters: int = 5, dim_cap=None):
 
     cap = BROADCAST_ROW_LIMIT if dim_cap is None else dim_cap
     ns = 1_000_000
-    nb = 64
     pr = _trade_pairs(sf_dir, cap).materialize()
     edge_cap = 5_000_000 if dim_cap is None else dim_cap
     if pr.count() <= edge_cap:
@@ -5421,16 +5421,10 @@ def _q104_pagerank(sf_dir: str, iters: int = 5, dim_cap=None):
         return pd.DataFrame({"node": nodes_a[order],
                              "r": r_a[order]})
 
-    def tag_pair(b: dict) -> dict:
-        c = np.asarray(b["c"], dtype=np.int64)
-        s = np.asarray(b["s"], dtype=np.int64)
-        return {"c": c, "s": s, "_bk": ((c * 31 + s) % nb + nb) % nb}
-
     def dedup(g: pd.DataFrame) -> pd.DataFrame:
-        return g.drop_duplicates(["c", "s"])[["c", "s"]]
+        return g.drop_duplicates(["c", "s"])
 
-    pairs_d = (pr.map_batches(tag_pair, batch_format="numpy")
-               .groupby("_bk").map_groups(dedup, batch_format="pandas"))
+    pairs_d = co_partition(pr, ["c", "s"], dedup)
 
     def both(b: dict) -> dict:
         c = np.asarray(b["c"], dtype=np.int64)
@@ -5778,16 +5772,13 @@ def _q112_triangles(sf_dir: str):
     (int, int) rows only."""
     import pandas as pd
 
-    from proj_ray.functions.graph import _bucket, _pair_expand, \
-        triangle_count
+    from proj_ray.functions.graph import _pair_expand, triangle_count
 
     li = _read(sf_dir, "lineitem", columns=["l_orderkey", "l_partkey"])
-    nb = 64
 
     def tag(b: dict) -> dict:
-        o = np.asarray(b["l_orderkey"], dtype=np.int64)
-        return {"o": o, "p": np.asarray(b["l_partkey"], dtype=np.int64),
-                "_bk": _bucket(o, nb)}
+        return {"o": np.asarray(b["l_orderkey"], dtype=np.int64),
+                "p": np.asarray(b["l_partkey"], dtype=np.int64)}
 
     def pairs(g: pd.DataFrame) -> pd.DataFrame:
         d = g.drop_duplicates(subset=["o", "p"])
@@ -5797,11 +5788,9 @@ def _q112_triangles(sf_dir: str):
         a, b2 = _pair_expand(o[idx], p[idx])
         return pd.DataFrame({"u": a, "v": b2})
 
-    edges = (li.map_batches(tag, batch_format="numpy")
-             .groupby("_bk")
-             .map_groups(lambda g: pairs(g.drop(columns=["_bk"])),
-                         batch_format="pandas"))
-    return triangle_count(edges, n_buckets=nb)
+    edges = co_partition(li.map_batches(tag, batch_format="numpy"), "o",
+                         pairs)
+    return triangle_count(edges)
 
 
 _Q112_SQL = """
@@ -6395,7 +6384,6 @@ def _q126_bfs_hops(sf_dir: str, dim_cap=None):
     from proj_ray.stages import BROADCAST_ROW_LIMIT
 
     ns = 1_000_000
-    nb = 64
     cap = BROADCAST_ROW_LIMIT if dim_cap is None else dim_cap
     pr = _trade_pairs(sf_dir, cap).materialize()
     li = _read(sf_dir, "lineitem", columns=["l_suppkey"])
@@ -6411,18 +6399,12 @@ def _q126_bfs_hops(sf_dir: str, dim_cap=None):
                                 source=src, max_hops=4)
         return pd.DataFrame({"node": nodes, "dist": dist})
 
-    def tag(b: dict) -> dict:
-        c = np.asarray(b["c"], dtype=np.int64)
-        s = np.asarray(b["s"], dtype=np.int64)
-        return {"c": c, "s": s, "_bk": ((c * 31 + s) % nb + nb) % nb}
-
     def dedup(g: pd.DataFrame) -> pd.DataFrame:
         u = g.drop_duplicates(["c", "s"])
         return pd.DataFrame({"a": u["c"].to_numpy(np.int64),
                              "b": u["s"].to_numpy(np.int64) + ns})
 
-    edges = (pr.map_batches(tag, batch_format="numpy")
-             .groupby("_bk").map_groups(dedup, batch_format="pandas"))
+    edges = co_partition(pr, ["c", "s"], dedup)
     return bfs_hops(edges, source=src, max_hops=4)
 
 
@@ -7026,13 +7008,7 @@ def _q136_sssp(sf_dir: str):
     from proj_ray.stages import BROADCAST_ROW_LIMIT
 
     ns = 1_000_000
-    nb = 64
     pr = _trade_pairs(sf_dir, BROADCAST_ROW_LIMIT)
-
-    def tag(b: dict) -> dict:
-        c = np.asarray(b["c"], dtype=np.int64)
-        s = np.asarray(b["s"], dtype=np.int64)
-        return {"c": c, "s": s, "_bk": ((c * 31 + s) % nb + nb) % nb}
 
     def dedup(g: pd.DataFrame) -> pd.DataFrame:
         u = g.drop_duplicates(["c", "s"])
@@ -7041,8 +7017,7 @@ def _q136_sssp(sf_dir: str):
         return pd.DataFrame({"a": c, "b": s + ns,
                              "w": (c * 7 + s * 13) % 9 + 1})
 
-    edges = (pr.map_batches(tag, batch_format="numpy")
-             .groupby("_bk").map_groups(dedup, batch_format="pandas"))
+    edges = co_partition(pr, ["c", "s"], dedup)
 
     li = _read(sf_dir, "lineitem", columns=["l_suppkey"])
     src = ns + int(li.min("l_suppkey"))
@@ -7122,7 +7097,6 @@ def _q138_transitions(sf_dir: str):
 
     ev = _read(sf_dir, "events",
                columns=["event_id", "user_id", "ts", "event_type"])
-    nb = 64
 
     def tag(b: dict) -> dict:
         u = np.asarray(b["user_id"], dtype=np.int64)
@@ -7130,8 +7104,7 @@ def _q138_transitions(sf_dir: str):
                 "ts_us": np.asarray(b["ts"])
                 .astype("datetime64[us]").astype(np.int64),
                 "event_id": np.asarray(b["event_id"], dtype=np.int64),
-                "event_type": b["event_type"],
-                "_bk": (u % nb + nb) % nb}
+                "event_type": b["event_type"]}
 
     def pairs(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["user_id", "ts_us", "event_id"],
@@ -7145,12 +7118,9 @@ def _q138_transitions(sf_dir: str):
                          as_index=False).size()
         return out.rename(columns={"size": "n"})
 
-    out = (ev.map_batches(tag, batch_format="numpy",
-                          batch_size=65536)
-           .groupby("_bk")
-           .map_groups(lambda g: pairs(g.drop(columns=["_bk"])),
-                       batch_format="pandas")
-           .to_pandas())
+    out = co_partition(ev.map_batches(tag, batch_format="numpy",
+                                      batch_size=65536),
+                       "user_id", pairs).to_pandas()
     fin = out.groupby(["from_type", "to_type"], as_index=False)["n"] \
              .sum()
     fin["n"] = fin["n"].astype(np.int64)
@@ -7512,7 +7482,6 @@ def _q144_dwell_time(sf_dir: str):
     import pandas as pd
 
     ev = _read(sf_dir, "events", columns=["event_id", "user_id", "ts"])
-    nb = 64
 
     def pos(b: dict) -> dict:
         e = np.asarray(b["event_id"], dtype=np.int64)
@@ -7524,8 +7493,7 @@ def _q144_dwell_time(sf_dir: str):
         y = (u * 2246822519 + bk * 65537) % 100_000_000 \
             + (e * 104729 % 2001 - 1000)
         return {"user_id": u, "ts_us": t, "event_id": e,
-                "tile": (x // 10_000_000) * 16 + y // 10_000_000,
-                "_bk": (u % nb + nb) % nb}
+                "tile": (x // 10_000_000) * 16 + y // 10_000_000}
 
     def dwell(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["user_id", "ts_us", "event_id"],
@@ -7542,12 +7510,9 @@ def _q144_dwell_time(sf_dir: str):
             dwell_us=("dwell_us", "sum"), n_visits=("dwell_us", "size"))
         return agg
 
-    out = (ev.map_batches(pos, batch_format="numpy",
-                          batch_size=65536)
-           .groupby("_bk")
-           .map_groups(lambda g: dwell(g.drop(columns=["_bk"])),
-                       batch_format="pandas")
-           .to_pandas())
+    out = co_partition(ev.map_batches(pos, batch_format="numpy",
+                                      batch_size=65536),
+                       "user_id", dwell).to_pandas()
     fin = out.groupby("tile", as_index=False).sum()
     for c in ("dwell_us", "n_visits"):
         fin[c] = fin[c].astype(np.int64)
@@ -7813,7 +7778,6 @@ def _q148_gyration(sf_dir: str):
     import pandas as pd
 
     ev = _read(sf_dir, "events", columns=["event_id", "user_id", "ts"])
-    nb = 64
 
     def pos(b: dict) -> dict:
         e = np.asarray(b["event_id"], dtype=np.int64)
@@ -7824,8 +7788,7 @@ def _q148_gyration(sf_dir: str):
             + (e * 7919 % 2001 - 1000)
         y = (u * 2246822519 + bk * 65537) % 100_000_000 \
             + (e * 104729 % 2001 - 1000)
-        return {"user_id": u, "x": x, "y": y,
-                "_bk": (u % nb + nb) % nb}
+        return {"user_id": u, "x": x, "y": y}
 
     def gyr(g: pd.DataFrame) -> pd.DataFrame:
         rows = []
@@ -7840,12 +7803,9 @@ def _q148_gyration(sf_dir: str):
         return pd.DataFrame(rows, columns=["user_id", "n_points",
                                            "rg2_sum"])
 
-    out = (ev.map_batches(pos, batch_format="numpy",
-                          batch_size=65536)
-           .groupby("_bk")
-           .map_groups(lambda g: gyr(g.drop(columns=["_bk"])),
-                       batch_format="pandas")
-           .to_pandas())
+    out = co_partition(ev.map_batches(pos, batch_format="numpy",
+                                      batch_size=65536),
+                       "user_id", gyr).to_pandas()
     for c in ("n_points", "rg2_sum"):
         out[c] = out[c].astype(np.int64)
     return out.sort_values("user_id", ignore_index=True)
@@ -7882,17 +7842,14 @@ def _q149_peak_hour(sf_dir: str):
     import pandas as pd
 
     ev = _read(sf_dir, "events", columns=["user_id", "ts"])
-    nb = 64
 
     def partial(b: dict) -> pd.DataFrame:
         u = np.asarray(b["user_id"], dtype=np.int64)
         h = (np.asarray(b["ts"]).astype("datetime64[us]")
              .astype(np.int64) // 3_600_000_000) % 24
-        g = (pd.DataFrame({"user_id": u, "hour": h})
-             .groupby(["user_id", "hour"], as_index=False).size()
-             .rename(columns={"size": "n"}))
-        g["_bk"] = (g["user_id"].to_numpy(np.int64) % nb + nb) % nb
-        return g
+        return (pd.DataFrame({"user_id": u, "hour": h})
+                .groupby(["user_id", "hour"], as_index=False).size()
+                .rename(columns={"size": "n"}))
 
     def mode(g: pd.DataFrame) -> pd.DataFrame:
         agg = g.groupby(["user_id", "hour"], as_index=False)["n"].sum()
@@ -7906,12 +7863,9 @@ def _q149_peak_hour(sf_dir: str):
         out = top.merge(tot, on="user_id")
         return out[["user_id", "peak_hour", "n_at_peak", "n_events"]]
 
-    out = (ev.map_batches(partial, batch_format="numpy",
-                          batch_size=65536)
-           .groupby("_bk")
-           .map_groups(lambda g: mode(g.drop(columns=["_bk"])),
-                       batch_format="pandas")
-           .to_pandas())
+    out = co_partition(ev.map_batches(partial, batch_format="numpy",
+                                      batch_size=65536),
+                       "user_id", mode).to_pandas()
     for c in ("peak_hour", "n_at_peak", "n_events"):
         out[c] = out[c].astype(np.int64)
     return out.sort_values("user_id", ignore_index=True)
@@ -7944,16 +7898,12 @@ def _q150_gini(sf_dir: str):
     inside the bucket."""
     import pandas as pd
 
-    from proj_ray.functions._hash import stable_mod
-
     docs = _read(sf_dir, "documents", columns=["source", "n_chars"])
 
     def tag(b: dict) -> pd.DataFrame:
-        df = pd.DataFrame({"source": np.asarray(b["source"]),
-                           "x": np.asarray(b["n_chars"])
-                           .astype(np.int64)})
-        df["_bk"] = stable_mod(df["source"].to_numpy(), 64)
-        return df
+        return pd.DataFrame({"source": np.asarray(b["source"]),
+                             "x": np.asarray(b["n_chars"])
+                             .astype(np.int64)})
 
     def gini(g: pd.DataFrame) -> pd.DataFrame:
         rows = []
@@ -7966,12 +7916,9 @@ def _q150_gini(sf_dir: str):
         return pd.DataFrame(rows, columns=["source", "n", "g_num",
                                            "sum_x"])
 
-    out = (docs.map_batches(tag, batch_format="numpy",
-                            batch_size=65536)
-           .groupby("_bk")
-           .map_groups(lambda g: gini(g.drop(columns=["_bk"])),
-                       batch_format="pandas")
-           .to_pandas())
+    out = co_partition(docs.map_batches(tag, batch_format="numpy",
+                                        batch_size=65536),
+                       "source", gini).to_pandas()
     for c in ("n", "g_num", "sum_x"):
         out[c] = out[c].astype(np.int64)
     return out.sort_values("source", kind="stable",
@@ -8259,7 +8206,6 @@ def _q154_mann_kendall(sf_dir: str):
     from proj_ray.stages import with_tiles
 
     ev = _read(sf_dir, "events", columns=["event_id", "ts"])
-    nb = 32
 
     def tag(b: dict) -> dict:
         i = np.asarray(b["event_id"], dtype=np.int64)
@@ -8274,8 +8220,6 @@ def _q154_mann_kendall(sf_dir: str):
                            "day": b["day"]})
              .groupby(["tile_x", "tile_y", "day"], as_index=False)
              .size().rename(columns={"size": "n"}))
-        g["_bk"] = (g["tile_x"].to_numpy(np.int64) * 8
-                    + g["tile_y"].to_numpy(np.int64)) % nb
         return g
 
     def trend(g: pd.DataFrame) -> pd.DataFrame:
@@ -8305,11 +8249,8 @@ def _q154_mann_kendall(sf_dir: str):
     out = (with_tiles(ev.map_batches(tag, batch_format="numpy",
                                      batch_size=65536), zoom=3)
            .map_batches(partial, batch_format="pandas",
-                        batch_size=65536)
-           .groupby("_bk")
-           .map_groups(lambda g: trend(g.drop(columns=["_bk"])),
-                       batch_format="pandas")
-           .to_pandas())
+                        batch_size=65536))
+    out = co_partition(out, ["tile_x", "tile_y"], trend).to_pandas()
     for c in ("tile_x", "tile_y", "n_days", "mk_s", "ts_slope"):
         out[c] = out[c].astype(np.int64)
     return out.sort_values(["tile_x", "tile_y"], ignore_index=True)
@@ -8465,8 +8406,6 @@ def _q156_heaps(sf_dir: str):
     empties kept)."""
     import pandas as pd
 
-    from proj_ray.functions._hash import stable_mod
-
     docs = _read(sf_dir, "documents", columns=["doc_id", "text"])
     nd = docs.count()
     cutoffs = np.array([(nd * k + 3) // 4 for k in (1, 2, 3, 4)],
@@ -8478,20 +8417,16 @@ def _q156_heaps(sf_dir: str):
                            "term": np.asarray(b["text"])})
         df["term"] = df["term"].str.split(" ")
         df = df.explode("term")
-        g = df.groupby("term", as_index=False)["doc_id"].min()
-        g["_bk"] = stable_mod(g["term"].to_numpy(), 64)
-        return g
+        return df.groupby("term", as_index=False)["doc_id"].min()
 
     def term_min(g: pd.DataFrame) -> pd.DataFrame:
         out = g.groupby("term", as_index=False)["doc_id"].min()
         out["doc_id"] = out["doc_id"].astype(np.int64)
         return out
 
-    fst = (docs.map_batches(partial, batch_format="numpy",
-                            batch_size=4096)
-           .groupby("_bk")
-           .map_groups(lambda g: term_min(g.drop(columns=["_bk"])),
-                       batch_format="pandas"))
+    fst = co_partition(docs.map_batches(partial, batch_format="numpy",
+                                        batch_size=4096),
+                       "term", term_min)
 
     def cnt(b: dict) -> dict:
         fd = np.asarray(b["doc_id"], dtype=np.int64)
@@ -8535,7 +8470,6 @@ def _q157_bearing_hist(sf_dir: str):
     import pandas as pd
 
     ev = _read(sf_dir, "events", columns=["event_id", "user_id", "ts"])
-    nb = 64
 
     def pos(b: dict) -> dict:
         e = np.asarray(b["event_id"], dtype=np.int64)
@@ -8546,8 +8480,7 @@ def _q157_bearing_hist(sf_dir: str):
             + (e * 7919 % 2001 - 1000)
         y = (u * 2246822519 + bk * 65537) % 100_000_000 \
             + (e * 104729 % 2001 - 1000)
-        return {"user_id": u, "t": t, "e": e, "x": x, "y": y,
-                "_bk": (u % nb + nb) % nb}
+        return {"user_id": u, "t": t, "e": e, "x": x, "y": y}
 
     def hist(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["user_id", "t", "e"], kind="mergesort")
@@ -8569,12 +8502,9 @@ def _q157_bearing_hist(sf_dir: str):
                .groupby(["user_id", "octant"], as_index=False).sum())
         return out
 
-    out = (ev.map_batches(pos, batch_format="numpy",
-                          batch_size=65536)
-           .groupby("_bk")
-           .map_groups(lambda g: hist(g.drop(columns=["_bk"])),
-                       batch_format="pandas")
-           .to_pandas())
+    out = co_partition(ev.map_batches(pos, batch_format="numpy",
+                                      batch_size=65536),
+                       "user_id", hist).to_pandas()
     for c in ("octant", "n", "sum_l1"):
         out[c] = out[c].astype(np.int64)
     return out.sort_values(["user_id", "octant"], ignore_index=True)
@@ -8623,7 +8553,6 @@ def _q158_exploration(sf_dir: str):
     from proj_ray.stages import with_tiles
 
     ev = _read(sf_dir, "events", columns=["event_id", "user_id", "ts"])
-    nb = 64
 
     def tag(b: dict) -> dict:
         i = np.asarray(b["event_id"], dtype=np.int64)
@@ -8645,9 +8574,6 @@ def _q158_exploration(sf_dir: str):
              .groupby(["user_id", "tile_x", "tile_y"],
                       as_index=False)
              .agg(fd=("day", "min"), n=("day", "size")))
-        g["_bk"] = (g["user_id"].to_numpy(np.int64) * 31
-                    + g["tile_x"].to_numpy(np.int64) * 8
-                    + g["tile_y"].to_numpy(np.int64)) % nb
         return g
 
     def combine(g: pd.DataFrame) -> pd.DataFrame:
@@ -8660,14 +8586,11 @@ def _q158_exploration(sf_dir: str):
         day_new["n_new"] = day_new["n_new"].astype(np.int64)
         return day_new
 
-    new_per_day = (tiles.map_batches(partial, batch_format="pandas",
-                                     batch_size=65536)
-                   .groupby("_bk")
-                   .map_groups(lambda g: combine(
-                       g.drop(columns=["_bk"])),
-                       batch_format="pandas")
-                   .to_pandas()
-                   .groupby("day", as_index=False)["n_new"].sum())
+    new_per_day = (co_partition(
+        tiles.map_batches(partial, batch_format="pandas",
+                          batch_size=65536),
+        ["user_id", "tile_x", "tile_y"], combine)
+        .to_pandas().groupby("day", as_index=False)["n_new"].sum())
 
     def day_cnt(b: dict) -> pd.DataFrame:
         g = (pd.DataFrame({"day": b["day"]})
@@ -9036,7 +8959,6 @@ def _q163_od_matrix(sf_dir: str):
     from proj_ray.stages import with_tiles
 
     ev = _read(sf_dir, "events", columns=["event_id", "user_id", "ts"])
-    nb = 64
 
     def tag(b: dict) -> dict:
         i = np.asarray(b["event_id"], dtype=np.int64)
@@ -9053,7 +8975,6 @@ def _q163_od_matrix(sf_dir: str):
         df = pd.DataFrame({k: b[k] for k in
                            ("user_id", "day", "t", "e",
                             "tile_x", "tile_y")})
-        df["_bk"] = (df["user_id"].to_numpy(np.int64) % nb + nb) % nb
         return df
 
     def od(g: pd.DataFrame) -> pd.DataFrame:
@@ -9072,11 +8993,9 @@ def _q163_od_matrix(sf_dir: str):
                .rename(columns={"size": "n_trips"}))
         return out
 
-    out = (tiles.map_batches(bucket, batch_format="numpy",
-                             batch_size=65536)
-           .groupby("_bk")
-           .map_groups(lambda g: od(g.drop(columns=["_bk"])),
-                       batch_format="pandas")
+    out = (co_partition(tiles.map_batches(bucket, batch_format="numpy",
+                                          batch_size=65536),
+                        "user_id", od)
            .to_pandas()
            .groupby(["o_x", "o_y", "d_x", "d_y"], as_index=False)
            ["n_trips"].sum())
@@ -9134,7 +9053,6 @@ def _q164_colocation(sf_dir: str):
 
     ev = _read(sf_dir, "events",
                columns=["event_id", "event_type", "ts"])
-    nb = 32
 
     def tag(b: dict) -> dict:
         i = np.asarray(b["event_id"], dtype=np.int64)
@@ -9153,9 +9071,6 @@ def _q164_colocation(sf_dir: str):
                             "day": b["day"],
                             "event_type": b["event_type"]})
               .drop_duplicates())
-        df["_bk"] = ((df["tile_x"].to_numpy(np.int64) * 8
-                      + df["tile_y"].to_numpy(np.int64)) * 31
-                     + df["day"].to_numpy(np.int64)) % nb
         return df
 
     def pair_counts(g: pd.DataFrame) -> pd.DataFrame:
@@ -9178,11 +9093,9 @@ def _q164_colocation(sf_dir: str):
                .rename(columns={"size": "support"}))
         return out
 
-    out = (tiles.map_batches(distinct, batch_format="numpy",
-                             batch_size=65536)
-           .groupby("_bk")
-           .map_groups(lambda g: pair_counts(
-               g.drop(columns=["_bk"])), batch_format="pandas")
+    out = (co_partition(tiles.map_batches(distinct, batch_format="numpy",
+                                          batch_size=65536),
+                        ["tile_x", "tile_y", "day"], pair_counts)
            .to_pandas()
            .groupby(["type_a", "type_b"], as_index=False)
            ["support"].sum())
@@ -9224,14 +9137,11 @@ def _q165_skipgrams(sf_dir: str):
     with a same-doc mask emit pairs without any per-row loop. Counts
     combine per (pair)-hash bucket with a per-bucket top-25 prune
     (safe: ranking is count desc then lexicographic, and every pair's
-    total lives in exactly one bucket), so the driver merges <= 25 x
-    n_buckets rows."""
+    total lives in exactly one bucket), so the driver merges <= 25
+    rows per bucket."""
     import pandas as pd
 
-    from proj_ray.functions._hash import stable_mod
-
     docs = _read(sf_dir, "documents", columns=["doc_id", "text"])
-    nb = 32
 
     def pairs(b: dict) -> pd.DataFrame:
         texts = np.asarray(b["text"])
@@ -9252,12 +9162,9 @@ def _q165_skipgrams(sf_dir: str):
             return pd.DataFrame({"term_a": pd.Series([], dtype=str),
                                  "term_b": pd.Series([], dtype=str),
                                  "n": pd.Series([], dtype=np.int64)})
-        g = (pd.concat(fr, ignore_index=True)
-             .groupby(["term_a", "term_b"], as_index=False).size()
-             .rename(columns={"size": "n"}))
-        g["_bk"] = stable_mod((g["term_a"] + "\x00"
-                               + g["term_b"]).to_numpy(), nb)
-        return g
+        return (pd.concat(fr, ignore_index=True)
+                .groupby(["term_a", "term_b"], as_index=False).size()
+                .rename(columns={"size": "n"}))
 
     def topk(g: pd.DataFrame) -> pd.DataFrame:
         out = g.groupby(["term_a", "term_b"], as_index=False)["n"].sum()
@@ -9267,12 +9174,9 @@ def _q165_skipgrams(sf_dir: str):
         out["n"] = out["n"].astype(np.int64)
         return out
 
-    cand = (docs.map_batches(pairs, batch_format="numpy",
-                             batch_size=4096)
-            .groupby("_bk")
-            .map_groups(lambda g: topk(g.drop(columns=["_bk"])),
-                        batch_format="pandas")
-            .to_pandas())
+    cand = co_partition(docs.map_batches(pairs, batch_format="numpy",
+                                         batch_size=4096),
+                        ["term_a", "term_b"], topk).to_pandas()
     out = (cand.sort_values(["n", "term_a", "term_b"],
                             ascending=[False, True, True],
                             kind="mergesort").head(25)
@@ -9348,17 +9252,12 @@ def _q167_dup_histogram(sf_dir: str):
     k-histogram folds as bounded partials."""
     import pandas as pd
 
-    from proj_ray.functions._hash import stable_mod
-
     docs = _read(sf_dir, "documents", columns=["text"])
-    nb = 64
 
     def partial(b: dict) -> pd.DataFrame:
-        g = (pd.DataFrame({"text": np.asarray(b["text"])})
-             .groupby("text", as_index=False).size()
-             .rename(columns={"size": "c"}))
-        g["_bk"] = stable_mod(g["text"].to_numpy(), nb)
-        return g
+        return (pd.DataFrame({"text": np.asarray(b["text"])})
+                .groupby("text", as_index=False).size()
+                .rename(columns={"size": "c"}))
 
     def hist(g: pd.DataFrame) -> pd.DataFrame:
         per = g.groupby("text", as_index=False)["c"].sum()
@@ -9366,11 +9265,9 @@ def _q167_dup_histogram(sf_dir: str):
                .rename(columns={"c": "k", "size": "n_groups"}))
         return out
 
-    out = (docs.map_batches(partial, batch_format="numpy",
-                            batch_size=65536)
-           .groupby("_bk")
-           .map_groups(lambda g: hist(g.drop(columns=["_bk"])),
-                       batch_format="pandas")
+    out = (co_partition(docs.map_batches(partial, batch_format="numpy",
+                                         batch_size=65536),
+                        "text", hist)
            .to_pandas().groupby("k", as_index=False)
            ["n_groups"].sum())
     for c in ("k", "n_groups"):
@@ -9397,16 +9294,13 @@ def _q168_interarrival(sf_dir: str):
     import pandas as pd
 
     ev = _read(sf_dir, "events", columns=["event_id", "user_id", "ts"])
-    nb = 64
     powers = (1 << np.arange(40, dtype=np.int64))
 
     def tag(b: dict) -> dict:
-        u = np.asarray(b["user_id"], dtype=np.int64)
-        return {"user_id": u,
+        return {"user_id": np.asarray(b["user_id"], dtype=np.int64),
                 "e": np.asarray(b["event_id"], dtype=np.int64),
                 "t": np.asarray(b["ts"]).astype("datetime64[us]")
-                .astype(np.int64),
-                "_bk": (u % nb + nb) % nb}
+                .astype(np.int64)}
 
     def hist(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["user_id", "t", "e"], kind="mergesort")
@@ -9420,11 +9314,9 @@ def _q168_interarrival(sf_dir: str):
                .agg(n_gaps=("gap", "size"), sum_gap_s=("gap", "sum")))
         return out
 
-    out = (ev.map_batches(tag, batch_format="numpy",
-                          batch_size=65536)
-           .groupby("_bk")
-           .map_groups(lambda g: hist(g.drop(columns=["_bk"])),
-                       batch_format="pandas")
+    out = (co_partition(ev.map_batches(tag, batch_format="numpy",
+                                       batch_size=65536),
+                        "user_id", hist)
            .to_pandas().groupby("bucket", as_index=False)
            .agg(n_gaps=("n_gaps", "sum"),
                 sum_gap_s=("sum_gap_s", "sum")))
@@ -9452,21 +9344,21 @@ FROM b GROUP BY 1 ORDER BY 1
 """
 
 
-def _copurchase_edges(sf_dir: str, nb: int = 64):
+def _copurchase_edges(sf_dir: str):
     """Canonical deduped co-purchase edge set (parts sharing an order,
     u < v) — the q112 construction factored for reuse by the graph-
-    statistics queries: bucketed per-order pair expansion, then a
-    canonical-pair-bucket dedup. Returns a Dataset (u, v)."""
+    statistics queries: per-order pair expansion co-partitioned on the
+    order, then a dedup co-partitioned on the pair. Returns a Dataset
+    (u, v)."""
     import pandas as pd
 
-    from proj_ray.functions.graph import _bucket, _pair_expand
+    from proj_ray.functions.graph import _pair_expand
 
     li = _read(sf_dir, "lineitem", columns=["l_orderkey", "l_partkey"])
 
     def tag(b: dict) -> dict:
-        o = np.asarray(b["l_orderkey"], dtype=np.int64)
-        return {"o": o, "p": np.asarray(b["l_partkey"], dtype=np.int64),
-                "_bk": _bucket(o, nb)}
+        return {"o": np.asarray(b["l_orderkey"], dtype=np.int64),
+                "p": np.asarray(b["l_partkey"], dtype=np.int64)}
 
     def pairs(g: pd.DataFrame) -> pd.DataFrame:
         d = g.drop_duplicates(subset=["o", "p"])
@@ -9474,46 +9366,37 @@ def _copurchase_edges(sf_dir: str, nb: int = 64):
         p = d["p"].to_numpy(np.int64)
         idx = np.lexsort((p, o))
         a, b2 = _pair_expand(o[idx], p[idx])
-        out = pd.DataFrame({"u": a, "v": b2})
-        out["_bk"] = _bucket(out["u"].to_numpy() * 31
-                             + out["v"].to_numpy(), nb)
-        return out
+        return pd.DataFrame({"u": a, "v": b2})
 
     def dedup(g: pd.DataFrame) -> pd.DataFrame:
-        return g.drop_duplicates(subset=["u", "v"])[["u", "v"]]
+        return g.drop_duplicates(subset=["u", "v"])
 
-    return (li.map_batches(tag, batch_format="numpy")
-            .groupby("_bk")
-            .map_groups(lambda g: pairs(g.drop(columns=["_bk"])),
-                        batch_format="pandas")
-            .groupby("_bk")
-            .map_groups(dedup, batch_format="pandas"))
+    return co_partition(
+        co_partition(li.map_batches(tag, batch_format="numpy"), "o",
+                     pairs),
+        ["u", "v"], dedup)
 
 
-def _copurchase_degrees(edges, nb: int = 64):
+def _copurchase_degrees(edges):
     """Per-node degree table of a canonical edge Dataset via per-block
-    partial counts + a node-bucket sum. Returns Dataset (node, deg)."""
+    partial counts + a co-partitioned per-node sum. Returns Dataset
+    (node, deg)."""
     import pandas as pd
-
-    from proj_ray.functions.graph import _bucket
 
     def partial(b: dict) -> dict:
         n, c = np.unique(np.concatenate(
             [np.asarray(b["u"], np.int64),
              np.asarray(b["v"], np.int64)]), return_counts=True)
-        return {"node": n, "deg": c.astype(np.int64),
-                "_bk": _bucket(n, nb)}
+        return {"node": n, "deg": c.astype(np.int64)}
 
     def comb(g: pd.DataFrame) -> pd.DataFrame:
         out = g.groupby("node", as_index=False)["deg"].sum()
         out["deg"] = out["deg"].astype(np.int64)
         return out
 
-    return (edges.map_batches(partial, batch_format="numpy",
-                              batch_size=65536)
-            .groupby("_bk")
-            .map_groups(lambda g: comb(g.drop(columns=["_bk"])),
-                        batch_format="pandas"))
+    return co_partition(edges.map_batches(partial, batch_format="numpy",
+                                          batch_size=65536),
+                        "node", comb)
 
 
 _COPURCH_SQL = """
@@ -9569,13 +9452,10 @@ def _q170_assortativity(sf_dir: str):
     (du^2 + dv^2) = sum over nodes of deg^3 (both via the DEGREE
     table, no edge join), and s3 = sum over edges of du*dv, the one
     term that genuinely needs degrees attached to edges — two
-    endpoint-bucket co-partition merges (the triangle_count attach
-    shape). All exchanges ship int rows."""
+    endpoint co-partition merges (the triangle_count attach shape).
+    All exchanges ship int rows."""
     import pandas as pd
 
-    from proj_ray.functions.graph import _bucket
-
-    nb = 64
     edges = _copurchase_edges(sf_dir).materialize()
     deg = _copurchase_degrees(edges).materialize()
 
@@ -9595,7 +9475,6 @@ def _q170_assortativity(sf_dir: str):
             df["_side"] = np.int8(1)
             df["node"] = df[key]
             df["deg"] = np.int64(0)
-            df["_bk"] = _bucket(df[key].to_numpy(), nb)
             return df
 
         def tag_d(b: dict) -> pd.DataFrame:
@@ -9605,13 +9484,11 @@ def _q170_assortativity(sf_dir: str):
             df["_side"] = np.int8(0)
             df["node"] = np.asarray(b["node"], np.int64)
             df["deg"] = np.asarray(b["deg"], np.int64)
-            df["_bk"] = _bucket(df["node"].to_numpy(), nb)
             return df
 
         def join(g: pd.DataFrame) -> pd.DataFrame:
             d = g[g["_side"] == 0][["node", "deg"]]
-            e = g[g["_side"] == 1].drop(
-                columns=["deg", "_side", "_bk"])
+            e = g[g["_side"] == 1].drop(columns=["deg", "_side"])
             m = e.merge(d, on="node").drop(columns=["node"])
             return m.rename(columns={"deg": out_col})
 
@@ -9621,12 +9498,10 @@ def _q170_assortativity(sf_dir: str):
     for key, out_col, ecols in (("u", "du", ["u", "v"]),
                                 ("v", "dv", ["u", "v", "du"])):
         tag_e, tag_d, join = attach(key, out_col, ecols)
-        cur = (cur.map_batches(tag_e, batch_format="numpy",
-                               batch_size=65536)
-               .union(deg.map_batches(tag_d, batch_format="numpy",
-                                      batch_size=65536))
-               .groupby("_bk").map_groups(join, batch_format="pandas")
-               .materialize())
+        cur = co_partition(
+            [cur.map_batches(tag_e, batch_format="numpy", batch_size=65536),
+             deg.map_batches(tag_d, batch_format="numpy", batch_size=65536)],
+            "node", join).materialize()
 
     def s3_partial(b: dict) -> pd.DataFrame:
         du = np.asarray(b["du"], dtype=np.int64)
@@ -9713,7 +9588,6 @@ def _q172_attribution(sf_dir: str):
 
     ev = _read(sf_dir, "events",
                columns=["event_id", "user_id", "ts", "event_type"])
-    nb = 64
     WINDOW = 7 * 86_400_000_000
 
     def tag(b: dict) -> pd.DataFrame:
@@ -9726,7 +9600,6 @@ def _q172_attribution(sf_dir: str):
             "t": np.asarray(b["ts"]).astype("datetime64[us]")
             .astype(np.int64)[keep],
             "is_click": (ty[keep] == "click")})
-        df["_bk"] = (u % nb + nb) % nb
         return df
 
     def attribute(g: pd.DataFrame) -> pd.DataFrame:
@@ -9757,11 +9630,9 @@ def _q172_attribution(sf_dir: str):
                .rename(columns={"size": "n_purchases"}))
         return out
 
-    out = (ev.map_batches(tag, batch_format="numpy",
-                          batch_size=65536)
-           .groupby("_bk")
-           .map_groups(lambda g: attribute(g.drop(columns=["_bk"])),
-                       batch_format="pandas")
+    out = (co_partition(ev.map_batches(tag, batch_format="numpy",
+                                       batch_size=65536),
+                        "user_id", attribute)
            .to_pandas().groupby("click_hour", as_index=False)
            ["n_purchases"].sum())
     for c in ("click_hour", "n_purchases"):
@@ -9811,7 +9682,6 @@ def _q173_setdist(sf_dir: str):
     sy = j * 75487 % 170000 - 85000
 
     ev = _read(sf_dir, "events", columns=["event_id", "user_id", "ts"])
-    nb = 64
 
     def mins(b: dict) -> pd.DataFrame:
         e = np.asarray(b["event_id"], dtype=np.int64)
@@ -9834,7 +9704,6 @@ def _q173_setdist(sf_dir: str):
              .agg(n_points=("dmin", "size"),
                   chamfer_sum=("dmin", "sum"),
                   hausdorff_max=("dmin", "max")))
-        g["_bk"] = (g["user_id"].to_numpy(np.int64) % nb + nb) % nb
         return g
 
     def combine(g: pd.DataFrame) -> pd.DataFrame:
@@ -9844,12 +9713,9 @@ def _q173_setdist(sf_dir: str):
                     hausdorff_max=("hausdorff_max", "max")))
         return out
 
-    out = (ev.map_batches(mins, batch_format="numpy",
-                          batch_size=65536)
-           .groupby("_bk")
-           .map_groups(lambda g: combine(g.drop(columns=["_bk"])),
-                       batch_format="pandas")
-           .to_pandas())
+    out = co_partition(ev.map_batches(mins, batch_format="numpy",
+                                      batch_size=65536),
+                       "user_id", combine).to_pandas()
     for c in ("n_points", "chamfer_sum", "hausdorff_max"):
         out[c] = out[c].astype(np.int64)
     return out.sort_values("user_id", ignore_index=True)
@@ -9971,22 +9837,20 @@ def _q175_assoc_rules(sf_dir: str):
     by basket co-occurrence support (ties -> lexicographic pair),
     each with its endpoints' individual basket counts — the exact
     integer pieces of confidence(a=>b) = support/a_n and lift. The
-    pair expansion reuses the bucketed per-order machinery
+    pair expansion reuses the per-order co-partition machinery
     (functions/graph.py _pair_expand) but COUNTS duplicate pairs
-    (support), pruned per pair-hash bucket to the top 25 before a
+    (support), pruned per pair bucket to the top 25 before a
     bounded driver merge; the per-part basket counts for the <= 50
     surviving parts come from one distinct-reduced count pass."""
     import pandas as pd
 
-    from proj_ray.functions.graph import _bucket, _pair_expand
+    from proj_ray.functions.graph import _pair_expand
 
     li = _read(sf_dir, "lineitem", columns=["l_orderkey", "l_partkey"])
-    nb = 64
 
     def tag(b: dict) -> dict:
-        o = np.asarray(b["l_orderkey"], dtype=np.int64)
-        return {"o": o, "p": np.asarray(b["l_partkey"], dtype=np.int64),
-                "_bk": _bucket(o, nb)}
+        return {"o": np.asarray(b["l_orderkey"], dtype=np.int64),
+                "p": np.asarray(b["l_partkey"], dtype=np.int64)}
 
     def pairs(g: pd.DataFrame) -> pd.DataFrame:
         d = g.drop_duplicates(subset=["o", "p"])
@@ -9994,12 +9858,9 @@ def _q175_assoc_rules(sf_dir: str):
         p = d["p"].to_numpy(np.int64)
         idx = np.lexsort((p, o))
         a, b2 = _pair_expand(o[idx], p[idx])
-        out = (pd.DataFrame({"u": a, "v": b2})
-               .groupby(["u", "v"], as_index=False).size()
-               .rename(columns={"size": "support"}))
-        out["_bk"] = _bucket(out["u"].to_numpy() * 31
-                             + out["v"].to_numpy(), nb)
-        return out
+        return (pd.DataFrame({"u": a, "v": b2})
+                .groupby(["u", "v"], as_index=False).size()
+                .rename(columns={"size": "support"}))
 
     def topk(g: pd.DataFrame) -> pd.DataFrame:
         out = g.groupby(["u", "v"], as_index=False)["support"].sum()
@@ -10009,14 +9870,10 @@ def _q175_assoc_rules(sf_dir: str):
         out["support"] = out["support"].astype(np.int64)
         return out
 
-    cand = (li.map_batches(tag, batch_format="numpy")
-            .groupby("_bk")
-            .map_groups(lambda g: pairs(g.drop(columns=["_bk"])),
-                        batch_format="pandas")
-            .groupby("_bk")
-            .map_groups(lambda g: topk(g.drop(columns=["_bk"])),
-                        batch_format="pandas")
-            .to_pandas())
+    cand = co_partition(
+        co_partition(li.map_batches(tag, batch_format="numpy"), "o",
+                     pairs),
+        ["u", "v"], topk).to_pandas()
     top = (cand.sort_values(["support", "u", "v"],
                             ascending=[False, True, True],
                             kind="mergesort").head(25)
@@ -10528,10 +10385,9 @@ def _q182_covisits(sf_dir: str):
     bounded driver merge."""
     import pandas as pd
 
-    from proj_ray.functions.graph import _bucket, _pair_expand
+    from proj_ray.functions.graph import _pair_expand
 
     ev = _read(sf_dir, "events", columns=["event_id", "user_id", "ts"])
-    nb = 64
 
     def tag(b: dict) -> dict:
         i = np.asarray(b["event_id"], dtype=np.int64)
@@ -10549,8 +10405,7 @@ def _q182_covisits(sf_dir: str):
         df["cell"] = ((df["tx"].to_numpy(np.int64) * 16
                        + df["ty"].to_numpy(np.int64)) * 1_000_000
                       + df["day"].to_numpy(np.int64) % 1_000_000)
-        df["_bk"] = _bucket(df["cell"].to_numpy(), nb)
-        return df[["cell", "user_id", "_bk"]]
+        return df[["cell", "user_id"]]
 
     def pairs(g: pd.DataFrame) -> pd.DataFrame:
         d = g.drop_duplicates(subset=["cell", "user_id"])
@@ -10558,12 +10413,9 @@ def _q182_covisits(sf_dir: str):
         u = d["user_id"].to_numpy(np.int64)
         idx = np.lexsort((u, c))
         a, b2 = _pair_expand(c[idx], u[idx])
-        out = (pd.DataFrame({"u_a": a, "u_b": b2})
-               .groupby(["u_a", "u_b"], as_index=False).size()
-               .rename(columns={"size": "n_cells"}))
-        out["_bk"] = _bucket(out["u_a"].to_numpy() * 31
-                             + out["u_b"].to_numpy(), nb)
-        return out
+        return (pd.DataFrame({"u_a": a, "u_b": b2})
+                .groupby(["u_a", "u_b"], as_index=False).size()
+                .rename(columns={"size": "n_cells"}))
 
     def topk(g: pd.DataFrame) -> pd.DataFrame:
         out = g.groupby(["u_a", "u_b"], as_index=False)["n_cells"].sum()
@@ -10575,17 +10427,12 @@ def _q182_covisits(sf_dir: str):
 
     from proj_ray.stages import with_tiles
 
-    cand = (with_tiles(ev.map_batches(tag, batch_format="numpy",
-                                      batch_size=65536), zoom=4)
-            .map_batches(distinct, batch_format="numpy",
-                         batch_size=65536)
-            .groupby("_bk")
-            .map_groups(lambda g: pairs(g.drop(columns=["_bk"])),
-                        batch_format="pandas")
-            .groupby("_bk")
-            .map_groups(lambda g: topk(g.drop(columns=["_bk"])),
-                        batch_format="pandas")
-            .to_pandas())
+    cells = (with_tiles(ev.map_batches(tag, batch_format="numpy",
+                                       batch_size=65536), zoom=4)
+             .map_batches(distinct, batch_format="numpy",
+                          batch_size=65536))
+    cand = co_partition(co_partition(cells, "cell", pairs),
+                        ["u_a", "u_b"], topk).to_pandas()
     if cand.empty:
         cand = pd.DataFrame({"u_a": pd.Series([], dtype=np.int64),
                              "u_b": pd.Series([], dtype=np.int64),
@@ -10636,7 +10483,6 @@ def _q183_adoption(sf_dir: str):
     import pandas as pd
 
     ev = _read(sf_dir, "events", columns=["user_id", "ts"])
-    nb = 64
 
     def partial(b: dict) -> pd.DataFrame:
         g = (pd.DataFrame({
@@ -10644,7 +10490,6 @@ def _q183_adoption(sf_dir: str):
             "day": (np.asarray(b["ts"]).astype("datetime64[us]")
                     .astype(np.int64) // 86_400_000_000)})
             .groupby("user_id", as_index=False)["day"].min())
-        g["_bk"] = (g["user_id"].to_numpy(np.int64) % nb + nb) % nb
         return g
 
     def umin(g: pd.DataFrame) -> pd.DataFrame:
@@ -10652,12 +10497,9 @@ def _q183_adoption(sf_dir: str):
         out["day"] = out["day"].astype(np.int64)
         return out
 
-    fst = (ev.map_batches(partial, batch_format="numpy",
-                          batch_size=65536)
-           .groupby("_bk")
-           .map_groups(lambda g: umin(g.drop(columns=["_bk"])),
-                       batch_format="pandas")
-           .to_pandas())
+    fst = co_partition(ev.map_batches(partial, batch_format="numpy",
+                                      batch_size=65536),
+                       "user_id", umin).to_pandas()
     per_day = (fst.groupby("day", as_index=False).size()
                .rename(columns={"size": "n_new_users"})
                .sort_values("day", ignore_index=True))
@@ -10690,7 +10532,6 @@ def _q184_orientation_tensor(sf_dir: str):
     import pandas as pd
 
     ev = _read(sf_dir, "events", columns=["event_id", "user_id", "ts"])
-    nb = 64
 
     def pos(b: dict) -> dict:
         e = np.asarray(b["event_id"], dtype=np.int64)
@@ -10701,8 +10542,7 @@ def _q184_orientation_tensor(sf_dir: str):
                 "x": (u * 2654435761 + bk * 40503) % 100_000_000
                 + (e * 7919 % 2001 - 1000),
                 "y": (u * 2246822519 + bk * 65537) % 100_000_000
-                + (e * 104729 % 2001 - 1000),
-                "_bk": (u % nb + nb) % nb}
+                + (e * 104729 % 2001 - 1000)}
 
     def tensor(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["user_id", "t", "e"], kind="mergesort")
@@ -10720,12 +10560,9 @@ def _q184_orientation_tensor(sf_dir: str):
                .groupby("user_id", as_index=False).sum())
         return out
 
-    out = (ev.map_batches(pos, batch_format="numpy",
-                          batch_size=65536)
-           .groupby("_bk")
-           .map_groups(lambda g: tensor(g.drop(columns=["_bk"])),
-                       batch_format="pandas")
-           .to_pandas())
+    out = co_partition(ev.map_batches(pos, batch_format="numpy",
+                                      batch_size=65536),
+                       "user_id", tensor).to_pandas()
     for c in ("n_steps", "sxx", "sxy", "syy"):
         out[c] = out[c].astype(np.int64)
     return out.sort_values("user_id", ignore_index=True)
@@ -10840,20 +10677,15 @@ def _q186_rhumb_length(sf_dir: str):
     source-bucket all-to-all, vectorized leg pass."""
     import pandas as pd
 
-    from proj_ray.functions._hash import stable_mod
-
     R = 6371000.0
     docs = _read(sf_dir, "documents", columns=["doc_id", "source"])
-    nb = 32
 
     def tag(b: dict) -> pd.DataFrame:
         i = np.asarray(b["doc_id"], dtype=np.int64)
         lon, lat = _geotag(i)
-        df = pd.DataFrame({
+        return pd.DataFrame({
             "doc_id": i, "source": np.asarray(b["source"]),
             "lon": lon, "lat": lat})
-        df["_bk"] = stable_mod(df["source"].to_numpy(), nb)
-        return df
 
     def legs(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["source", "doc_id"], kind="mergesort")
@@ -10879,12 +10711,9 @@ def _q186_rhumb_length(sf_dir: str):
                .agg(rhumb_tmm=("tmm", "sum"), n_legs=("tmm", "size")))
         return out
 
-    out = (docs.map_batches(tag, batch_format="numpy",
-                            batch_size=65536)
-           .groupby("_bk")
-           .map_groups(lambda g: legs(g.drop(columns=["_bk"])),
-                       batch_format="pandas")
-           .to_pandas())
+    out = co_partition(docs.map_batches(tag, batch_format="numpy",
+                                        batch_size=65536),
+                       "source", legs).to_pandas()
     for c in ("rhumb_tmm", "n_legs"):
         out[c] = out[c].astype(np.int64)
     return out.sort_values("source", ignore_index=True)
@@ -10935,16 +10764,7 @@ def _q187_lcp_stats(sf_dir: str):
     Python code-point order == DuckDB byte collation."""
     import pandas as pd
 
-    from proj_ray.functions._hash import stable_mod
-
     docs = _read(sf_dir, "documents", columns=["source", "text"])
-    nb = 32
-
-    def tag(b: dict) -> pd.DataFrame:
-        df = pd.DataFrame({"source": np.asarray(b["source"]),
-                           "text": np.asarray(b["text"])})
-        df["_bk"] = stable_mod(df["source"].to_numpy(), nb)
-        return df
 
     def lcp(a: str, b: str) -> int:
         n = min(len(a), len(b))
@@ -10964,12 +10784,8 @@ def _q187_lcp_stats(sf_dir: str):
         return pd.DataFrame(rows, columns=["source", "n_docs",
                                            "max_lcp", "sum_lcp"])
 
-    out = (docs.map_batches(tag, batch_format="numpy",
-                            batch_size=65536)
-           .groupby("_bk")
-           .map_groups(lambda g: stats(g.drop(columns=["_bk"])),
-                       batch_format="pandas")
-           .to_pandas())
+    out = co_partition(merged(docs, ["source", "text"]), "source",
+                       stats).to_pandas()
     for c in ("n_docs", "max_lcp", "sum_lcp"):
         out[c] = out[c].astype(np.int64)
     return out.sort_values("source", ignore_index=True)
@@ -11353,7 +11169,6 @@ def _q193_runner_up(sf_dir: str):
     from proj_ray.stages import with_tiles
 
     docs = _read(sf_dir, "documents", columns=["doc_id", "source"])
-    nb = 32
 
     def add_geo(b: dict) -> dict:
         i = np.asarray(b["doc_id"], dtype=np.int64)
@@ -11366,8 +11181,6 @@ def _q193_runner_up(sf_dir: str):
                            "source": b["source"]})
              .groupby(["tx", "ty", "source"], as_index=False)
              .size().rename(columns={"size": "c"}))
-        g["_bk"] = (g["tx"].to_numpy(np.int64) * 8
-                    + g["ty"].to_numpy(np.int64)) % nb
         return g
 
     def top2(g: pd.DataFrame) -> pd.DataFrame:
@@ -11395,11 +11208,8 @@ def _q193_runner_up(sf_dir: str):
     out = (with_tiles(docs.map_batches(add_geo, batch_format="numpy",
                                        batch_size=65536), zoom=3)
            .map_batches(partial, batch_format="pandas",
-                        batch_size=65536)
-           .groupby("_bk")
-           .map_groups(lambda g: top2(g.drop(columns=["_bk"])),
-                       batch_format="pandas")
-           .to_pandas())
+                        batch_size=65536))
+    out = co_partition(out, ["tx", "ty"], top2).to_pandas()
     for c in ("tile_x", "tile_y", "n_top", "n_second", "margin"):
         out[c] = out[c].astype(np.int64)
     return out.sort_values(["tile_x", "tile_y"], ignore_index=True)
@@ -11563,7 +11373,6 @@ def _q196_spearman(sf_dir: str):
 
     docs = _read(sf_dir, "documents",
                  columns=["doc_id", "n_chars", "text"])
-    nb = 64
 
     def feats(b: dict) -> dict:
         return {"doc_id": np.asarray(b["doc_id"], dtype=np.int64),
@@ -11588,9 +11397,7 @@ def _q196_spearman(sf_dir: str):
         ref = ray.put((keys, pref))
 
         def tag(b: dict) -> pd.DataFrame:
-            df = pd.DataFrame({"doc_id": b["doc_id"], "k": b[key]})
-            df["_bk"] = (df["k"].to_numpy(np.int64) % nb + nb) % nb
-            return df
+            return pd.DataFrame({"doc_id": b["doc_id"], "k": b[key]})
 
         def assign(g: pd.DataFrame) -> pd.DataFrame:
             ks, pf = ray.get(ref)
@@ -11601,12 +11408,9 @@ def _q196_spearman(sf_dir: str):
                 "doc_id": g["doc_id"].to_numpy(np.int64),
                 "rank": base_r + intra})
 
-        return (base.map_batches(tag, batch_format="numpy",
-                                 batch_size=65536)
-                .groupby("_bk")
-                .map_groups(lambda g: assign(
-                    g.drop(columns=["_bk"])),
-                    batch_format="pandas"))
+        return co_partition(base.map_batches(tag, batch_format="numpy",
+                                             batch_size=65536),
+                            "k", assign)
 
     r1 = rank_table("k1")
     r2 = rank_table("k2")
@@ -11618,7 +11422,6 @@ def _q196_spearman(sf_dir: str):
                                "r1": np.zeros(len(d), np.int64),
                                "r2": np.zeros(len(d), np.int64)})
             df[col] = np.asarray(b["rank"], dtype=np.int64)
-            df["_bk"] = (d % nb + nb) % nb
             return df
         return f
 
@@ -11628,14 +11431,10 @@ def _q196_spearman(sf_dir: str):
         return pd.DataFrame({"n": [np.int64(len(m))],
                              "sum_d2": [np.int64((d * d).sum())]})
 
-    parts = (r1.map_batches(side("r1"), batch_format="numpy",
-                            batch_size=65536)
-             .union(r2.map_batches(side("r2"), batch_format="numpy",
-                                   batch_size=65536))
-             .groupby("_bk")
-             .map_groups(lambda g: combine(g.drop(columns=["_bk"])),
-                         batch_format="pandas")
-             .to_pandas().sum())
+    parts = co_partition(
+        [r1.map_batches(side("r1"), batch_format="numpy", batch_size=65536),
+         r2.map_batches(side("r2"), batch_format="numpy", batch_size=65536)],
+        "doc_id", combine).to_pandas().sum()
     return pd.DataFrame({"n": [np.int64(parts["n"])],
                          "sum_d2": [np.int64(parts["sum_d2"])]})
 
@@ -11823,15 +11622,12 @@ def _q199_max_silence(sf_dir: str):
     import pandas as pd
 
     ev = _read(sf_dir, "events", columns=["event_id", "user_id", "ts"])
-    nb = 64
 
     def tag(b: dict) -> dict:
-        u = np.asarray(b["user_id"], dtype=np.int64)
-        return {"user_id": u,
+        return {"user_id": np.asarray(b["user_id"], dtype=np.int64),
                 "e": np.asarray(b["event_id"], dtype=np.int64),
                 "t": np.asarray(b["ts"]).astype("datetime64[us]")
-                .astype(np.int64),
-                "_bk": (u % nb + nb) % nb}
+                .astype(np.int64)}
 
     def scan(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["user_id", "t", "e"], kind="mergesort")
@@ -11848,12 +11644,9 @@ def _q199_max_silence(sf_dir: str):
                                            "max_gap_s",
                                            "gap_start_s"])
 
-    out = (ev.map_batches(tag, batch_format="numpy",
-                          batch_size=65536)
-           .groupby("_bk")
-           .map_groups(lambda g: scan(g.drop(columns=["_bk"])),
-                       batch_format="pandas")
-           .to_pandas())
+    out = co_partition(ev.map_batches(tag, batch_format="numpy",
+                                      batch_size=65536),
+                       "user_id", scan).to_pandas()
     for c in ("n_gaps", "max_gap_s", "gap_start_s"):
         out[c] = out[c].astype(np.int64)
     return out.sort_values("user_id", ignore_index=True)
@@ -11889,32 +11682,18 @@ def _q200_spatial_curation(sf_dir: str):
     the whole chain's exactness."""
     import pandas as pd
 
-    from proj_ray.functions._hash import stable_mod
     from proj_ray.stages import with_tiles
 
     docs = _read(sf_dir, "documents",
                  columns=["doc_id", "text", "n_chars"])
-    nb = 64
-
-    def tag(b: dict) -> pd.DataFrame:
-        df = pd.DataFrame({"doc_id": np.asarray(b["doc_id"],
-                                                np.int64),
-                           "text": np.asarray(b["text"]),
-                           "n_chars": np.asarray(b["n_chars"],
-                                                 np.int64)})
-        df["_bk"] = stable_mod(df["text"].to_numpy(), nb)
-        return df
 
     def keep_min(g: pd.DataFrame) -> pd.DataFrame:
         out = (g.sort_values("doc_id")
                .drop_duplicates(subset=["text"], keep="first"))
         return out[out["n_chars"] >= 40][["doc_id", "n_chars"]]
 
-    surv = (docs.map_batches(tag, batch_format="numpy",
-                             batch_size=65536)
-            .groupby("_bk")
-            .map_groups(lambda g: keep_min(g.drop(columns=["_bk"])),
-                        batch_format="pandas"))
+    surv = co_partition(merged(docs, ["doc_id", "text", "n_chars"]),
+                        "text", keep_min)
 
     def add_geo(b: dict) -> dict:
         i = np.asarray(b["doc_id"], dtype=np.int64)
@@ -11938,10 +11717,7 @@ def _q200_spatial_curation(sf_dir: str):
         top = top.assign(n_cand=np.int64(0))
         cen = cen.assign(doc_id=np.int64(-1),
                          n_chars=np.int64(0))
-        out = pd.concat([top, cen[top.columns]], ignore_index=True)
-        out["_bk"] = (out["tx"].to_numpy(np.int64) * 8
-                      + out["ty"].to_numpy(np.int64)) % nb
-        return out
+        return pd.concat([top, cen[top.columns]], ignore_index=True)
 
     def quota(g: pd.DataFrame) -> pd.DataFrame:
         rows = []
@@ -11962,11 +11738,8 @@ def _q200_spatial_curation(sf_dir: str):
                                        batch_format="numpy",
                                        batch_size=65536), zoom=3)
            .map_batches(prune, batch_format="pandas",
-                        batch_size=65536)
-           .groupby("_bk")
-           .map_groups(lambda g: quota(g.drop(columns=["_bk"])),
-                       batch_format="pandas")
-           .to_pandas())
+                        batch_size=65536))
+    out = co_partition(out, ["tx", "ty"], quota).to_pandas()
     for c in out.columns:
         out[c] = out[c].astype(np.int64)
     return out.sort_values(["tile_x", "tile_y"], ignore_index=True)
@@ -12187,7 +11960,6 @@ def _q204_cluster_sample(sf_dir: str):
 
     from proj_ray.stages import with_tiles
 
-    nb = 32
     tiles = with_tiles(_docs_geo(sf_dir), zoom=3)
 
     def prune(b: dict) -> pd.DataFrame:
@@ -12200,10 +11972,7 @@ def _q204_cluster_sample(sf_dir: str):
                .groupby(["tx", "ty"], sort=False).head(5)
                .assign(n_pop=np.int64(0)))
         cen = cen.assign(doc_id=np.int64(-1))
-        out = pd.concat([top, cen[top.columns]], ignore_index=True)
-        out["_bk"] = (out["tx"].to_numpy(np.int64) * 8
-                      + out["ty"].to_numpy(np.int64)) % nb
-        return out
+        return pd.concat([top, cen[top.columns]], ignore_index=True)
 
     def fold(g: pd.DataFrame) -> pd.DataFrame:
         rows = []
@@ -12217,12 +11986,9 @@ def _q204_cluster_sample(sf_dir: str):
                                            "n_pop", "n_sampled",
                                            "sum_ids"])
 
-    out = (tiles.map_batches(prune, batch_format="pandas",
-                             batch_size=65536)
-           .groupby("_bk")
-           .map_groups(lambda g: fold(g.drop(columns=["_bk"])),
-                       batch_format="pandas")
-           .to_pandas())
+    out = co_partition(tiles.map_batches(prune, batch_format="pandas",
+                                         batch_size=65536),
+                       ["tx", "ty"], fold).to_pandas()
     for c in out.columns:
         out[c] = out[c].astype(np.int64)
     return out.sort_values(["tile_x", "tile_y"], ignore_index=True)
@@ -12349,25 +12115,18 @@ def _q206_key_skew(sf_dir: str):
     import pandas as pd
 
     li = _read(sf_dir, "lineitem", columns=["l_orderkey"])
-    nb = 64
 
     def partial(b: dict) -> pd.DataFrame:
         k, c = np.unique(np.asarray(b["l_orderkey"], np.int64),
                          return_counts=True)
-        df = pd.DataFrame({"k": k, "c": c.astype(np.int64)})
-        df["_bk"] = (k % nb + nb) % nb
-        return df
+        return pd.DataFrame({"k": k, "c": c.astype(np.int64)})
 
     def fold(g: pd.DataFrame) -> pd.DataFrame:
-        cc = g.groupby("k", as_index=False)["c"].sum()
-        return cc
+        return g.groupby("k", as_index=False)["c"].sum()
 
-    counts = (li.map_batches(partial, batch_format="numpy",
-                             batch_size=65536)
-              .groupby("_bk")
-              .map_groups(lambda g: fold(g.drop(columns=["_bk"])),
-                          batch_format="pandas")
-              .to_pandas())
+    counts = co_partition(li.map_batches(partial, batch_format="numpy",
+                                         batch_size=65536),
+                          "k", fold).to_pandas()
     x = np.sort(counts["c"].to_numpy(np.int64))
     n = len(x)
     i = np.arange(1, n + 1, dtype=np.int64)
@@ -12404,19 +12163,15 @@ def _q207_temporal_motifs(sf_dir: str):
 
     ev = _read(sf_dir, "events",
                columns=["event_id", "user_id", "ts", "event_type"])
-    nb = 64
     W = 3_600_000_000
 
     def tag(b: dict) -> pd.DataFrame:
-        u = np.asarray(b["user_id"], dtype=np.int64)
-        df = pd.DataFrame({
-            "user_id": u,
+        return pd.DataFrame({
+            "user_id": np.asarray(b["user_id"], dtype=np.int64),
             "e": np.asarray(b["event_id"], dtype=np.int64),
             "t": np.asarray(b["ts"]).astype("datetime64[us]")
             .astype(np.int64),
             "ty": np.asarray(b["event_type"])})
-        df["_bk"] = (u % nb + nb) % nb
-        return df
 
     def motifs(g: pd.DataFrame) -> pd.DataFrame:
         frames = []
@@ -12444,11 +12199,9 @@ def _q207_temporal_motifs(sf_dir: str):
                .rename(columns={"size": "n"}))
         return out
 
-    out = (ev.map_batches(tag, batch_format="numpy",
-                          batch_size=65536)
-           .groupby("_bk")
-           .map_groups(lambda g: motifs(g.drop(columns=["_bk"])),
-                       batch_format="pandas")
+    out = (co_partition(ev.map_batches(tag, batch_format="numpy",
+                                       batch_size=65536),
+                        "user_id", motifs)
            .to_pandas()
            .groupby(["type_a", "type_b"], as_index=False)["n"].sum())
     out["n"] = out["n"].astype(np.int64)

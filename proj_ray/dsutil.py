@@ -33,9 +33,33 @@ def pull_pandas(ds):
 
 # a table of at most this many rows is finished on the driver instead
 # of through an all-to-all (~64 MB as a pandas (int64, int64) frame).
-# `pipelines.spatial.bucketed_sum`, `tile_counts_salted` and
-# `state.resumable_write` read it at call time, so one setting steers all
+# `driver_table` (behind `bucketed_sum` and `resumable_write`) and
+# `tile_counts_salted` read it at call time, so one setting steers all
 DRIVER_FINISH_ROWS = 4_000_000
+
+
+def driver_table(ds):
+    """Materialize `ds` once and return (materialized, pandas or None):
+    the pulled table when it has at most DRIVER_FINISH_ROWS rows, else
+    None, and the caller runs its exchange on the materialized dataset.
+    The pull goes through this module's `pull_pandas`, looked up at
+    call time."""
+    mat = ds.materialize()
+    if mat.count() <= DRIVER_FINISH_ROWS:
+        return mat, pull_pandas(mat)
+    return mat, None
+
+
+def merged(ds, columns: list[str]):
+    """`ds` projected to `columns` in batches of at least 65,536 rows.
+
+    Ray bundles small input blocks (read splits, per-bucket outputs)
+    into one task until the batch fills, so an exchange after this map
+    (its `_bk` map fuses into this one) sorts a few full blocks rather
+    than one small block per read split."""
+    return ds.map_batches(lambda t: t.select(columns),
+                          batch_format="pyarrow", batch_size=65536)
+
 
 # a parquet table of at most this many rows reads as one block: it is
 # one kernel pass (`Operation.CHUNK`, `PolygonIndex.CHUNK`), so

@@ -79,7 +79,9 @@ def _merge_topk(cand, k: int, merge_cap: int = 500_000):
         cand = cand.groupby("q").map_groups(topk, batch_format="pandas")
     allc = pull_pandas(cand)
     if allc.empty:
-        allc = pd.DataFrame(columns=["q", "nid", "cosine"])
+        allc = pd.DataFrame({"q": np.empty(0, np.int64),
+                             "nid": np.empty(0, np.int64),
+                             "cosine": np.empty(0, np.float64)})
     allc = (allc.sort_values(["q", "cosine", "nid"],
                              ascending=[True, False, True])
                 .groupby("q").head(k))
@@ -333,7 +335,10 @@ def ann_ivf_index(path: str, queries: np.ndarray, k: int = 10,
     if not files:
         import pandas as pd
 
-        return pd.DataFrame(columns=["q", "nid", "cosine", "rank"])
+        return pd.DataFrame({"q": np.empty(0, np.int64),
+                             "nid": np.empty(0, np.int64),
+                             "cosine": np.empty(0, np.float64),
+                             "rank": np.empty(0, np.int64)})
     ds = rd.read_parquet(files)
     qref, cref, mref = ray.put(Q), ray.put(C), ray.put(member)
 

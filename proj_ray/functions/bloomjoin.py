@@ -17,7 +17,7 @@ Scale shape:
           the driver only ORs K bitmaps.
   probe   bitmap broadcast once via `ray.put`; each batch tests k bits
           vectorized. Survivors (true matches + false positives) are
-          then EXACTLY verified with a bucketed co-partition `isin`
+          then EXACTLY verified with an `exchange.co_partition` `isin`
           against the build keys, so the result is exact — the bloom
           only prunes the exchange (at fpr ~0.1%, the verify join sees
           |matches| + 0.001·|probe| rows instead of |probe|).
@@ -27,6 +27,8 @@ from __future__ import annotations
 
 import numpy as np
 import pandas as pd
+
+from proj_ray.exchange import co_partition
 
 from ._hash import splitmix64, stable_u64
 
@@ -120,9 +122,21 @@ def _probe_dtypes(probe_ds) -> dict:
                 .empty_table().to_pandas().dtypes)
 
 
+def _verify_input(build_ds, cand, probe_key: str, build_key: str):
+    """The two inputs of the verify co-partition: the build side's
+    per-block DISTINCT keys (presence is all the verify needs) tagged
+    `_side` 0, and the probe candidates tagged 1."""
+    bkeys = build_ds.map_batches(
+        lambda d: pd.DataFrame({probe_key: d[build_key].drop_duplicates(),
+                                "_side": np.int64(0)}),
+        batch_format="pandas")
+    return [bkeys, cand.map_batches(lambda d: d.assign(_side=np.int64(1)),
+                                    batch_format="pandas")]
+
+
 def bloom_semi_join(probe_ds, build_ds, probe_key: str, build_key: str,
                     m_bits: int = 1 << 20, k: int = 4,
-                    n_buckets: int = 64, combine_ways: int = 0):
+                    combine_ways: int = 0):
     """EXACT semi-join (probe rows whose key exists in build), bloom-
     pruned: only bloom survivors enter the verification co-partition.
     The whole join runs ONE all-to-all (the verify co-partition)."""
@@ -131,35 +145,20 @@ def bloom_semi_join(probe_ds, build_ds, probe_key: str, build_key: str,
                              combine_ways=combine_ways)
     cand = bloom_filter_ds(probe_ds, probe_key, ref, m, kk)
 
-    def tag(df: pd.DataFrame, key: str, side: int) -> pd.DataFrame:
-        out = df.copy()
-        out["_bk"] = (stable_u64(df[key].to_numpy())
-                      % np.uint64(n_buckets)).astype(np.int64)
-        out["_side"] = np.int64(side)
-        return out
-
-    # build side ships per-block DISTINCT (key, bucket) only — presence
-    # is all the verify needs
-    bkeys = build_ds.map_batches(
-        lambda d: tag(pd.DataFrame(
-            {probe_key: d[build_key].drop_duplicates()}), probe_key, 0),
-        batch_format="pandas")
-    pkeys = cand.map_batches(lambda d: tag(d, probe_key, 1),
-                             batch_format="pandas")
+    keys = _verify_input(build_ds, cand, probe_key, build_key)
 
     def verify(g: pd.DataFrame) -> pd.DataFrame:
         build_vals = g.loc[g["_side"] == 0, probe_key].to_numpy()
         probe = g[g["_side"] == 1]
         keep = probe[probe_key].isin(build_vals)
-        return probe[keep].drop(columns=["_bk", "_side"]).astype(pdt)
+        return probe[keep].drop(columns=["_side"]).astype(pdt)
 
-    return bkeys.union(pkeys).groupby("_bk").map_groups(
-        verify, batch_format="pandas")
+    return co_partition(keys, probe_key, verify)
 
 
 def bloom_anti_join(probe_ds, build_ds, probe_key: str, build_key: str,
                     m_bits: int = 1 << 20, k: int = 4,
-                    n_buckets: int = 64, combine_ways: int = 0):
+                    combine_ways: int = 0):
     """EXACT anti-join: probe rows whose key does NOT exist in build.
 
     A bloom NEGATIVE is a certain non-member, so bloom-negative rows
@@ -191,26 +190,13 @@ def bloom_anti_join(probe_ds, build_ds, probe_key: str, build_key: str,
     cand = probe_ds.map_batches(
         lambda d: probe_split(d, keep_hit=True), batch_format="pandas")
 
-    def tag(df: pd.DataFrame, key: str, side: int) -> pd.DataFrame:
-        out = df.copy()
-        out["_bk"] = (stable_u64(df[key].to_numpy())
-                      % np.uint64(n_buckets)).astype(np.int64)
-        out["_side"] = np.int64(side)
-        return out
-
-    bkeys = build_ds.map_batches(
-        lambda d: tag(pd.DataFrame(
-            {probe_key: d[build_key].drop_duplicates()}), probe_key, 0),
-        batch_format="pandas")
-    pkeys = cand.map_batches(lambda d: tag(d, probe_key, 1),
-                             batch_format="pandas")
+    keys = _verify_input(build_ds, cand, probe_key, build_key)
 
     def verify_absent(g: pd.DataFrame) -> pd.DataFrame:
         build_vals = g.loc[g["_side"] == 0, probe_key].to_numpy()
         probe = g[g["_side"] == 1]
         keep = ~probe[probe_key].isin(build_vals)
-        return probe[keep].drop(columns=["_bk", "_side"]).astype(pdt)
+        return probe[keep].drop(columns=["_side"]).astype(pdt)
 
-    confirmed = bkeys.union(pkeys).groupby("_bk").map_groups(
-        verify_absent, batch_format="pandas")
+    confirmed = co_partition(keys, probe_key, verify_absent)
     return resolved.union(confirmed)

@@ -10,7 +10,8 @@ neighbor predicate is the exact integer d2 <= eps^2.
 
 Scale shape (PBSM, the q71 overlay plan): each point ships to its home
 cell once (home=1) and to its 8 ring cells as a ghost (home=0) — ONE
-hash-bucket all-to-all with 9x replication of (id, x, y) triples only;
+`exchange.co_partition` on the cell with 9x replication of (id, x, y)
+triples only;
 each cell task counts neighbors for its HOME points against all its
 rows vectorized, and emits one bounded stats row. eps sizes the cell,
 so a ring always covers the ball. Per-cell pair work is
@@ -23,7 +24,7 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 
-from ._hash import stable_u64
+from proj_ray.exchange import co_partition
 
 __all__ = ["dbscan_core_stats"]
 
@@ -31,8 +32,8 @@ _SHIFT = 1 << 20  # makes quantized coords non-negative (|mdeg| < 2^18)
 
 
 def dbscan_core_stats(ds, lon_col: str, lat_col: str, id_col: str,
-                      eps_mdeg: int = 2000, min_pts: int = 4,
-                      n_buckets: int = 64) -> pd.DataFrame:
+                      eps_mdeg: int = 2000,
+                      min_pts: int = 4) -> pd.DataFrame:
     """-> one-row pandas (n_core, n_noncore, chk) where chk =
     sum over points of neighbor_count * (id + 1)."""
     eps2 = np.int64(eps_mdeg) * np.int64(eps_mdeg)
@@ -54,13 +55,7 @@ def dbscan_core_stats(ds, lon_col: str, lat_col: str, id_col: str,
                 "_cx": cx + dx, "_cy": cy + dy,
                 "_home": np.full(n, np.int64(1 if dx == 0 and dy == 0
                                              else 0))}))
-        out = pd.concat(rows, ignore_index=True)
-        key = (stable_u64(out["_cx"].to_numpy() * 1_048_573
-                          + out["_cy"].to_numpy())
-               % np.uint64(n_buckets)).astype(np.int64)
-        out["_bk"] = key
-        # cell key kept explicit: a bucket holds many cells
-        return out
+        return pd.concat(rows, ignore_index=True)
 
     def count_cell(g: pd.DataFrame) -> pd.DataFrame:
         res = []
@@ -88,11 +83,9 @@ def dbscan_core_stats(ds, lon_col: str, lat_col: str, id_col: str,
                              "n_noncore": [a[:, 1].sum()],
                              "chk": [a[:, 2].sum()]})
 
-    parts = (ds.map_batches(scatter, batch_format="numpy")
-             .groupby("_bk")
-             .map_groups(lambda g: count_cell(g.drop(columns=["_bk"])),
-                         batch_format="pandas")
-             .to_pandas())
+    # a bucket holds many cells: count_cell groups by the cell itself
+    parts = co_partition(ds.map_batches(scatter, batch_format="numpy"),
+                         ["_cx", "_cy"], count_cell).to_pandas()
     return pd.DataFrame({
         "n_core": [np.int64(parts["n_core"].sum())],
         "n_noncore": [np.int64(parts["n_noncore"].sum())],

@@ -211,23 +211,20 @@ def cross_source_gram_overlap(ds, source_col: str = "source",
     pair (a < b), how many DISTINCT word n-grams occur in BOTH — the
     "how much do my crawl snapshots overlap" diagnostic.
 
-    Per-block distinct (gram_hash, source) rows co-partition by a
-    HASH BUCKET of the gram (one all-to-all over `n_buckets` groups,
-    NOT one Python group per gram); inside each bucket the per-gram
+    Per-block distinct (gram_hash, source) rows go through one
+    `exchange.co_partition` on the gram (a bucket sort, NOT one
+    Python group per gram); inside each bucket the per-gram
     source pairs come from a vectorized pandas self-merge, and the
     per-bucket (pair, count) partials combine in a tiny final groupby.
     """
     import pandas as pd
 
-    n_buckets = 64
+    from proj_ray.exchange import co_partition
 
     def partial(df: pd.DataFrame) -> pd.DataFrame:
         di, h = gram_hashes(df[text_col], n)
         src = df[source_col].to_numpy(object)
-        g = pd.DataFrame({"_g": h, "_s": src[di]}).drop_duplicates()
-        g["_bk"] = (g["_g"].to_numpy(np.uint64)
-                    % np.uint64(n_buckets)).astype(np.int64)
-        return g
+        return pd.DataFrame({"_g": h, "_s": src[di]}).drop_duplicates()
 
     def bucket_pairs(grp: pd.DataFrame) -> pd.DataFrame:
         g = grp[["_g", "_s"]].drop_duplicates()
@@ -245,9 +242,8 @@ def cross_source_gram_overlap(ds, source_col: str = "source",
             "src_b": [grp["src_b"].iloc[0]],
             "n_shared_grams": [np.int64(grp["_c"].sum())]})
 
-    per_bucket = (ds.map_batches(partial, batch_format="pandas",
-                                 batch_size=batch_size)
-                    .groupby("_bk").map_groups(bucket_pairs,
-                                               batch_format="pandas"))
+    per_bucket = co_partition(ds.map_batches(partial, batch_format="pandas",
+                                             batch_size=batch_size),
+                              "_g", bucket_pairs)
     return per_bucket.groupby(["src_a", "src_b"]).map_groups(
         combine, batch_format="pandas")

@@ -9,7 +9,7 @@ Scale shapes:
     groupby), candidate pairs verified with exact Jaccard inside
     map_groups. No all-pairs comparison ever happens.
   - SimHash: 64-bit signatures, near-dup = hamming distance <= t within
-    bucket groups keyed by bit-band.
+    bit-band groups (`hash_band_pairs`).
   - embedding cosine: LSH random-hyperplane buckets then exact cosine.
 """
 
@@ -18,6 +18,8 @@ from __future__ import annotations
 import hashlib
 
 import numpy as np
+
+from proj_ray.exchange import co_partition
 
 
 def _stable_u64(values) -> np.ndarray:
@@ -31,41 +33,28 @@ def _stable_u64(values) -> np.ndarray:
 # ------------------------------------------------------------- exact ------
 
 
-def dedup_exact(ds, key_col: str, id_col: str, n_buckets: int = 64):
+def dedup_exact(ds, key_col: str, id_col: str):
     """Keep exactly one row (min id) per duplicate group of `key_col`.
 
     Shape: project to (key, id) -> per-batch local min per key (the
     only rows the shuffle ever moves are one per (block, key)) ->
-    hash-bucket co-partition (`_bk = stable_hash(key) % n_buckets`;
-    Ray's sort-based groupby prices a raw-key sort at seconds of fixed
-    latency while the 64-value int sort costs a fraction) -> one
-    vectorized min-per-key pass per bucket. Size `n_buckets` so
-    distinct-keys / n_buckets rows fit a worker's heap (~1-2M rows per
-    bucket => thousands of buckets at the 100-TB target; the default
-    suits up to ~10^8 distinct keys).
+    `exchange.co_partition` on the key (Ray's sort-based groupby
+    prices a raw-key sort at seconds of fixed latency while the
+    bucket-id sort costs a fraction) -> one vectorized min-per-key
+    pass per bucket.
 
     Returns a Dataset of (key_col, id_col) winners; callers can
     semi-join it back to fetch full rows.
     """
     import pandas as pd
 
-    def partial(b: dict) -> dict:
-        df = pd.DataFrame({key_col: b[key_col], id_col: b[id_col]})
-        g = df.groupby(key_col, as_index=False)[id_col].min()
-        bk = (_stable_u64(g[key_col].to_numpy())
-              % np.uint64(n_buckets)).astype(np.int64)
-        return {key_col: g[key_col].to_numpy(),
-                id_col: g[id_col].to_numpy(), "_bk": bk}
+    def key_min(df: pd.DataFrame) -> pd.DataFrame:
+        return df.groupby(key_col, as_index=False)[id_col].min()
 
-    def combine(g: pd.DataFrame) -> pd.DataFrame:
-        return (g.drop(columns=["_bk"])
-                 .groupby(key_col, as_index=False)[id_col].min())
-
-    return (ds.select_columns([key_col, id_col])
-              .map_batches(partial, batch_format="numpy",
-                           batch_size=65536)
-              .groupby("_bk")
-              .map_groups(combine, batch_format="pandas"))
+    return co_partition(ds.select_columns([key_col, id_col])
+                        .map_batches(key_min, batch_format="pandas",
+                                     batch_size=65536),
+                        key_col, key_min)
 
 
 # (a former dedup_exact_rows full-row groupby variant was deleted: it
@@ -1072,61 +1061,21 @@ def hamming64(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return ((x * _H01) >> np.uint64(56)).astype(np.int64)
 
 
-def dedup_simhash(ds, text_col: str, id_col: str, max_hamming: int = 3,
-                  concurrency=(2, 8)):
-    """Near-dup pairs with SimHash: 4 16-bit bands as bucket keys (any
-    pair within hamming<=3 of 64 bits shares at least one exact band)."""
+def dedup_simhash(ds, text_col: str, id_col: str, max_hamming: int = 3):
+    """Near-dup pairs with SimHash: `simhash64` per text, then
+    `hash_band_pairs` over max(4, max_hamming + 1) bands, so every
+    pair within `max_hamming` shares at least one exact band."""
+    import pandas as pd
 
     def sign(batch):
-        import pandas as pd
+        return pd.DataFrame({
+            id_col: np.asarray(batch[id_col]),
+            "_simhash": simhash64([str(t) for t in batch[text_col]])})
 
-        sh = simhash64([str(t) for t in batch[text_col]])
-        hu = sh.view(np.uint64)
-        ids = np.asarray(batch[id_col])
-        keys = np.concatenate([
-            (((hu >> np.uint64(band * 16)) & np.uint64(0xFFFF))
-             .astype(np.int64) | np.int64(band << 16))
-            for band in range(4)])
-        return pd.DataFrame({"band": keys,
-                             "rid": np.tile(ids, 4),
-                             "simhash": np.tile(sh, 4)})
-
-    sigs = ds.map_batches(sign, batch_format="pandas", batch_size=2048)
-
-    def verify(group):
-        import pandas as pd
-
-        g = group.drop_duplicates("rid").sort_values("rid")
-        ids = g["rid"].to_numpy()
-        hs = g["simhash"].to_numpy()
-        n = len(ids)
-        frames = []
-        # chunked (ch x n) SWAR hamming matrix — one vectorized pass
-        # per 2048-row stripe, no per-row Python loop; memory bounded
-        # at ch*n uint64s per stripe regardless of bucket size
-        CH = 2048
-        for lo in range(0, n, CH):
-            d = hamming64(hs[lo:lo + CH, None], hs[None, :])
-            r, c = np.nonzero(d <= max_hamming)
-            keep = (lo + r) < c  # strict upper triangle, global index
-            r, c = r[keep], c[keep]
-            if len(r):
-                frames.append(pd.DataFrame({
-                    "id_a": ids[lo + r], "id_b": ids[c],
-                    "hamming": d[r, c].astype(np.int64)}))
-        if not frames:
-            return pd.DataFrame(columns=["id_a", "id_b", "hamming"])
-        return pd.concat(frames, ignore_index=True)
-
-    pairs = sigs.groupby("band").map_groups(verify, batch_format="pandas")
-
-    def distinct(batch):
-        import pandas as pd
-
-        return batch.drop_duplicates(["id_a", "id_b"]) if len(batch) else \
-            pd.DataFrame(columns=["id_a", "id_b", "hamming"])
-
-    return pairs.groupby("id_a").map_groups(distinct, batch_format="pandas")
+    return hash_band_pairs(
+        ds.map_batches(sign, batch_format="pandas", batch_size=2048),
+        "_simhash", id_col, max_hamming=max_hamming,
+        n_bands=max(4, max_hamming + 1))
 
 
 # ------------------------------------------------- embedding near-dup -----
@@ -1171,11 +1120,6 @@ def dedup_embedding(ds, vec_col: str, id_col: str, threshold: float = 0.95,
             vecs = vecs / np.where(norm == 0, 1.0, norm)
             return pd.DataFrame({
                 "bucket": key,
-                # the all-to-all co-partitions on a bounded HASH of the
-                # bucket (64 groups), not the bucket itself: one sort
-                # over a small int domain instead of 2^nbits map_groups
-                # invocations dragging object-dtype vectors
-                "_bk": key % 64,
                 "rid": np.asarray(batch[id_col]),
                 "vec": list(vecs),
             })
@@ -1224,9 +1168,10 @@ def dedup_embedding(ds, vec_col: str, id_col: str, threshold: float = 0.95,
             return pd.DataFrame({"id_a": [], "id_b": [], "cosine": []})
         return pd.concat(frames, ignore_index=True)
 
-    return (buck.groupby("_bk")
-            .map_groups(lambda g: verify(g.drop(columns=["_bk"])),
-                        batch_format="pandas"))
+    # co-partitioned on the LSH bucket: one sort over the small
+    # bucket-id domain instead of 2^nbits map_groups invocations
+    # dragging object-dtype vectors
+    return co_partition(buck, "bucket", verify)
 
 
 def cosine_pairs(ds, vec_col: str, id_col: str, threshold: float,
@@ -1283,14 +1228,17 @@ def hash_band_pairs(ds, hash_col: str, id_col: str,
     keys — a pair within hamming h < n_bands shares at least one exact
     band (pigeonhole), so recall is total for max_hamming < n_bands.
     The default 8x8-bit banding therefore guarantees hamming <= 7.
-    Verify reuses the chunked SWAR hamming matrix; pair dedup is the
-    bucketed distinct pass (dedup_simhash's plan, generalized to any
-    hash source). Returns {id_a, id_b, hamming}."""
+    One `exchange.co_partition` on the band key; each bucket verifies
+    its bands with the chunked SWAR hamming matrix and keeps a pair
+    only in the LOWEST band the two hashes share, so every pair comes
+    out exactly once with no second exchange. Returns {id_a, id_b,
+    hamming}."""
     import pandas as pd
 
     assert max_hamming < n_bands, "pigeonhole recall needs h < bands"
     width = 64 // n_bands
     mask = np.uint64((1 << width) - 1)
+    shifts = np.arange(n_bands, dtype=np.uint64) * np.uint64(width)
 
     def sign(batch):
         hu = np.asarray(batch[hash_col]).astype(np.int64).view(np.uint64)
@@ -1304,22 +1252,10 @@ def hash_band_pairs(ds, hash_col: str, id_col: str,
                              "simhash": np.tile(hu.view(np.int64),
                                                 n_bands)})
 
-    # coarse hash buckets (not raw band keys / id_a) as the groupby
-    # keys: ray's sort-groupby pays per-GROUP overhead, and band keys
-    # number in the thousands — 64 buckets x an in-task pandas groupby
-    # does the same co-partitioning at block cost (the bucketed_sum
-    # lesson applied to map_groups)
-    nb = 64
-    sigs = ds.map_batches(sign, batch_format="pandas",
-                          batch_size=4096)
-
-    def tag_bucket(df):
-        df["_bk"] = (df["band"].to_numpy(np.int64) % nb + nb) % nb
-        return df
-
     def verify_bucket(group):
         frames = []
-        for _, g in group.groupby("band", sort=False):
+        for band_key, g in group.groupby("band", sort=False):
+            band = int(band_key) >> (width + 1)
             g = g.drop_duplicates("rid").sort_values("rid")
             ids = g["rid"].to_numpy()
             hs = g["simhash"].to_numpy()
@@ -1330,37 +1266,22 @@ def hash_band_pairs(ds, hash_col: str, id_col: str,
                 r, c = np.nonzero(d <= max_hamming)
                 keep = (lo + r) < c
                 r, c = r[keep], c[keep]
+                # the lowest band with no differing bit owns the pair
+                x = (hs[lo + r] ^ hs[c]).view(np.uint64)
+                same = ((x[:, None] >> shifts) & mask) == 0
+                own = same.argmax(axis=1) == band
+                r, c = r[own], c[own]
                 if len(r):
                     frames.append(pd.DataFrame({
                         "id_a": ids[lo + r], "id_b": ids[c],
                         "hamming": d[r, c].astype(np.int64)}))
         if not frames:
-            return pd.DataFrame(columns=["id_a", "id_b", "hamming"])
-        out = pd.concat(frames, ignore_index=True)
-        # per-bucket pre-dedup (same band pair seen via two bands in
-        # this bucket) before the pair-bucket distinct
-        return out.drop_duplicates(["id_a", "id_b"])
+            return pd.DataFrame({
+                "id_a": np.empty(0, group["rid"].dtype),
+                "id_b": np.empty(0, group["rid"].dtype),
+                "hamming": np.empty(0, np.int64)})
+        return pd.concat(frames, ignore_index=True)
 
-    pairs = (sigs.map_batches(tag_bucket, batch_format="pandas",
-                              batch_size=65536)
-             .groupby("_bk")
-             .map_groups(lambda g: verify_bucket(
-                 g.drop(columns=["_bk"])), batch_format="pandas"))
-
-    def tag_pair(df):
-        if not len(df):
-            return pd.DataFrame(columns=["id_a", "id_b", "hamming",
-                                         "_bk"])
-        df["_bk"] = ((df["id_a"].astype(np.int64) * 31
-                      + df["id_b"].astype(np.int64)) % nb + nb) % nb
-        return df
-
-    def distinct(batch):
-        return batch.drop_duplicates(["id_a", "id_b"]) if len(batch) \
-            else pd.DataFrame(columns=["id_a", "id_b", "hamming"])
-
-    return (pairs.map_batches(tag_pair, batch_format="pandas",
-                              batch_size=65536)
-            .groupby("_bk")
-            .map_groups(lambda g: distinct(g.drop(columns=["_bk"])),
-                        batch_format="pandas"))
+    return co_partition(ds.map_batches(sign, batch_format="pandas",
+                                       batch_size=4096),
+                        "band", verify_bucket)

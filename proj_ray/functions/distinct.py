@@ -2,8 +2,8 @@
 
 - grouped_count_distinct: EXACT per-group cardinality. Per batch,
   duplicate (group, value) pairs are dropped locally; the single
-  all-to-all is co-partitioned on a HASH BUCKET of the value (bounded
-  group count — never a million-distinct-key sort), each bucket counts
+  `exchange.co_partition` on the value (a bucket sort — never a
+  million-distinct-key sort), each bucket counts
   its unique pairs vectorized, and a final tiny groupby sums per-group
   bucket counts. SQL-reproducible: COUNT(DISTINCT v) GROUP BY g.
 - grouped_count_distinct_hll: HyperLogLog sketch for when exact
@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from proj_ray.exchange import co_partition
 from proj_ray.functions._hash import stable_u64
 
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -37,10 +38,9 @@ def _hash_vals(v: np.ndarray) -> np.ndarray:
     return stable_u64(a)
 
 
-def grouped_count_distinct(ds, group_col: str, value_col: str,
-                           n_buckets: int = 256):
+def grouped_count_distinct(ds, group_col: str, value_col: str):
     """-> rows (group, n_distinct): exact COUNT(DISTINCT value) per
-    group. One bucketed all-to-all of locally-deduped pairs."""
+    group. One co-partition of locally-deduped pairs on the value."""
     import pandas as pd
 
     from ray.data.aggregate import Sum
@@ -50,10 +50,7 @@ def grouped_count_distinct(ds, group_col: str, value_col: str,
             group_col: np.asarray(batch[group_col]),
             value_col: np.asarray(batch[value_col]),
         })
-        df = df.drop_duplicates()
-        df["_bk"] = (_hash_vals(df[value_col].to_numpy())
-                     % np.uint64(n_buckets)).astype(np.int64)
-        return df
+        return df.drop_duplicates()
 
     def count_bucket(group: pd.DataFrame) -> pd.DataFrame:
         u = group.drop_duplicates([group_col, value_col])
@@ -67,10 +64,9 @@ def grouped_count_distinct(ds, group_col: str, value_col: str,
             "n_distinct": np.asarray(batch["nd"]).astype(np.int64),
         })
 
-    return (ds.select_columns([group_col, value_col])
-            .map_batches(local_dedup, batch_format="numpy")
-            .groupby("_bk")
-            .map_groups(count_bucket, batch_format="pandas")
+    return (co_partition(ds.select_columns([group_col, value_col])
+                         .map_batches(local_dedup, batch_format="numpy"),
+                         value_col, count_bucket)
             .groupby(group_col)
             .aggregate(Sum("n", alias_name="nd"))
             .map_batches(final, batch_format="numpy"))

@@ -30,6 +30,9 @@ from __future__ import annotations
 
 import numpy as np
 
+from proj_ray.dsutil import merged
+from proj_ray.exchange import co_partition
+
 _B = np.uint64(1099511628211)  # FNV-1a prime as the polynomial base
 
 
@@ -153,18 +156,12 @@ def fuzzy_join(ds, col: str, id_col: str, max_dist: int = 1,
         return pd.DataFrame({"bucket": vh.view(np.int64),
                              "rid": ids[row], "s": s[row]})
 
-    # coarse hash buckets as the groupby keys: variant-hash buckets
-    # number in the tens of thousands and ray's sort-groupby pays
-    # per-GROUP overhead — 64 buckets + an in-task pandas groupby do
-    # the same co-partitioning at block cost (the hash_band_pairs
-    # lesson)
-    nb = 64
+    # co-partitioned on the variant hash, not grouped by it: variant
+    # hashes number in the tens of thousands and ray's sort-groupby
+    # pays per-GROUP overhead, while a bucket + an in-task pandas
+    # groupby does the same at block cost
     sigs = ds.map_batches(sign, batch_format="pandas",
                           batch_size=4096)
-
-    def tag_bucket(df: "pd.DataFrame") -> "pd.DataFrame":
-        df["_bk"] = (df["bucket"].to_numpy(np.int64) % nb + nb) % nb
-        return df
 
     def verify_one(g: "pd.DataFrame") -> "pd.DataFrame":
         g = g.drop_duplicates("rid").sort_values("rid")
@@ -197,29 +194,7 @@ def fuzzy_join(ds, col: str, id_col: str, max_dist: int = 1,
         out = pd.concat(frames, ignore_index=True)
         return out.drop_duplicates(["id_a", "id_b"])
 
-    pairs = (sigs.map_batches(tag_bucket, batch_format="pandas",
-                              batch_size=65536)
-             .groupby("_bk")
-             .map_groups(lambda g: verify_bucket(
-                 g.drop(columns=["_bk"])), batch_format="pandas"))
-
-    def tag_pair(df: "pd.DataFrame") -> "pd.DataFrame":
-        if not len(df):
-            df["_bk"] = np.empty(0, np.int64)
-            return df
-        df["_bk"] = ((df["id_a"].to_numpy(np.int64) * 31
-                      + df["id_b"].to_numpy(np.int64)) % nb + nb) % nb
-        return df
-
-    def distinct(batch: "pd.DataFrame") -> "pd.DataFrame":
-        if not len(batch):
-            return pd.DataFrame({"id_a": np.empty(0, np.int64),
-                                 "id_b": np.empty(0, np.int64),
-                                 "dist": np.empty(0, np.int64)})
-        return batch.drop_duplicates(["id_a", "id_b"])
-
-    return (pairs.map_batches(tag_pair, batch_format="pandas",
-                              batch_size=65536)
-            .groupby("_bk")
-            .map_groups(lambda g: distinct(g.drop(columns=["_bk"])),
-                        batch_format="pandas"))
+    pairs = co_partition(sigs, "bucket", verify_bucket)
+    return co_partition(merged(pairs, ["id_a", "id_b", "dist"]),
+                        ["id_a", "id_b"],
+                        lambda g: g.drop_duplicates(["id_a", "id_b"]))

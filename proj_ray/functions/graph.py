@@ -5,10 +5,11 @@ MinHash/SimHash/embedding verify stages) become edges; each connected
 component keeps one canonical document. Labels converge to the
 component-minimum node id in O(graph diameter) iterations.
 
-Scale shape per iteration: two hash-bucket all-to-alls (propagate
-messages along edges co-partitioned with labels, then per-node min) —
-never a driver-side graph. Labels (one row per node) are materialized
-between iterations so iteration k+1 does not re-execute k's lineage;
+Scale shape per iteration: two `exchange.co_partition` calls
+(propagate messages along edges co-partitioned with labels on the
+node, then a per-node min) — never a driver-side graph. Labels (one
+row per node) are materialized between iterations so iteration k+1
+does not re-execute k's lineage;
 that is O(nodes), bounded, and the standard iterative-dataflow trade.
 Convergence is detected with a monotone aggregate: sum(label) strictly
 decreases until the fixpoint, so one cheap Sum per iteration replaces
@@ -18,14 +19,11 @@ from __future__ import annotations
 
 import numpy as np
 
-
-def _bucket(arr: np.ndarray, nb: int) -> np.ndarray:
-    a = np.asarray(arr, dtype=np.int64)
-    return (a % nb + nb) % nb
+from proj_ray.dsutil import merged
+from proj_ray.exchange import co_partition
 
 
-def connected_components(edges, max_iters: int = 30,
-                         n_buckets: int = 32):
+def connected_components(edges, max_iters: int = 30):
     """edges: Dataset with int64 columns `a`, `b` (undirected; self
     loops fine). Returns a Dataset (node, label) with label = min node
     id of the component."""
@@ -43,30 +41,16 @@ def connected_components(edges, max_iters: int = 30,
 
     def init_labels(b: dict) -> dict:
         n = np.unique(np.asarray(b["src"], dtype=np.int64))
-        return {"node": n, "label": n, "_bk": _bucket(n, n_buckets)}
+        return {"node": n, "label": n}
 
     def min_per_node(g: pd.DataFrame) -> pd.DataFrame:
         out = g.groupby("node", as_index=False)["label"].min()
         out["label"] = out["label"].astype(np.int64)
         return out
 
-    labels = (ed.map_batches(init_labels, batch_format="numpy",
-                             batch_size=65536)
-              .groupby("_bk")
-              .map_groups(lambda g: min_per_node(
-                  g.drop(columns=["_bk"])), batch_format="pandas")
-              .materialize())
-
-    def tag_edges(b: dict) -> dict:
-        return {"src": b["src"], "dst": b["dst"],
-                "_bk": _bucket(b["src"], n_buckets)}
-
-    edb = ed.map_batches(tag_edges, batch_format="numpy",
-                         batch_size=65536).materialize()
-
-    def tag_labels(b: dict) -> dict:
-        return {"node": b["node"], "label": b["label"],
-                "_bk": _bucket(b["node"], n_buckets)}
+    labels = co_partition(ed.map_batches(init_labels, batch_format="numpy",
+                                         batch_size=65536),
+                          "node", min_per_node).materialize()
 
     def propagate(g: pd.DataFrame) -> pd.DataFrame:
         """One bucket: edges with src in bucket + labels for those
@@ -76,40 +60,30 @@ def connected_components(edges, max_iters: int = 30,
         ed_ = g[~g["dst"].isna()][["node", "dst"]].rename(
             columns={"node": "src"})
         m = ed_.merge(lab, left_on="src", right_on="node")
-        out = pd.concat([
+        return pd.concat([
             lab,
             pd.DataFrame({"node": m["dst"].to_numpy(np.int64),
                           "label": m["label"].to_numpy(np.int64)}),
         ], ignore_index=True)
-        out["_bk"] = _bucket(out["node"].to_numpy(), n_buckets)
-        return out
 
     prev_sum = None
     for _ in range(max_iters):
         def lbl_rows(b: dict) -> dict:
             return {"node": np.asarray(b["node"], dtype=np.int64),
                     "dst": np.full(len(b["node"]), np.nan),
-                    "label": np.asarray(b["label"], dtype=np.int64),
-                    "_bk": _bucket(b["node"], n_buckets)}
+                    "label": np.asarray(b["label"], dtype=np.int64)}
 
         def edge_rows(b: dict) -> dict:
             return {"node": np.asarray(b["src"], dtype=np.int64),
                     "dst": np.asarray(b["dst"], dtype=np.float64),
-                    "label": np.zeros(len(b["src"]), dtype=np.int64),
-                    "_bk": np.asarray(b["_bk"], dtype=np.int64)}
+                    "label": np.zeros(len(b["src"]), dtype=np.int64)}
 
-        mixed = (labels.map_batches(lbl_rows, batch_format="numpy",
-                                    batch_size=65536)
-                 .union(edb.map_batches(edge_rows,
-                                        batch_format="numpy",
-                                        batch_size=65536)))
-        labels = (mixed.groupby("_bk")
-                  .map_groups(lambda g: propagate(
-                      g.drop(columns=["_bk"])), batch_format="pandas")
-                  .groupby("_bk")
-                  .map_groups(lambda g: min_per_node(
-                      g.drop(columns=["_bk"])), batch_format="pandas")
-                  .materialize())
+        mixed = [labels.map_batches(lbl_rows, batch_format="numpy",
+                                    batch_size=65536),
+                 ed.map_batches(edge_rows, batch_format="numpy",
+                                batch_size=65536)]
+        labels = co_partition(co_partition(mixed, "node", propagate),
+                              "node", min_per_node).materialize()
         cur = labels.aggregate(Sum("label", alias_name="s"))["s"]
         if prev_sum is not None and cur == prev_sum:
             break
@@ -118,7 +92,7 @@ def connected_components(edges, max_iters: int = 30,
 
 
 def pagerank(edges, iters: int = 5, scale: int = 1_000_000,
-             d_pct: int = 85, n_buckets: int = 32):
+             d_pct: int = 85):
     """Fixed-iteration PageRank in integer fixed-point (rank scale
     `scale`, damping d_pct/100), so a SQL oracle of chained CTEs is
     bit-exact:
@@ -132,22 +106,13 @@ def pagerank(edges, iters: int = 5, scale: int = 1_000_000,
     directed, multi-edges counted.
 
     Scale shape per iteration (same dataflow as connected_components):
-    TWO hash-bucket all-to-alls — ranks co-partitioned with edges by
-    src bucket to emit (dst, contrib) messages, then per-node sum by
-    dst bucket — never a driver-side graph; ranks (one row per node)
-    are materialized between iterations to cut lineage. Returns a
-    Dataset (node, r)."""
+    TWO co-partitions — ranks with edges on src to emit (dst, contrib)
+    messages, then a per-node sum on dst — never a driver-side graph;
+    ranks (one row per node) are materialized between iterations to
+    cut lineage. Returns a Dataset (node, r)."""
     import pandas as pd
 
     teleport = scale * (100 - d_pct) // 100
-
-    def tag_edges(b: dict) -> dict:
-        s = np.asarray(b["src"], dtype=np.int64)
-        return {"src": s, "dst": np.asarray(b["dst"], dtype=np.int64),
-                "_bk": _bucket(s, n_buckets)}
-
-    ed = edges.map_batches(tag_edges, batch_format="numpy",
-                           batch_size=65536).materialize()
 
     # outdegree, attached to each edge once (per-bucket, vectorized)
     def outdeg_join(g: pd.DataFrame) -> pd.DataFrame:
@@ -156,31 +121,26 @@ def pagerank(edges, iters: int = 5, scale: int = 1_000_000,
         g["out"] = g["out"].astype(np.int64)
         return g
 
-    edo = (ed.groupby("_bk")
-           .map_groups(outdeg_join, batch_format="pandas")
-           .materialize())
+    edo = co_partition(merged(edges, ["src", "dst"]), "src",
+                       outdeg_join).materialize()
 
     def node_rows(b: dict) -> dict:
         n = np.unique(np.concatenate(
             [np.asarray(b["src"], dtype=np.int64),
              np.asarray(b["dst"], dtype=np.int64)]))
-        return {"node": n, "_bk": _bucket(n, n_buckets)}
+        return {"node": n}
 
     def dedup_nodes(g: pd.DataFrame) -> pd.DataFrame:
         n = np.unique(g["node"].to_numpy(np.int64))
         return pd.DataFrame({"node": n})
 
-    nodes = (ed.map_batches(node_rows, batch_format="numpy",
-                            batch_size=65536)
-             .groupby("_bk").map_groups(
-                 lambda g: dedup_nodes(g.drop(columns=["_bk"])),
-                 batch_format="pandas")
-             .materialize())
+    nodes = co_partition(edo.map_batches(node_rows, batch_format="numpy",
+                                         batch_size=65536),
+                         "node", dedup_nodes).materialize()
 
     def init_ranks(b: dict) -> dict:
         n = np.asarray(b["node"], dtype=np.int64)
-        return {"node": n, "r": np.full(len(n), scale, dtype=np.int64),
-                "_bk": _bucket(n, n_buckets)}
+        return {"node": n, "r": np.full(len(n), scale, dtype=np.int64)}
 
     ranks = nodes.map_batches(init_ranks, batch_format="numpy",
                               batch_size=65536).materialize()
@@ -189,62 +149,51 @@ def pagerank(edges, iters: int = 5, scale: int = 1_000_000,
         n = np.asarray(b["node"], dtype=np.int64)
         return {"src": n, "dst": np.full(len(n), -1, dtype=np.int64),
                 "out": np.zeros(len(n), dtype=np.int64),
-                "r": np.asarray(b["r"], dtype=np.int64),
-                "_bk": np.asarray(b["_bk"], dtype=np.int64)}
+                "r": np.asarray(b["r"], dtype=np.int64)}
 
     def edge_msg_rows(b: dict) -> dict:
         return {"src": np.asarray(b["src"], dtype=np.int64),
                 "dst": np.asarray(b["dst"], dtype=np.int64),
                 "out": np.asarray(b["out"], dtype=np.int64),
-                "r": np.zeros(len(b["src"]), dtype=np.int64),
-                "_bk": np.asarray(b["_bk"], dtype=np.int64)}
+                "r": np.zeros(len(b["src"]), dtype=np.int64)}
 
     def contribs(g: pd.DataFrame) -> pd.DataFrame:
         """One src bucket: join this bucket's ranks onto its edges and
-        emit (node=dst, c=r//out) messages, re-bucketed by dst."""
+        emit (node=dst, c=r//out) messages."""
         lab = g[g["dst"] < 0][["src", "r"]]
         e = g[g["dst"] >= 0][["src", "dst", "out"]]
         m = e.merge(lab, on="src")
         c = (m["r"].to_numpy(np.int64)
              // np.maximum(m["out"].to_numpy(np.int64), 1))
-        d = m["dst"].to_numpy(np.int64)
-        return pd.DataFrame({"node": d, "c": c,
-                             "_bk": _bucket(d, n_buckets)})
+        return pd.DataFrame({"node": m["dst"].to_numpy(np.int64), "c": c})
 
     def zero_msgs(df: pd.DataFrame) -> pd.DataFrame:
         # pandas in/out so the union with the map_groups (pandas-block)
         # message dataset keeps one block type
         n = df["node"].to_numpy(np.int64)
         return pd.DataFrame({"node": n,
-                             "c": np.zeros(len(n), dtype=np.int64),
-                             "_bk": _bucket(n, n_buckets)})
+                             "c": np.zeros(len(n), dtype=np.int64)})
 
     def new_ranks(g: pd.DataFrame) -> pd.DataFrame:
         s = g.groupby("node", as_index=False)["c"].sum()
         n = s["node"].to_numpy(np.int64)
         r = teleport + d_pct * s["c"].to_numpy(np.int64) // 100
-        return pd.DataFrame({"node": n, "r": r,
-                             "_bk": _bucket(n, n_buckets)})
+        return pd.DataFrame({"node": n, "r": r})
 
     for _ in range(iters):
-        msgs = (ranks.map_batches(rank_msg_rows, batch_format="numpy",
-                                  batch_size=65536)
-                .union(edo.map_batches(edge_msg_rows,
-                                       batch_format="numpy",
-                                       batch_size=65536))
-                .groupby("_bk")
-                .map_groups(lambda g: contribs(g.drop(columns=["_bk"])),
-                            batch_format="pandas"))
+        msgs = co_partition(
+            [ranks.map_batches(rank_msg_rows, batch_format="numpy",
+                               batch_size=65536),
+             edo.map_batches(edge_msg_rows, batch_format="numpy",
+                             batch_size=65536)],
+            "src", contribs)
         # zero-in-degree nodes keep a row via zero messages
-        ranks = (msgs.union(nodes.map_batches(zero_msgs,
-                                              batch_format="pandas",
-                                              batch_size=65536))
-                 .groupby("_bk")
-                 .map_groups(lambda g: new_ranks(
-                     g.drop(columns=["_bk"])), batch_format="pandas")
-                 .materialize())
+        ranks = co_partition(
+            [msgs, nodes.map_batches(zero_msgs, batch_format="pandas",
+                                     batch_size=65536)],
+            "node", new_ranks).materialize()
 
-    return ranks.drop_columns(["_bk"])
+    return ranks
 
 
 def pagerank_numpy(src: np.ndarray, dst: np.ndarray, iters: int = 5,
@@ -290,8 +239,7 @@ def _pair_expand(sorted_src: np.ndarray, sorted_dst: np.ndarray):
     return np.minimum(a, b), np.maximum(a, b)
 
 
-def triangle_count(edges, n_buckets: int = 64,
-                   broadcast_cap: int = 5_000_000):
+def triangle_count(edges, broadcast_cap: int = 5_000_000):
     """Exact distributed triangle count (Suri & Vassilvitskii,
     WWW'11 node-iterator++): orient every edge from its lower-
     (degree, id) endpoint so out-degrees are O(sqrt(m)), generate
@@ -306,7 +254,7 @@ def triangle_count(edges, n_buckets: int = 64,
     sorted packed-key array and wedges close inside the generating
     task — the O(sum C(out,2)) wedge volume never crosses the wire.
     Above the cap, wedges compact per (pair) within each source
-    bucket and close in one hash-bucket co-partition. Fixed
+    bucket and close in one co-partition on the pair. Fixed
     exchanges either way: edge dedup, degree sum, degree attach x2,
     (+ wedge close above cap) — each ships int rows only."""
     import pandas as pd
@@ -316,16 +264,14 @@ def triangle_count(edges, n_buckets: int = 64,
         v = np.asarray(b["v"], dtype=np.int64)
         keep = u != v
         u, v = u[keep], v[keep]
-        lo, hi = np.minimum(u, v), np.maximum(u, v)
-        return {"u": lo, "v": hi, "_bk": _bucket(lo * 31 + hi, n_buckets)}
+        return {"u": np.minimum(u, v), "v": np.maximum(u, v)}
 
     def dedup(g: pd.DataFrame) -> pd.DataFrame:
-        return g.drop_duplicates(subset=["u", "v"])[["u", "v"]]
+        return g.drop_duplicates(subset=["u", "v"])
 
-    E = (edges.map_batches(canon, batch_format="numpy",
-                           batch_size=65536)
-         .groupby("_bk").map_groups(dedup, batch_format="pandas")
-         .materialize())
+    E = co_partition(edges.map_batches(canon, batch_format="numpy",
+                                       batch_size=65536),
+                     ["u", "v"], dedup).materialize()
     n_edges = E.count()
 
     if 0 < n_edges <= broadcast_cap:
@@ -359,8 +305,7 @@ def triangle_count(edges, n_buckets: int = 64,
                 u_first = (du < dv) | ((du == dv) & (u < v))
                 src = np.where(u_first, u, v)
                 dst = np.where(u_first, v, u)
-                return {"src": src, "dst": dst,
-                        "_bk": _bucket(src, n_buckets)}
+                return {"src": src, "dst": dst}
 
             def close_local(g: pd.DataFrame) -> pd.DataFrame:
                 s = g["src"].to_numpy(np.int64)
@@ -377,13 +322,10 @@ def triangle_count(edges, n_buckets: int = 64,
                 hits = int((ks[pos] == wk).sum())
                 return pd.DataFrame({"t": [np.int64(hits)]})
 
-            parts = (E.map_batches(orient_b, batch_format="numpy",
-                                   batch_size=65536)
-                     .groupby("_bk")
-                     .map_groups(lambda g: close_local(
-                         g.drop(columns=["_bk"])),
-                         batch_format="pandas")
-                     .to_pandas())
+            parts = co_partition(
+                E.map_batches(orient_b, batch_format="numpy",
+                              batch_size=65536),
+                "src", close_local).to_pandas()
             n_tri = int(parts["t"].sum()) if len(parts) else 0
             return pd.DataFrame({"n_nodes": [np.int64(n_nodes)],
                                  "n_edges": [np.int64(n_edges)],
@@ -394,19 +336,14 @@ def triangle_count(edges, n_buckets: int = 64,
         n, c = np.unique(np.concatenate(
             [np.asarray(b["u"], np.int64),
              np.asarray(b["v"], np.int64)]), return_counts=True)
-        return {"node": n, "deg": c.astype(np.int64),
-                "_bk": _bucket(n, n_buckets)}
+        return {"node": n, "deg": c.astype(np.int64)}
 
     def deg_sum(g: pd.DataFrame) -> pd.DataFrame:
-        s = g.groupby("node", as_index=False)["deg"].sum()
-        return s
+        return g.groupby("node", as_index=False)["deg"].sum()
 
-    deg = (E.map_batches(deg_partial, batch_format="numpy",
-                         batch_size=65536)
-           .groupby("_bk").map_groups(
-               lambda g: deg_sum(g.drop(columns=["_bk"])),
-               batch_format="pandas")
-           .materialize())
+    deg = co_partition(E.map_batches(deg_partial, batch_format="numpy",
+                                     batch_size=65536),
+                       "node", deg_sum).materialize()
     n_nodes = deg.count()
 
     # attach deg(u) then deg(v) via two co-partitions
@@ -417,7 +354,6 @@ def triangle_count(edges, n_buckets: int = 64,
             df["_side"] = np.int64(1)
             df["node"] = df[col]
             df["deg"] = np.int64(0)
-            df["_bk"] = _bucket(df[col].to_numpy(), n_buckets)
             return df
 
         def tag_d(b: dict) -> pd.DataFrame:
@@ -428,12 +364,11 @@ def triangle_count(edges, n_buckets: int = 64,
             df["_side"] = np.int64(0)
             df["node"] = np.asarray(b["node"], np.int64)
             df["deg"] = np.asarray(b["deg"], np.int64)
-            df["_bk"] = _bucket(df["node"].to_numpy(), n_buckets)
             return df
 
         def join(g: pd.DataFrame) -> pd.DataFrame:
             d = g[g["_side"] == 0][["node", "deg"]]
-            e = g[g["_side"] == 1].drop(columns=["deg", "_side", "_bk"])
+            e = g[g["_side"] == 1].drop(columns=["deg", "_side"])
             m = e.merge(d, on="node").drop(columns=["node"])
             return m.rename(columns={"deg": out})
 
@@ -443,12 +378,10 @@ def triangle_count(edges, n_buckets: int = 64,
     for col, out, ecols in (("u", "du", ["u", "v"]),
                             ("v", "dv", ["u", "v", "du"])):
         tag_e, tag_d, join = attach(col, out, ecols)
-        cur = (cur.map_batches(tag_e, batch_format="numpy",
-                               batch_size=65536)
-               .union(deg.map_batches(tag_d, batch_format="numpy",
-                                      batch_size=65536))
-               .groupby("_bk").map_groups(join, batch_format="pandas")
-               .materialize())
+        cur = co_partition(
+            [cur.map_batches(tag_e, batch_format="numpy", batch_size=65536),
+             deg.map_batches(tag_d, batch_format="numpy", batch_size=65536)],
+            "node", join).materialize()
 
     # orient from lower (deg, id); generate wedges per source bucket
     def orient(b: dict) -> dict:
@@ -459,8 +392,7 @@ def triangle_count(edges, n_buckets: int = 64,
         u_first = (du < dv) | ((du == dv) & (u < v))
         src = np.where(u_first, u, v)
         dst = np.where(u_first, v, u)
-        return {"src": src, "dst": dst,
-                "_bk": _bucket(src, n_buckets)}
+        return {"src": src, "dst": dst}
 
     oriented = cur.map_batches(orient, batch_format="numpy",
                                batch_size=65536)
@@ -476,20 +408,15 @@ def triangle_count(edges, n_buckets: int = 64,
         df = df.groupby(["u", "v"], as_index=False, sort=False).size()
         df = df.rename(columns={"size": "_c"})
         df["_c"] = df["_c"].astype(np.int64)
-        df["_bk"] = _bucket(df["u"].to_numpy() * 31
-                            + df["v"].to_numpy(), n_buckets)
         return df
 
-    W = (oriented.groupby("_bk").map_groups(
-        lambda g: wedges(g.drop(columns=["_bk"])),
-        batch_format="pandas"))
+    W = co_partition(oriented, "src", wedges)
 
     def edge_rows(b: dict) -> pd.DataFrame:
         u = np.asarray(b["u"], np.int64)
         v = np.asarray(b["v"], np.int64)
         return pd.DataFrame({"u": u, "v": v,
-                             "_c": np.zeros(len(u), dtype=np.int64),
-                             "_bk": _bucket(u * 31 + v, n_buckets)})
+                             "_c": np.zeros(len(u), dtype=np.int64)})
 
     def close(g: pd.DataFrame) -> pd.DataFrame:
         e = g[g["_c"] == 0][["u", "v"]]
@@ -500,10 +427,10 @@ def triangle_count(edges, n_buckets: int = 64,
                     how="inner")
         return pd.DataFrame({"t": [np.int64(m["_c"].sum())]})
 
-    parts = (W.union(E.map_batches(edge_rows, batch_format="pandas",
-                                   batch_size=65536))
-             .groupby("_bk").map_groups(close, batch_format="pandas")
-             .to_pandas())
+    parts = co_partition(
+        [W, E.map_batches(edge_rows, batch_format="pandas",
+                          batch_size=65536)],
+        ["u", "v"], close).to_pandas()
     n_tri = int(parts["t"].sum()) if len(parts) else 0
     return pd.DataFrame({"n_nodes": [np.int64(n_nodes)],
                          "n_edges": [np.int64(n_edges)],
@@ -534,15 +461,14 @@ def bfs_numpy(src: np.ndarray, dst: np.ndarray, source: int,
                            dtype=np.int64)
 
 
-def bfs_hops(edges, source: int, max_hops: int = 6,
-             n_buckets: int = 32):
+def bfs_hops(edges, source: int, max_hops: int = 6):
     """Exact hop distances from `source` for every node within
     `max_hops`, over an undirected edge Dataset with int64 columns
     `a`, `b`. BFS as iterative min-message dataflow: each hop unions
     the current (node, dist) table with (dst, dist+1) messages sent
     along edges co-partitioned with their source node, then takes the
-    per-node min — the same two-bucketed-all-to-alls-per-iteration
-    shape as connected_components, O(max_hops) rounds, never a
+    per-node min — the same two-co-partitions-per-iteration shape as
+    connected_components, O(max_hops) rounds, never a
     driver-side graph. A node first reached at round t has true
     distance t (unit weights), so after H rounds the table is exactly
     {(v, d(v)) : d(v) <= H}. Early exit when a round adds no rows and
@@ -553,10 +479,8 @@ def bfs_hops(edges, source: int, max_hops: int = 6,
     def both_dirs(b: dict) -> dict:
         a = np.asarray(b["a"], dtype=np.int64)
         bb = np.asarray(b["b"], dtype=np.int64)
-        src = np.concatenate([a, bb])
-        return {"src": src,
-                "dst": np.concatenate([bb, a]),
-                "_bk": _bucket(src, n_buckets)}
+        return {"src": np.concatenate([a, bb]),
+                "dst": np.concatenate([bb, a])}
 
     edb = edges.map_batches(both_dirs, batch_format="numpy",
                             batch_size=65536).materialize()
@@ -565,8 +489,7 @@ def bfs_hops(edges, source: int, max_hops: int = 6,
 
     dists = ray.data.from_pandas(pd.DataFrame({
         "node": np.array([source], dtype=np.int64),
-        "dist": np.array([0], dtype=np.int64),
-        "_bk": _bucket(np.array([source]), n_buckets)}))
+        "dist": np.array([0], dtype=np.int64)}))
 
     def propagate(g: pd.DataFrame) -> pd.DataFrame:
         lab = g[g["dst"].isna()][["node", "dist"]]
@@ -578,10 +501,7 @@ def bfs_hops(edges, source: int, max_hops: int = 6,
             pd.DataFrame({"node": m["dst"].to_numpy(np.int64),
                           "dist": m["dist"].to_numpy(np.int64) + 1}),
         ], ignore_index=True)
-        out = out.groupby("node", as_index=False)["dist"].min()
-        out["dist"] = out["dist"].astype(np.int64)
-        out["_bk"] = _bucket(out["node"].to_numpy(), n_buckets)
-        return out
+        return min_per_node(out)
 
     def min_per_node(g: pd.DataFrame) -> pd.DataFrame:
         out = g.groupby("node", as_index=False)["dist"].min()
@@ -593,47 +513,37 @@ def bfs_hops(edges, source: int, max_hops: int = 6,
         def dist_rows(b: dict) -> dict:
             return {"node": np.asarray(b["node"], dtype=np.int64),
                     "dst": np.full(len(b["node"]), np.nan),
-                    "dist": np.asarray(b["dist"], dtype=np.int64),
-                    "_bk": np.asarray(b["_bk"], dtype=np.int64)}
+                    "dist": np.asarray(b["dist"], dtype=np.int64)}
 
         def edge_rows(b: dict) -> dict:
             return {"node": np.asarray(b["src"], dtype=np.int64),
                     "dst": np.asarray(b["dst"], dtype=np.float64),
-                    "dist": np.zeros(len(b["src"]), dtype=np.int64),
-                    "_bk": np.asarray(b["_bk"], dtype=np.int64)}
+                    "dist": np.zeros(len(b["src"]), dtype=np.int64)}
 
-        mixed = (dists.map_batches(dist_rows, batch_format="numpy",
-                                   batch_size=65536)
-                 .union(edb.map_batches(edge_rows,
-                                        batch_format="numpy",
-                                        batch_size=65536)))
-        # propagate emits per-bucket rows keyed by DESTINATION bucket;
-        # a second bucketed min merges messages that crossed buckets
-        nxt = (mixed.groupby("_bk")
-               .map_groups(lambda g: propagate(
-                   g.drop(columns=["_bk"])), batch_format="pandas")
-               .groupby("_bk")
-               .map_groups(lambda g: min_per_node(g)
-                           .assign(_bk=g["_bk"].iloc[0]),
-                           batch_format="pandas")
-               .materialize())
+        mixed = [dists.map_batches(dist_rows, batch_format="numpy",
+                                   batch_size=65536),
+                 edb.map_batches(edge_rows, batch_format="numpy",
+                                 batch_size=65536)]
+        # propagate emits per-bucket rows keyed by DESTINATION node; a
+        # second co-partition merges messages that crossed buckets
+        nxt = co_partition(co_partition(mixed, "node", propagate),
+                           "node", min_per_node).materialize()
         stat = nxt.aggregate(Count(), Sum("dist", alias_name="s"))
         cur = (stat["count()"], stat["s"])
         dists = nxt
         if prev is not None and cur == prev:
             break
         prev = cur
-    return dists.drop_columns(["_bk"])
+    return dists
 
 
-def sssp_hops(edges, source: int, max_rounds: int = 4,
-              n_buckets: int = 32):
+def sssp_hops(edges, source: int, max_rounds: int = 4):
     """Bounded-round single-source shortest paths over an undirected
     weighted edge Dataset (int64 columns `a`, `b`, `w`, w >= 0):
     Bellman-Ford as iterative min-plus message dataflow — each round
     relaxes every edge whose source node holds a distance, takes the
     per-node min of old distances and (dist[src] + w) messages, with
-    the same two-bucketed-all-to-alls-per-round shape as bfs_hops.
+    the same two-co-partitions-per-round shape as bfs_hops.
     After H rounds the table holds exactly {(v, min over <=H-edge
     paths of total weight)} — the bounded-hop min-plus semiring power,
     which a recursive-CTE oracle reproduces. Early exit on monotone
@@ -646,19 +556,16 @@ def sssp_hops(edges, source: int, max_rounds: int = 4,
         a = np.asarray(b["a"], dtype=np.int64)
         bb = np.asarray(b["b"], dtype=np.int64)
         w = np.asarray(b["w"], dtype=np.int64)
-        src = np.concatenate([a, bb])
-        return {"src": src,
+        return {"src": np.concatenate([a, bb]),
                 "dst": np.concatenate([bb, a]),
-                "w": np.concatenate([w, w]),
-                "_bk": _bucket(src, n_buckets)}
+                "w": np.concatenate([w, w])}
 
     edb = edges.map_batches(both_dirs, batch_format="numpy",
                             batch_size=65536).materialize()
 
     dists = ray.data.from_pandas(pd.DataFrame({
         "node": np.array([source], dtype=np.int64),
-        "dist": np.array([0], dtype=np.int64),
-        "_bk": _bucket(np.array([source]), n_buckets)}))
+        "dist": np.array([0], dtype=np.int64)}))
 
     def propagate(g: pd.DataFrame) -> pd.DataFrame:
         lab = g[g["dst"].isna()][["node", "dist"]]
@@ -671,10 +578,7 @@ def sssp_hops(edges, source: int, max_rounds: int = 4,
                           "dist": m["dist"].to_numpy(np.int64)
                           + m["w"].to_numpy(np.int64)}),
         ], ignore_index=True)
-        out = out.groupby("node", as_index=False)["dist"].min()
-        out["dist"] = out["dist"].astype(np.int64)
-        out["_bk"] = _bucket(out["node"].to_numpy(), n_buckets)
-        return out
+        return min_per_node(out)
 
     def min_per_node(g: pd.DataFrame) -> pd.DataFrame:
         out = g.groupby("node", as_index=False)["dist"].min()
@@ -687,33 +591,24 @@ def sssp_hops(edges, source: int, max_rounds: int = 4,
             return {"node": np.asarray(b["node"], dtype=np.int64),
                     "dst": np.full(len(b["node"]), np.nan),
                     "w": np.zeros(len(b["node"]), dtype=np.int64),
-                    "dist": np.asarray(b["dist"], dtype=np.int64),
-                    "_bk": np.asarray(b["_bk"], dtype=np.int64)}
+                    "dist": np.asarray(b["dist"], dtype=np.int64)}
 
         def edge_rows(b: dict) -> dict:
             return {"node": np.asarray(b["src"], dtype=np.int64),
                     "dst": np.asarray(b["dst"], dtype=np.float64),
                     "w": np.asarray(b["w"], dtype=np.int64),
-                    "dist": np.zeros(len(b["src"]), dtype=np.int64),
-                    "_bk": np.asarray(b["_bk"], dtype=np.int64)}
+                    "dist": np.zeros(len(b["src"]), dtype=np.int64)}
 
-        mixed = (dists.map_batches(dist_rows, batch_format="numpy",
-                                   batch_size=65536)
-                 .union(edb.map_batches(edge_rows,
-                                        batch_format="numpy",
-                                        batch_size=65536)))
-        nxt = (mixed.groupby("_bk")
-               .map_groups(lambda g: propagate(
-                   g.drop(columns=["_bk"])), batch_format="pandas")
-               .groupby("_bk")
-               .map_groups(lambda g: min_per_node(g)
-                           .assign(_bk=g["_bk"].iloc[0]),
-                           batch_format="pandas")
-               .materialize())
+        mixed = [dists.map_batches(dist_rows, batch_format="numpy",
+                                   batch_size=65536),
+                 edb.map_batches(edge_rows, batch_format="numpy",
+                                 batch_size=65536)]
+        nxt = co_partition(co_partition(mixed, "node", propagate),
+                           "node", min_per_node).materialize()
         stat = nxt.aggregate(Count(), Sum("dist", alias_name="s"))
         cur = (stat["count()"], stat["s"])
         dists = nxt
         if prev is not None and cur == prev:
             break
         prev = cur
-    return dists.drop_columns(["_bk"])
+    return dists

@@ -4,7 +4,8 @@ geo-analytics pipeline runs over tile counts).
 
 Scale shape: the counts table (one row per occupied cell) scatters
 each row to its home cell (home=1) and its 8 ring cells as a ghost —
-ONE hash-bucket all-to-all of (x, y, n) triples, 9x replicated; each
+ONE `exchange.co_partition` of (x, y, n) triples on the cell, 9x
+replicated; each
 cell group compares its home count against the max ghost count. The
 exchange is bounded by OCCUPIED cells, never points.
 """
@@ -14,14 +15,13 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 
-from ._hash import stable_u64
+from proj_ray.exchange import co_partition
 
 __all__ = ["local_max_cells"]
 
 
 def local_max_cells(counts_ds, x_col: str, y_col: str, n_col: str,
-                    min_count: int = 1,
-                    n_buckets: int = 64) -> pd.DataFrame:
+                    min_count: int = 1) -> pd.DataFrame:
     """-> pandas (x_col, y_col, n_col) rows whose count is >=
     `min_count` and STRICTLY greater than every 8-neighbor count
     (absent neighbors count 0), sorted by (x, y)."""
@@ -37,11 +37,7 @@ def local_max_cells(counts_ds, x_col: str, y_col: str, n_col: str,
                     "_x": x + dx, "_y": y + dy, "_n": n,
                     "_home": np.full(len(x), np.int64(
                         1 if dx == 0 and dy == 0 else 0))}))
-        out = pd.concat(rows, ignore_index=True)
-        out["_bk"] = (stable_u64(out["_x"].to_numpy() * 1_048_573
-                                 + out["_y"].to_numpy())
-                      % np.uint64(n_buckets)).astype(np.int64)
-        return out
+        return pd.concat(rows, ignore_index=True)
 
     def compare(g: pd.DataFrame) -> pd.DataFrame:
         # home count and max ghost count per cell, both vectorized
@@ -57,11 +53,9 @@ def local_max_cells(counts_ds, x_col: str, y_col: str, n_col: str,
                              y_col: out["_y"].astype(np.int64),
                              n_col: out["hn"].astype(np.int64)})
 
-    parts = (counts_ds.map_batches(scatter, batch_format="numpy")
-             .groupby("_bk")
-             .map_groups(lambda g: compare(g.drop(columns=["_bk"])),
-                         batch_format="pandas")
-             .to_pandas())
+    parts = co_partition(counts_ds.map_batches(scatter,
+                                               batch_format="numpy"),
+                         ["_x", "_y"], compare).to_pandas()
     if not len(parts):
         return pd.DataFrame({c: pd.Series([], dtype=np.int64)
                              for c in (x_col, y_col, n_col)})
@@ -72,13 +66,13 @@ _HEX_DIRS = ((1, 0), (-1, 0), (0, 1), (0, -1), (1, -1), (-1, 1))
 
 
 def hex_smooth(counts_ds, q_col: str = "hq", r_col: str = "hr",
-               n_col: str = "n", n_buckets: int = 64) -> pd.DataFrame:
+               n_col: str = "n") -> pd.DataFrame:
     """Sparse stencil smoothing on an axial hex grid: each OCCUPIED
     cell's smoothed count is (6*own + sum of its 6 axial neighbours'
     counts) // 12 (absent neighbours count 0) — the hex analogue of a
     box blur, run as the local_max_cells scatter: every counts row
     ships to its home cell (weight 6) and 6 ghosts (weight 1), ONE
-    hash-bucket all-to-all of 7x-replicated (q, r, w*n) triples, and
+    co-partition of 7x-replicated (q, r, w*n) triples on the cell, and
     only cells that received a home row emit output. The exchange is
     bounded by occupied cells, never points.
 
@@ -94,12 +88,7 @@ def hex_smooth(counts_ds, q_col: str = "hq", r_col: str = "hr",
             rows.append(pd.DataFrame({
                 "_q": q + dq, "_r": r + dr, "_w": n,
                 "_own": np.zeros(len(q), np.int64)}))
-        out = pd.concat(rows, ignore_index=True)
-        out["_bk"] = (stable_u64(
-            out["_q"].to_numpy(np.int64) * np.int64(1_000_003)
-            + out["_r"].to_numpy(np.int64))
-            % np.uint64(n_buckets)).astype(np.int64)
-        return out
+        return pd.concat(rows, ignore_index=True)
 
     def combine(g: pd.DataFrame) -> pd.DataFrame:
         agg = g.groupby(["_q", "_r"], as_index=False).agg(
@@ -112,12 +101,9 @@ def hex_smooth(counts_ds, q_col: str = "hq", r_col: str = "hr",
             "sm": (agg["tot"].to_numpy(np.int64) // 12),
         })
 
-    out = (counts_ds.map_batches(scatter, batch_format="numpy",
-                                 batch_size=65536)
-           .groupby("_bk")
-           .map_groups(lambda g: combine(g.drop(columns=["_bk"])),
-                       batch_format="pandas")
-           .to_pandas())
+    out = co_partition(counts_ds.map_batches(scatter, batch_format="numpy",
+                                             batch_size=65536),
+                       ["_q", "_r"], combine).to_pandas()
     out = out.rename(columns={"q": q_col, "r": r_col, "n": n_col})
     return out.sort_values([q_col, r_col], kind="stable",
                            ignore_index=True)

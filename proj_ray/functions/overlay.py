@@ -11,7 +11,7 @@ Scale shape (PBSM — partition-based spatial merge join)
 -------------------------------------------------------
 Both sides are flat-mapped onto the cells of a fixed grid that their
 bbox covers (replication factor bounded by extent / cell_size), then
-ONE co-partitioned all-to-all (groupby cell) pairs candidates
+ONE `exchange.co_partition` on the cell pairs candidates
 per-cell with a vectorized bbox test. A pair whose rectangles overlap
 in k > 1 cells would be emitted k times; the REFERENCE-POINT rule
 dedups exactly without a distinct shuffle: the pair is reported only
@@ -36,6 +36,9 @@ DuckDB cross-join oracle reproduces the pair set and areas exactly.
 from __future__ import annotations
 
 import numpy as np
+
+from proj_ray.dsutil import merged
+from proj_ray.exchange import co_partition
 
 
 def _to_fixed(v, scale: int) -> np.ndarray:
@@ -150,8 +153,7 @@ def rect_overlay_join(left, right, left_id: str, right_id: str,
                       cols=("x0", "y0", "x1", "y1"),
                       scale: int = 1000, cell_deg: float = 4.0,
                       broadcast_rows_cap: int = 2_000_000,
-                      force: str | None = None,
-                      n_partitions: int = 64):
+                      force: str | None = None):
     """Rectangle intersection-area join: every (left, right) pair of
     STRICTLY overlapping rectangles with the intersection area in
     scaled-integer units (area = dx * dy in (coord * scale)^2 units).
@@ -207,7 +209,7 @@ def rect_overlay_join(left, right, left_id: str, right_id: str,
             probe, batch_format="numpy", batch_size=8192)
 
     # ---- partitioned (PBSM): flat-map both sides to covered cells,
-    # ONE co-partitioned all-to-all on a HASH BUCKET of the cell (not
+    # ONE `exchange.co_partition` on the cell (a bucket of cells, not
     # the raw cell — thousands of tiny map_groups would pay per-group
     # scheduling; a cell never splits across buckets so the per-cell
     # reference-point dedup stays exact), then a grouped-starts
@@ -219,9 +221,8 @@ def rect_overlay_join(left, right, left_id: str, right_id: str,
             b = fixed(batch, idc)
             row, cx, cy = _covered_cells(b["x0"], b["y0"], b["x1"],
                                          b["y1"], cell)
-            bk = ((cx * 73856093) ^ (cy * 19349663)) % n_partitions
             return pd.DataFrame({
-                "_bk": bk, "_cx": cx, "_cy": cy,
+                "_cx": cx, "_cy": cy,
                 "_side": np.full(len(row), side_val, dtype=np.int8),
                 "id": b["id"][row],
                 "x0": b["x0"][row], "y0": b["y0"][row],
@@ -270,15 +271,12 @@ def rect_overlay_join(left, right, left_id: str, right_id: str,
             right_id: np.concatenate([o[1] for o in out]),
             "area": np.concatenate([o[2] for o in out])})
 
-    return (lexp.union(rexp)
-            .groupby("_bk")
-            .map_groups(per_bucket, batch_format="pandas"))
+    return co_partition([lexp, rexp], ["_cx", "_cy"], per_bucket)
 
 
 def segment_crossings(ds, key_col: str, order_cols,
                       lon_col: str, lat_col: str,
-                      fences, scale: int = 1000,
-                      n_buckets: int = 64):
+                      fences, scale: int = 1000):
     """Per-key trajectory-vs-fence crossing count: order each key's
     points by `order_col`, form consecutive legs, and count PROPER
     intersections (each segment strictly straddles the other's
@@ -304,15 +302,6 @@ def segment_crossings(ds, key_col: str, order_cols,
     fx0, fy0, fx1, fy1 = (_to_fixed(a, scale) for a in fences)
     fref = ray.put((fx0, fy0, fx1, fy1))
     need = list(dict.fromkeys([key_col, *order_cols, lon_col, lat_col]))
-
-    def tag(batch):
-        df = pd.DataFrame({c: np.asarray(batch[c]) for c in need})
-        k = np.asarray(batch[key_col])
-        if not np.issubdtype(k.dtype, np.integer):
-            k = pd.util.hash_array(k)
-        df["_bk"] = (k.astype(np.int64) % n_buckets + n_buckets) \
-            % n_buckets
-        return df
 
     def cross(group: pd.DataFrame) -> pd.DataFrame:
         gx0, gy0, gx1, gy1 = ray.get(fref)
@@ -353,8 +342,4 @@ def segment_crossings(ds, key_col: str, order_cols,
                              "fence": agg["fence"].to_numpy(np.int64),
                              "n_cross": agg["size"].to_numpy(np.int64)})
 
-    return (ds.select_columns(need)
-            .map_batches(tag, batch_format="numpy", batch_size=65536)
-            .groupby("_bk")
-            .map_groups(lambda g: cross(g.drop(columns=["_bk"])),
-                        batch_format="pandas"))
+    return co_partition(merged(ds, need), key_col, cross)

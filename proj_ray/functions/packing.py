@@ -7,13 +7,14 @@ is the reference's pipeline stage chaining in
 `src/pipeline.cpp` — a strictly ordered composition).
 
 Scale shape — a distributed prefix sum:
-  pass 1  docs -> coarse id-range buckets; per-bucket token SUMS only
-          cross the wire (one tiny groupby over ~`n_buckets` rows).
-  driver  cumulative sum of the per-bucket sums -> bucket start
-          offsets (an `n_buckets`-element vector, broadcast).
-  pass 2  one co-partition on the bucket id; inside each bucket the
-          docs sort locally by id, take the bucket offset + local
-          cumsum, and emit (seq_id, doc) overlap rows.
+  pass 1  docs -> coarse id ranges; per-range token SUMS only cross
+          the wire (one tiny co-partition over one row per range and
+          block).
+  driver  cumulative sum of the per-range sums -> range start
+          offsets (one entry per range, broadcast).
+  pass 2  one `exchange.co_partition` on the range id; inside each
+          bucket the docs sort locally by id, take their range's
+          offset + local cumsum, and emit (seq_id, doc) overlap rows.
   pass 3  per-sequence aggregation of the overlap rows (seq_id is
           dense -> bounded groupby).
 Only (bucket, sum) partials and (seq, doc-span) rows shuffle; the text
@@ -24,6 +25,8 @@ from __future__ import annotations
 
 import numpy as np
 import pandas as pd
+
+from proj_ray.exchange import co_partition
 
 __all__ = ["pack_sequences"]
 
@@ -46,40 +49,41 @@ def pack_sequences(ds, id_col: str, text_col: str, seq_len: int,
         keep = t > 0
         ids, t = ids[keep], t[keep]
         return pd.DataFrame({
-            "_doc": ids, "_tok": t, "_bk": ids // bucket_size})
+            "_doc": ids, "_tok": t, "_rng": ids // bucket_size})
 
     tok = ds.map_batches(toks, batch_format="pandas",
                          batch_size=batch_size)
 
-    # pass 1: per-bucket token sums (tiny — one row per bucket per
-    # block before the combine, one row per bucket after)
-    def bucket_partial(df: pd.DataFrame) -> pd.DataFrame:
-        g = df.groupby("_bk", sort=False)["_tok"].sum().reset_index()
-        return pd.DataFrame({"_bk": g["_bk"].to_numpy(np.int64),
-                             "_s": g["_tok"].to_numpy(np.int64)})
+    # pass 1: per-range token sums (tiny — one row per range per block
+    # before the combine, one row per range after)
+    def range_sums(df: pd.DataFrame) -> pd.DataFrame:
+        g = df.groupby("_rng", as_index=False)["_tok"].sum()
+        return pd.DataFrame({"_rng": g["_rng"].to_numpy(np.int64),
+                             "_tok": g["_tok"].to_numpy(np.int64)})
 
-    sums = (tok.map_batches(bucket_partial, batch_format="pandas")
-               .groupby("_bk")
-               .map_groups(lambda d: pd.DataFrame(
-                   {"_bk": [d["_bk"].iloc[0]],
-                    "_s": [np.int64(d["_s"].sum())]}),
-                   batch_format="pandas")
-               .to_pandas())  # n_buckets rows — driver-small by design
-    sums = sums.sort_values("_bk").reset_index(drop=True)
-    bks = sums["_bk"].to_numpy(np.int64)
+    sums = co_partition(
+        tok.map_batches(range_sums, batch_format="pandas"), "_rng",
+        range_sums).to_pandas()  # one row per range — driver-small
+    sums = sums.sort_values("_rng").reset_index(drop=True)
     offsets = np.concatenate(
-        [[0], np.cumsum(sums["_s"].to_numpy(np.int64))[:-1]])
-    off_map = dict(zip(bks.tolist(), offsets.tolist()))
+        [[0], np.cumsum(sums["_tok"].to_numpy(np.int64))[:-1]])
+    off_map = dict(zip(sums["_rng"].tolist(), offsets.tolist()))
 
-    # pass 2: co-partition on bucket; local sort + offset; emit one row
-    # per (sequence, doc) overlap. A doc of t tokens overlaps at most
-    # t // seq_len + 1 sequences, so the fan-out is bounded by the
+    # pass 2: co-partition on the range; local sort + offset; emit one
+    # row per (sequence, doc) overlap. A doc of t tokens overlaps at
+    # most t // seq_len + 1 sequences, so the fan-out is bounded by the
     # token count, not quadratic.
     def emit(group: pd.DataFrame) -> pd.DataFrame:
-        g = group.sort_values("_doc")
+        g = group.sort_values("_doc")  # ranges are contiguous in _doc
         docs = g["_doc"].to_numpy(np.int64)
         t = g["_tok"].to_numpy(np.int64)
-        end = off_map[int(g["_bk"].iloc[0])] + np.cumsum(t)
+        rng = g["_rng"].to_numpy(np.int64)
+        new = np.r_[True, rng[1:] != rng[:-1]]
+        seg = np.cumsum(new) - 1
+        cs = np.cumsum(t)
+        base = np.array([off_map[r] for r in rng[new].tolist()],
+                        dtype=np.int64) - (cs - t)[new]
+        end = base[seg] + cs
         start = end - t
         s0 = start // seq_len
         s1 = (end - 1) // seq_len
@@ -92,7 +96,7 @@ def pack_sequences(ds, id_col: str, text_col: str, seq_len: int,
         return pd.DataFrame({"seq_id": seq, "_doc": doc_r,
                              "_fill": hi - lo})
 
-    overlaps = tok.groupby("_bk").map_groups(emit, batch_format="pandas")
+    overlaps = co_partition(tok, "_rng", emit)
 
     def seq_agg(g: pd.DataFrame) -> pd.DataFrame:
         return pd.DataFrame({

@@ -109,7 +109,7 @@ def top_percentile_filter(ds, id_cols: list, value_col: str,
 
 
 def weighted_median(ds, group_col: str, value_col: str,
-                    weight_col: str, n_buckets: int = 64):
+                    weight_col: str):
     """Exact lower weighted median per group over integer values and
     weights: the smallest v with 2 * cumweight(v) >= total weight —
     the rule SQL mirrors as the first qualifying row of a cumulative
@@ -117,21 +117,20 @@ def weighted_median(ds, group_col: str, value_col: str,
 
     Scale shape: each block pre-combines to (group, value, weight)
     partials (bounded by the block's distinct (group, value) pairs —
-    tiny for bounded value domains); the single all-to-all groups by
-    a hash bucket of the GROUP, so whole groups co-locate and the
+    tiny for bounded value domains); the single
+    `exchange.co_partition` on the GROUP co-locates whole groups, and
+    the
     per-group pass is one sort + cumsum + searchsorted."""
     import pandas as pd
 
-    from ._hash import stable_mod
+    from proj_ray.exchange import co_partition
 
     def partial(b: dict) -> dict:
         df = pd.DataFrame({
             "g": np.asarray(b[group_col]),
             "v": np.asarray(b[value_col]).astype(np.int64),
             "w": np.asarray(b[weight_col]).astype(np.int64)})
-        out = df.groupby(["g", "v"], as_index=False)["w"].sum()
-        out["_bk"] = stable_mod(out["g"].to_numpy(), n_buckets)
-        return out
+        return df.groupby(["g", "v"], as_index=False)["w"].sum()
 
     def med(g: pd.DataFrame) -> pd.DataFrame:
         rows = []
@@ -146,13 +145,10 @@ def weighted_median(ds, group_col: str, value_col: str,
         return pd.DataFrame(rows, columns=[group_col, "wmedian",
                                            "total_w"])
 
-    out = (ds.select_columns([group_col, value_col, weight_col])
-           .map_batches(partial, batch_format="numpy",
-                        batch_size=65536)
-           .groupby("_bk")
-           .map_groups(lambda g: med(g.drop(columns=["_bk"])),
-                       batch_format="pandas")
-           .to_pandas())
+    out = co_partition(ds.select_columns([group_col, value_col, weight_col])
+                       .map_batches(partial, batch_format="numpy",
+                                    batch_size=65536),
+                       "g", med).to_pandas()
     for c in ("wmedian", "total_w"):
         out[c] = out[c].astype(np.int64)
     return out.sort_values(group_col, kind="stable",

@@ -5,8 +5,8 @@ Ripley's K (q160) and the Knox space-time statistic (q161).
 Scale shape (PBSM, Patel & DeWitt SIGMOD'96, as q71's overlay join):
 every point replicates to its 3x3 neighborhood of `cell`-sized grid
 cells (cell >= max radius, so every qualifying pair co-locates in at
-least the reference cell), ONE hash-bucket all-to-all co-partitions
-homes with ghosts, and each pair counts exactly once at the cell of
+least the reference cell), ONE `exchange.co_partition` on the cell brings
+homes and ghosts together, and each pair counts exactly once at the cell of
 its lexicographically-smaller endpoint (reference-point rule). The
 per-cell kernel is one (homes x members) vectorized comparison; only
 (x, y[, t]) int rows ever cross the wire.
@@ -19,13 +19,14 @@ from __future__ import annotations
 
 import numpy as np
 
+from proj_ray.exchange import co_partition
+
 
 def pair_counts_within(points, radii, cell: int,
                        x_col: str = "x", y_col: str = "y",
                        id_col: str = "pid",
                        time_col: str | None = None,
-                       tau: int | None = None,
-                       n_buckets: int = 64):
+                       tau: int | None = None):
     """Count unordered point pairs with squared planar distance
     <= r^2 for each r in `radii` (all r <= cell). With `time_col` +
     `tau`, also count the subset with |t_i - t_j| <= tau (the Knox
@@ -57,11 +58,7 @@ def pair_counts_within(points, radii, cell: int,
                 f["tcy"] = cy + oy
                 f["home"] = np.full(len(x), ox == 0 and oy == 0)
                 frames.append(pd.DataFrame(f))
-        out = pd.concat(frames, ignore_index=True)
-        out["_bk"] = ((out["tcx"].to_numpy(np.int64) * 31
-                       + out["tcy"].to_numpy(np.int64)) % n_buckets
-                      + n_buckets) % n_buckets
-        return out
+        return pd.concat(frames, ignore_index=True)
 
     def pairs(g: pd.DataFrame) -> pd.DataFrame:
         acc = np.zeros(len(RAD), dtype=np.int64)
@@ -93,12 +90,9 @@ def pair_counts_within(points, radii, cell: int,
             out["n_pairs_time"] = acc_t
         return pd.DataFrame(out)
 
-    parts = (points.map_batches(scatter, batch_format="numpy",
-                                batch_size=65536)
-             .groupby("_bk")
-             .map_groups(lambda g: pairs(g.drop(columns=["_bk"])),
-                         batch_format="pandas")
-             .to_pandas())
+    parts = co_partition(points.map_batches(scatter, batch_format="numpy",
+                                            batch_size=65536),
+                         ["tcx", "tcy"], pairs).to_pandas()
     agg = {"n_pairs": "sum"}
     if has_t:
         agg["n_pairs_time"] = "sum"
@@ -110,8 +104,7 @@ def pair_counts_within(points, radii, cell: int,
 
 def variogram_bands(points, bands, cell: int,
                     x_col: str = "x", y_col: str = "y",
-                    val_col: str = "v", id_col: str = "pid",
-                    n_buckets: int = 64):
+                    val_col: str = "v", id_col: str = "pid"):
     """Empirical semivariogram pieces: for each lag band [lo, hi)
     (all hi <= cell), the exact count of unordered point pairs whose
     squared planar distance satisfies lo^2 <= d2 < hi^2 and the sum
@@ -140,11 +133,7 @@ def variogram_bands(points, bands, cell: int,
                     "x": x, "y": y, "i": i, "v": v,
                     "tcx": cx + ox, "tcy": cy + oy,
                     "home": np.full(len(x), ox == 0 and oy == 0)}))
-        out = pd.concat(frames, ignore_index=True)
-        out["_bk"] = ((out["tcx"].to_numpy(np.int64) * 31
-                       + out["tcy"].to_numpy(np.int64)) % n_buckets
-                      + n_buckets) % n_buckets
-        return out
+        return pd.concat(frames, ignore_index=True)
 
     def pairs(g: pd.DataFrame) -> pd.DataFrame:
         n_acc = np.zeros(len(B), dtype=np.int64)
@@ -174,12 +163,9 @@ def variogram_bands(points, bands, cell: int,
             "hi": np.array([b[1] for b in B], dtype=np.int64),
             "n_pairs": n_acc, "sum_sq_diff": s_acc})
 
-    parts = (points.map_batches(scatter, batch_format="numpy",
-                                batch_size=65536)
-             .groupby("_bk")
-             .map_groups(lambda g: pairs(g.drop(columns=["_bk"])),
-                         batch_format="pandas")
-             .to_pandas())
+    parts = co_partition(points.map_batches(scatter, batch_format="numpy",
+                                            batch_size=65536),
+                         ["tcx", "tcy"], pairs).to_pandas()
     out = (parts.groupby(["lo", "hi"], as_index=False)
            .agg(n_pairs=("n_pairs", "sum"),
                 sum_sq_diff=("sum_sq_diff", "sum")))

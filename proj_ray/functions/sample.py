@@ -182,8 +182,7 @@ def priority_sample(ds, weight_col: str, id_col: str, n: int,
 
 
 def stratified_priority_sample(ds, stratum_col: str, weight_col: str,
-                               id_col: str, n: int,
-                               n_buckets: int = 64):
+                               id_col: str, n: int):
     """Weighted sample without replacement PER STRATUM: the
     priority-sampling rule of :func:`priority_sample` (integer
     q = (w << 32) // (knuth_mix(id)+1), ties by id) applied within
@@ -191,12 +190,12 @@ def stratified_priority_sample(ds, stratum_col: str, weight_col: str,
     pipeline. Returns (stratum, id, weight, q) rows, n per stratum.
 
     Scale shape: every block prunes to its local top-n PER STRATUM,
-    then one stratum-hash-bucket all-to-all co-locates whole strata
-    for the exact cut — the exchange moves <= n x strata x blocks
+    then one `exchange.co_partition` on the stratum co-locates whole
+    strata for the exact cut — the exchange moves <= n x strata x blocks
     pre-pruned rows."""
     import pandas as pd
 
-    from ._hash import stable_mod
+    from proj_ray.exchange import co_partition
 
     def _q(ids: np.ndarray, w: np.ndarray) -> np.ndarray:
         u = (ids.astype(np.uint64) % np.uint64(_MOD)
@@ -216,22 +215,17 @@ def stratified_priority_sample(ds, stratum_col: str, weight_col: str,
                      df[weight_col].to_numpy(np.int64))
         df = df.sort_values(["q", id_col], ascending=[False, True],
                             kind="mergesort")
-        top = df.groupby(stratum_col, sort=False).head(n)
-        top["_bk"] = stable_mod(top[stratum_col].to_numpy(), n_buckets)
-        return top
+        return df.groupby(stratum_col, sort=False).head(n)
 
     def final(group: "pd.DataFrame") -> "pd.DataFrame":
         g = group.sort_values(["q", id_col], ascending=[False, True],
                               kind="mergesort")
         return g.groupby(stratum_col, sort=False).head(n)
 
-    out = (ds.select_columns([stratum_col, weight_col, id_col])
-           .map_batches(prune, batch_format="numpy",
-                        batch_size=65536)
-           .groupby("_bk")
-           .map_groups(lambda g: final(g.drop(columns=["_bk"])),
-                       batch_format="pandas")
-           .to_pandas())
+    out = co_partition(ds.select_columns([stratum_col, weight_col, id_col])
+                       .map_batches(prune, batch_format="numpy",
+                                    batch_size=65536),
+                       stratum_col, final).to_pandas()
     return out.sort_values([stratum_col, "q", id_col],
                            ascending=[True, False, True],
                            kind="mergesort", ignore_index=True)

@@ -11,7 +11,7 @@ partition) reproduces the kept set bit-for-bit. The split point is the
 argmax of |cross| with ties broken by lowest sequence index — the same
 rule as ORDER BY ABS(cross) DESC, seq ASC.
 
-Scale shape: one hash-bucket all-to-all co-partitions whole keys (the
+Scale shape: one `exchange.co_partition` on the key (the
 sessionize plan); per bucket the DP runs an explicit interval stack
 per key with the inner distance scan vectorized over the interval —
 no recursion, no per-point Python beyond the stack loop whose depth is
@@ -21,6 +21,9 @@ the output size.
 from __future__ import annotations
 
 import numpy as np
+
+from proj_ray.dsutil import merged
+from proj_ray.exchange import co_partition
 
 
 def _dp_keep_mask(x: np.ndarray, y: np.ndarray, eps2: int) -> np.ndarray:
@@ -50,8 +53,7 @@ def _dp_keep_mask(x: np.ndarray, y: np.ndarray, eps2: int) -> np.ndarray:
 
 def simplify_stats(ds, key_col: str, ts_col: str,
                    x_col: str = "x", y_col: str = "y",
-                   eps: int = 2000, tie_col: str | None = None,
-                   n_buckets: int = 64):
+                   eps: int = 2000, tie_col: str | None = None):
     """Per-key Douglas-Peucker over (`ts_col`[, `tie_col`])-ordered
     integer trajectories. Returns (key, n_points, n_kept, chk) where
     chk = sum over kept points of seq * 1000003 + x + y (seq is the
@@ -63,15 +65,6 @@ def simplify_stats(ds, key_col: str, ts_col: str,
     need = [key_col, ts_col, x_col, y_col] + \
         ([tie_col] if tie_col else [])
     order = [key_col, ts_col] + ([tie_col] if tie_col else [])
-
-    def tag(batch):
-        df = pd.DataFrame({c: np.asarray(batch[c]) for c in need})
-        k = np.asarray(batch[key_col])
-        if not np.issubdtype(k.dtype, np.integer):
-            k = pd.util.hash_array(k)
-        df["_bk"] = (k.astype(np.int64) % n_buckets + n_buckets) \
-            % n_buckets
-        return df
 
     def dp(group: pd.DataFrame) -> pd.DataFrame:
         g = group.sort_values(order, kind="stable")
@@ -86,9 +79,4 @@ def simplify_stats(ds, key_col: str, ts_col: str,
         return pd.DataFrame(rows, columns=[key_col, "n_points",
                                            "n_kept", "chk"])
 
-    out = (ds.select_columns(need)
-           .map_batches(tag, batch_format="numpy", batch_size=65536)
-           .groupby("_bk")
-           .map_groups(lambda g: dp(g.drop(columns=["_bk"])),
-                       batch_format="pandas"))
-    return out
+    return co_partition(merged(ds, need), key_col, dp)

@@ -141,7 +141,6 @@ def pivot_counts(ds, key_col: str, pivot_col: str,
         values = sorted(ds.select_columns([pivot_col]).unique(pivot_col))
     cols = [f"{prefix}{v}" for v in values]
     vindex = {v: i for i, v in enumerate(values)}
-    n_buckets = 64
 
     def partial(b: dict) -> dict:
         k = np.asarray(b[key_col])
@@ -155,28 +154,22 @@ def pivot_counts(ds, key_col: str, pivot_col: str,
         out = {key_col: g.index.to_numpy()}
         for i, c in enumerate(cols):
             out[c] = g[i].to_numpy(np.int64)
-        kk = out[key_col]
-        if not np.issubdtype(np.asarray(kk).dtype, np.integer):
-            kk = pd.util.hash_array(np.asarray(kk))
-        out["_bk"] = (kk.astype(np.int64) % n_buckets
-                      + n_buckets) % n_buckets
         return out
 
     def combine(df: pd.DataFrame) -> pd.DataFrame:
         return df.groupby(key_col, as_index=False)[cols].sum()
 
-    # The all-to-all co-partitions on a hash BUCKET of the key (one
-    # int column, 64 distinct values) rather than the key itself —
-    # Ray's sort-based groupby priced a 1,500-key 5-aggregate sort at
-    # ~4 s of fixed latency; the bucket sort is ~1.5 s and each bucket
-    # combines all its keys in one vectorized pandas pass. Per-bucket
-    # memory = distinct-keys/n_buckets x len(values) int64s.
-    return (ds.select_columns([key_col, pivot_col])
-            .map_batches(partial, batch_format="numpy",
-                         batch_size=65536)
-            .groupby("_bk")
-            .map_groups(lambda g: combine(g.drop(columns=["_bk"])),
-                        batch_format="pandas"))
+    # `exchange.co_partition` sorts on a bucket of the key rather than
+    # the key itself — Ray's sort-based groupby priced a 1,500-key
+    # 5-aggregate sort at ~4 s of fixed latency; the bucket sort is
+    # ~1.5 s and each bucket combines all its keys in one vectorized
+    # pandas pass.
+    from proj_ray.exchange import co_partition
+
+    return co_partition(ds.select_columns([key_col, pivot_col])
+                        .map_batches(partial, batch_format="numpy",
+                                     batch_size=65536),
+                        key_col, combine)
 
 
 def _finest_sums(ds, keys: list, value_col: str, scale: int):

@@ -25,6 +25,9 @@ from __future__ import annotations
 
 import numpy as np
 
+from proj_ray.dsutil import merged
+from proj_ray.exchange import N_BUCKETS, co_partition
+
 
 def _ts_us(arr) -> np.ndarray:
     """Timestamps/ints -> int64 epoch microseconds."""
@@ -198,35 +201,24 @@ def window_aggregate(ds, ts_col: str, value_col: str,
 
 
 def sessionize(ds, key_col: str, ts_col: str, gap_us: int,
-               id_col: str, extra_cols: tuple = (),
-               n_buckets: int = 64):
+               id_col: str, extra_cols: tuple = ()):
     """Gap-based sessionization: per key, events sorted by (ts, id) are
     split into sessions wherever the gap to the previous event exceeds
     `gap_us`; emits session_seq (1-based per-key session number) and
     event_seq (1-based position within the session).
 
-    Shape: ONE all-to-all, co-partitioned on a HASH BUCKET of the key
-    (not the key itself — Ray's map_groups invokes the UDF once per
-    group, and per-user groups made a 100 k-row / 1,500-user pass take
-    16-22 s; 64 bucket groups with an in-bucket vectorized multi-key
-    segment pass take ~2 s). Each bucket sorts by (key, ts, id) and
-    numbers ALL its keys' sessions in one numpy pass. n_buckets bounds
-    per-group memory at scale: raise it so corpus/n_buckets fits a
-    worker; keys never split across buckets so semantics are exact.
+    Shape: ONE `exchange.co_partition` on the key (a hash bucket of
+    the key, not the key itself — Ray's map_groups invokes the UDF
+    once per group, and per-user groups made a 100 k-row / 1,500-user
+    pass take 16-22 s; 64 bucket groups with an in-bucket vectorized
+    multi-key segment pass take ~2 s). Each bucket sorts by (key, ts,
+    id) and numbers ALL its keys' sessions in one numpy pass; keys
+    never split across buckets so semantics are exact.
 
     Deterministic tie rule (SQL-reproducible): equal timestamps order
     by id ascending.
     """
     import pandas as pd
-
-    def tag(batch):
-        df = pd.DataFrame({c: np.asarray(batch[c]) for c in need})
-        k = np.asarray(batch[key_col])
-        if not np.issubdtype(k.dtype, np.integer):
-            k = pd.util.hash_array(k)
-        df["_bk"] = (k.astype(np.int64) % n_buckets + n_buckets) \
-            % n_buckets
-        return df
 
     def split(group: pd.DataFrame) -> pd.DataFrame:
         g = group.sort_values([key_col, ts_col, id_col], kind="stable")
@@ -256,17 +248,12 @@ def sessionize(ds, key_col: str, ts_col: str, gap_us: int,
         return pd.DataFrame(out)
 
     need = list(dict.fromkeys([key_col, ts_col, id_col, *extra_cols]))
-    return (ds.select_columns(need)
-            .map_batches(tag, batch_format="numpy",
-                         batch_size=65536)  # coalesce blocks: each
-            # shuffle map task carries real rows, not read-splits
-            .groupby("_bk")
-            .map_groups(split, batch_format="pandas"))
+    return co_partition(merged(ds, need), key_col, split)
 
 
 def rolling_window(ds, key_col: str, ts_col: str, value_col: str,
                    id_col: str, preceding: int = 3,
-                   scale: int = 100, n_buckets: int = 64):
+                   scale: int = 100):
     """Per-key rolling aggregate: for each row (ordered by ts, id
     within key) the SUM and COUNT of `value_col` over the current row
     plus up to `preceding` prior rows — SQL's ROWS BETWEEN `preceding`
@@ -274,7 +261,7 @@ def rolling_window(ds, key_col: str, ts_col: str, value_col: str,
 
     Values are scaled to int64 (`round(v * scale)`) so distributed and
     single-threaded sums agree exactly. Same shape as `sessionize`:
-    ONE all-to-all on a hash BUCKET of the key, then one vectorized
+    ONE co-partition on the key, then one vectorized
     segment pass per bucket (prefix sums with per-key rebasing —
     window sum = cs[i] - cs[i - 1 - min(pos_in_key, preceding)]); keys
     never split across buckets so the window semantics are exact.
@@ -282,15 +269,6 @@ def rolling_window(ds, key_col: str, ts_col: str, value_col: str,
     import pandas as pd
 
     need = list(dict.fromkeys([key_col, ts_col, value_col, id_col]))
-
-    def tag(batch):
-        df = pd.DataFrame({c: np.asarray(batch[c]) for c in need})
-        k = np.asarray(batch[key_col])
-        if not np.issubdtype(k.dtype, np.integer):
-            k = pd.util.hash_array(k)
-        df["_bk"] = (k.astype(np.int64) % n_buckets + n_buckets) \
-            % n_buckets
-        return df
 
     def roll(group: pd.DataFrame) -> pd.DataFrame:
         g = group.sort_values([key_col, ts_col, id_col], kind="stable")
@@ -313,23 +291,17 @@ def rolling_window(ds, key_col: str, ts_col: str, value_col: str,
             "win_n": look + 1,
         })
 
-    return (ds.select_columns(need)
-            .map_batches(tag, batch_format="numpy",
-                         batch_size=65536)  # coalesce blocks: each
-            # shuffle map task carries real rows, not read-splits
-            .groupby("_bk")
-            .map_groups(roll, batch_format="pandas"))
+    return co_partition(merged(ds, need), key_col, roll)
 
 
 def track_length(ds, key_col: str, order_col: str,
-                 lon_col: str = "lon", lat_col: str = "lat",
-                 n_buckets: int = 64):
+                 lon_col: str = "lon", lat_col: str = "lat"):
     """Per-key great-circle track length: order each key's points by
     `order_col`, sum spherical haversine leg distances (R=6371000)
     between consecutive points. Each leg is rounded to 0.1 mm int64
     BEFORE the sum so distributed and SQL sums agree exactly.
 
-    Same shape as `sessionize`: one hash-bucket all-to-all, then a
+    Same shape as `sessionize`: one co-partition on the key, then a
     vectorized multi-key segment pass per bucket (keys never split
     across buckets). Returns (key, track_tmm, n_legs).
     """
@@ -337,15 +309,6 @@ def track_length(ds, key_col: str, order_col: str,
 
     need = [key_col, order_col, lon_col, lat_col]
     R = 6371000.0
-
-    def tag(batch):
-        df = pd.DataFrame({c: np.asarray(batch[c]) for c in need})
-        k = np.asarray(batch[key_col])
-        if not np.issubdtype(k.dtype, np.integer):
-            k = pd.util.hash_array(k)
-        df["_bk"] = (k.astype(np.int64) % n_buckets + n_buckets) \
-            % n_buckets
-        return df
 
     def legs(group: pd.DataFrame) -> pd.DataFrame:
         g = group.sort_values([key_col, order_col], kind="stable")
@@ -373,18 +336,12 @@ def track_length(ds, key_col: str, order_col: str,
         g2["n_legs"] = g2["n_legs"].astype(np.int64)
         return g2
 
-    return (ds.select_columns(need)
-            .map_batches(tag, batch_format="numpy",
-                         batch_size=65536)
-            .groupby("_bk")
-            .map_groups(lambda g: legs(g.drop(columns=["_bk"])),
-                        batch_format="pandas"))
+    return co_partition(merged(ds, need), key_col, legs)
 
 
 def track_densify(ds, key_col: str, order_col: str,
                   lon_col: str = "lon", lat_col: str = "lat",
-                  k: int = 3, scale: int = 10_000_000,
-                  n_buckets: int = 64):
+                  k: int = 3, scale: int = 10_000_000):
     """Great-circle track densification: every consecutive leg of each
     key's ordered track EXPANDS into k interior points by spherical
     linear interpolation — the flat-map expansion shape (n rows in,
@@ -404,15 +361,6 @@ def track_densify(ds, key_col: str, order_col: str,
     import pandas as pd
 
     need = [key_col, order_col, lon_col, lat_col]
-
-    def tag(batch):
-        df = pd.DataFrame({c: np.asarray(batch[c]) for c in need})
-        kv = np.asarray(batch[key_col])
-        if not np.issubdtype(kv.dtype, np.integer):
-            kv = pd.util.hash_array(kv)
-        df["_bk"] = (kv.astype(np.int64) % n_buckets + n_buckets) \
-            % n_buckets
-        return df
 
     def expand(group: pd.DataFrame) -> pd.DataFrame:
         g = group.sort_values([key_col, order_col], kind="stable")
@@ -469,12 +417,7 @@ def track_densify(ds, key_col: str, order_col: str,
                 .astype(np.int64)}))
         return pd.concat(outs, ignore_index=True)
 
-    return (ds.select_columns(need)
-            .map_batches(tag, batch_format="numpy",
-                         batch_size=65536)
-            .groupby("_bk")
-            .map_groups(lambda g: expand(g.drop(columns=["_bk"])),
-                        batch_format="pandas"))
+    return co_partition(merged(ds, need), key_col, expand)
 
 
 def resample_ffill(ds, key_col: str, ts_col: str, value_col: str,
@@ -567,7 +510,7 @@ def latest_by_key(ds, key_col: str, ts_col: str, order_cols=(),
 
 def funnel_counts(ds, stages, user_col: str = "user_id",
                   ts_col: str = "ts", type_col: str = "event_type",
-                  n_buckets: int = 32, batch_size: int = 65536):
+                  batch_size: int = 65536):
     """Ordered funnel analysis (first-match semantics): for each user,
     stage k matches the EARLIEST event of stages[k] strictly after the
     user's stage-(k-1) match. Returns one row of exact counters:
@@ -578,8 +521,8 @@ def funnel_counts(ds, stages, user_col: str = "user_id",
     min-over-filtered-join CTEs + epoch_us) is bit-exact.
 
     Scale shape: events are pre-filtered to the stage types at the
-    map (column- and row-pruned), then ONE hash-bucket all-to-all
-    co-partitions by user; the per-bucket pass is pandas-C groupby
+    map (column- and row-pruned), then ONE `exchange.co_partition`
+    on the user; the per-bucket pass is pandas-C groupby
     mins and merges, emitting one counter row per bucket that the
     driver sums. Order never matters within the exchange — matching
     is by timestamps, not arrival order."""
@@ -588,11 +531,7 @@ def funnel_counts(ds, stages, user_col: str = "user_id",
     stages = list(stages)
 
     def prune(df: pd.DataFrame) -> pd.DataFrame:
-        d = df[df[type_col].isin(stages)][
-            [user_col, type_col, ts_col]].copy()
-        u = d[user_col].to_numpy(np.int64)
-        d["_bk"] = (u % n_buckets + n_buckets) % n_buckets
-        return d
+        return df[df[type_col].isin(stages)][[user_col, type_col, ts_col]]
 
     def bucket_funnel(g: pd.DataFrame) -> pd.DataFrame:
         counts = {}
@@ -618,12 +557,9 @@ def funnel_counts(ds, stages, user_col: str = "user_id",
             counts["sum_convert_us_part"] = np.int64(0)
         return pd.DataFrame({k: [v] for k, v in counts.items()})
 
-    parts = (ds.map_batches(prune, batch_format="pandas",
-                            batch_size=batch_size)
-             .groupby("_bk")
-             .map_groups(lambda g: bucket_funnel(
-                 g.drop(columns=["_bk"])), batch_format="pandas")
-             .to_pandas())
+    parts = co_partition(ds.map_batches(prune, batch_format="pandas",
+                                        batch_size=batch_size),
+                         user_col, bucket_funnel).to_pandas()
     out = {"n_users": np.int64(parts["n_users_part"].sum())}
     name = ""
     for i, st in enumerate(stages):
@@ -636,7 +572,7 @@ def funnel_counts(ds, stages, user_col: str = "user_id",
 def retention_cohorts(ds, user_col: str = "user_id",
                       ts_col: str = "ts", max_offset: int = 5,
                       period_us: int | None = None,
-                      n_buckets: int = 32, batch_size: int = 65536):
+                      batch_size: int = 65536):
     """Cohort retention matrix: cohort = the period index of each
     user's first event — calendar month (year*12 + month) by default,
     or fixed-width epoch periods (epoch_us // period_us, e.g. days)
@@ -647,7 +583,7 @@ def retention_cohorts(ds, user_col: str = "user_id",
 
     Scale shape: events prune to (user, month) per batch (per-batch
     dedup shrinks the exchange to <= one row per user-month per
-    batch), ONE hash-bucket all-to-all co-partitions by user, and the
+    batch), ONE `exchange.co_partition` on the user, and the
     per-bucket pass emits (cohort, offset, count) partials over the
     bounded months x offsets domain that the driver sums."""
     import pandas as pd
@@ -660,10 +596,7 @@ def retention_cohorts(ds, user_col: str = "user_id",
             mon = (ts.to_numpy("datetime64[us]").astype(np.int64)
                    // period_us)
         u = df[user_col].to_numpy(np.int64)
-        d = pd.DataFrame({"u": u, "mon": mon}).drop_duplicates()
-        d["_bk"] = (d["u"].to_numpy(np.int64) % n_buckets
-                    + n_buckets) % n_buckets
-        return d
+        return pd.DataFrame({"u": u, "mon": mon}).drop_duplicates()
 
     def bucket_counts(g: pd.DataFrame) -> pd.DataFrame:
         d = g.drop_duplicates(["u", "mon"])
@@ -677,12 +610,9 @@ def retention_cohorts(ds, user_col: str = "user_id",
         return (out.groupby(["cohort_mon", "off"], as_index=False)
                 .size().rename(columns={"size": "n_part"}))
 
-    parts = (ds.map_batches(prune, batch_format="pandas",
-                            batch_size=batch_size)
-             .groupby("_bk")
-             .map_groups(lambda g: bucket_counts(
-                 g.drop(columns=["_bk"])), batch_format="pandas")
-             .to_pandas())
+    parts = co_partition(ds.map_batches(prune, batch_format="pandas",
+                                        batch_size=batch_size),
+                         "u", bucket_counts).to_pandas()
     out = (parts.groupby(["cohort_mon", "off"], as_index=False)
            ["n_part"].sum().rename(columns={"n_part": "n_users"}))
     for c in out.columns:
@@ -693,7 +623,7 @@ def retention_cohorts(ds, user_col: str = "user_id",
 
 def snapshot_diff(ds, key_col: str, ts_col: str, value_col: str,
                   cut1, cut2, order_cols=(), scale: int = 100,
-                  n_buckets: int = 32, batch_size: int = 65536):
+                  batch_size: int = 65536):
     """CDC snapshot diff: compare the latest-per-key state (same
     ordering rule as latest_by_key: max (ts, *order_cols) tuple wins)
     at two cut timestamps over an append-only stream. Returns one row
@@ -705,8 +635,8 @@ def snapshot_diff(ds, key_col: str, ts_col: str, value_col: str,
     is bit-exact.
 
     Scale shape: rows prune to ts <= cut2 and project to
-    (key, sort-tuple, quantized value) at the map; ONE hash-bucket
-    all-to-all co-partitions by key; each bucket computes both
+    (key, sort-tuple, quantized value) at the map; ONE
+    `exchange.co_partition` on the key; each bucket computes both
     snapshots with sort + groupby-tail and emits one counter row."""
     import pandas as pd
 
@@ -721,8 +651,6 @@ def snapshot_diff(ds, key_col: str, ts_col: str, value_col: str,
         d["_v"] = np.floor(
             df[value_col].to_numpy(np.float64)[keep] * scale
             + 0.5).astype(np.int64)
-        k = d[key_col].to_numpy(np.int64)
-        d["_bk"] = (k % n_buckets + n_buckets) % n_buckets
         return d
 
     def bucket_diff(g: pd.DataFrame) -> pd.DataFrame:
@@ -742,12 +670,9 @@ def snapshot_diff(ds, key_col: str, ts_col: str, value_col: str,
             "n_changed": [np.int64(changed.sum())],
             "n_unchanged": [np.int64((~added & ~changed).sum())]})
 
-    parts = (ds.map_batches(prune, batch_format="pandas",
-                            batch_size=batch_size)
-             .groupby("_bk")
-             .map_groups(lambda g: bucket_diff(
-                 g.drop(columns=["_bk"])), batch_format="pandas")
-             .to_pandas())
+    parts = co_partition(ds.map_batches(prune, batch_format="pandas",
+                                        batch_size=batch_size),
+                         key_col, bucket_diff).to_pandas()
     out = parts.sum()
     return pd.DataFrame({c: [np.int64(out[c])] for c in
                          ["n_keys_t1", "n_keys_t2", "n_added",
@@ -755,7 +680,7 @@ def snapshot_diff(ds, key_col: str, ts_col: str, value_col: str,
 
 
 def scd2_versions(ds, key_col: str, ts_col: str, state_col: str,
-                  order_col: str, n_buckets: int = 64):
+                  order_col: str):
     """Slowly-changing-dimension (type 2) version extraction: per key,
     rows ordered by (ts, order_col) collapse into VERSIONS — a new
     version starts at the first row and wherever `state_col` differs
@@ -766,21 +691,12 @@ def scd2_versions(ds, key_col: str, ts_col: str, state_col: str,
     turns an append-only change log into the dimension-history table a
     lakehouse MERGE maintains.
 
-    Shape: ONE hash-bucket all-to-all on the key (sessionize's rule —
+    Shape: ONE co-partition on the key (sessionize's rule —
     keys never split across buckets; per-bucket multi-key vectorized
     segment pass, no per-key Python)."""
     import pandas as pd
 
     need = [key_col, ts_col, state_col, order_col]
-
-    def tag(batch):
-        df = pd.DataFrame({c: np.asarray(batch[c]) for c in need})
-        k = np.asarray(batch[key_col])
-        if not np.issubdtype(k.dtype, np.integer):
-            k = pd.util.hash_array(k)
-        df["_bk"] = (k.astype(np.int64) % n_buckets + n_buckets) \
-            % n_buckets
-        return df
 
     def versions(group: pd.DataFrame) -> pd.DataFrame:
         g = group.sort_values([key_col, ts_col, order_col],
@@ -804,14 +720,11 @@ def scd2_versions(ds, key_col: str, ts_col: str, state_col: str,
         out["ver_no"] = out["ver_no"].astype(np.int64)
         return out[[key_col, "ver_no", "state", "ts_from"]]
 
-    return (ds.map_batches(tag, batch_format="numpy")
-            .groupby("_bk")
-            .map_groups(lambda g: versions(g.drop(columns=["_bk"])),
-                        batch_format="pandas"))
+    return co_partition(ds.select_columns(need), key_col, versions)
 
 
 def watermark_lateness(ds, order_col: str, ts_col: str, group_col: str,
-                       late_us: int, n_buckets: int = 64):
+                       late_us: int):
     """Streaming-style late-event accounting over a stored stream: the
     WATERMARK at arrival position i is max(ts) over all rows arriving
     at or before i (`order_col` is the arrival order); an event is
@@ -819,11 +732,12 @@ def watermark_lateness(ds, order_col: str, ts_col: str, group_col: str,
     (group_col, n_events, n_late, max_late_us).
 
     Distributed prefix-max (the q85 prefix-sum shape with max):
-    arrival positions range-bucket by order_col // span, a per-block
-    partial pass ships one (bucket, max_ts) row per bucket touched,
-    the driver scans the B-row carry vector (exclusive cumulative
-    max), and ONE bucketed all-to-all sorts each bucket by arrival,
-    applies carry + running max, and emits per-group partials."""
+    arrival positions split into `exchange.N_BUCKETS` ranges by
+    order_col // span, a per-block partial pass ships one (range,
+    max_ts) row per range touched, the driver scans the carry vector
+    (exclusive cumulative max), and ONE `exchange.co_partition` on the
+    range sorts each range by arrival, applies carry + running max,
+    and emits per-group partials."""
     import pandas as pd
 
     # bounds pass: per-block partials -> driver max (no shuffle)
@@ -833,10 +747,11 @@ def watermark_lateness(ds, order_col: str, ts_col: str, group_col: str,
 
     mx = int(ds.map_batches(bounds, batch_format="numpy")
              .to_pandas()["mx"].max())
-    span = max((mx + n_buckets) // n_buckets, 1)
+    n_ranges = N_BUCKETS
+    span = max((mx + n_ranges) // n_ranges, 1)
 
-    # carry pass: per-block per-bucket max ts -> driver exclusive
-    # cumulative max across buckets
+    # carry pass: per-block per-range max ts -> driver exclusive
+    # cumulative max across ranges
     def carry_partial(b: dict) -> pd.DataFrame:
         e = np.asarray(b[order_col], dtype=np.int64)
         t = _ts_us(np.asarray(b[ts_col]))
@@ -847,7 +762,7 @@ def watermark_lateness(ds, order_col: str, ts_col: str, group_col: str,
 
     parts = ds.map_batches(carry_partial,
                            batch_format="numpy").to_pandas()
-    bmax = np.full(n_buckets, np.iinfo(np.int64).min, dtype=np.int64)
+    bmax = np.full(n_ranges, np.iinfo(np.int64).min, dtype=np.int64)
     agg = parts.groupby("bk")["t"].max()
     bmax[agg.index.to_numpy(np.int64)] = agg.to_numpy(np.int64)
     carry = np.maximum.accumulate(
@@ -859,13 +774,18 @@ def watermark_lateness(ds, order_col: str, ts_col: str, group_col: str,
             order_col: e,
             "_t": _ts_us(np.asarray(b[ts_col])),
             group_col: np.asarray(b[group_col]),
-            "_bk": e // span})
+            "_rng": e // span})
 
     def late_stats(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(order_col, kind="stable")
         t = g["_t"].to_numpy(np.int64)
-        bk = int(g["_bk"].iloc[0])
-        wm = np.maximum.accumulate(np.r_[carry[bk], t])[1:]
+        # a bucket may hold several ranges, each contiguous in arrival
+        # order: restart the running max at each with its carry
+        rng = g["_rng"].to_numpy(np.int64)
+        cuts = np.flatnonzero(np.r_[True, rng[1:] != rng[:-1], True])
+        wm = np.concatenate([
+            np.maximum.accumulate(np.r_[carry[rng[a]], t[a:z]])[1:]
+            for a, z in zip(cuts[:-1], cuts[1:])])
         lateness = wm - t
         out = pd.DataFrame({group_col: g[group_col].to_numpy(),
                             "_late": (lateness > late_us),
@@ -875,11 +795,8 @@ def watermark_lateness(ds, order_col: str, ts_col: str, group_col: str,
             max_late_us=("_lat", "max")).reset_index()
         return s
 
-    parts2 = (ds.map_batches(tag, batch_format="numpy")
-              .groupby("_bk")
-              .map_groups(lambda g: late_stats(g),
-                          batch_format="pandas")
-              .to_pandas())
+    parts2 = co_partition(ds.map_batches(tag, batch_format="numpy"),
+                          "_rng", late_stats).to_pandas()
     out = parts2.groupby(group_col, sort=True).agg(
         n_events=("n_events", "sum"), n_late=("n_late", "sum"),
         max_late_us=("max_late_us", "max")).reset_index()
@@ -891,8 +808,7 @@ def watermark_lateness(ds, order_col: str, ts_col: str, group_col: str,
 def staypoints(ds, key_col: str, ts_col: str,
                x_col: str = "x", y_col: str = "y",
                r2: int = 100_000_000, min_run: int = 5,
-               tie_col: str | None = None,
-               n_buckets: int = 64):
+               tie_col: str | None = None):
     """Stay-point detection over integer-quantized trajectories (the
     Li et al. 2008 GeoLife primitive, restated as gaps-and-islands so
     it is windowed-SQL-exact): order each key's pings by (`ts_col`,
@@ -905,8 +821,8 @@ def staypoints(ds, key_col: str, ts_col: str,
 
     Returns (key, n_points, n_stays, longest_run) per key.
 
-    Scale shape: one hash-bucket all-to-all co-partitions whole keys
-    (the sessionize plan); inside a bucket the multi-key segment pass
+    Scale shape: one `exchange.co_partition` on the key (the
+    sessionize plan); inside a bucket the multi-key segment pass
     is one vectorized diff + boundary cumsum + bincount — no per-key
     Python. Pings ship once; nothing is re-sorted globally.
     """
@@ -915,15 +831,6 @@ def staypoints(ds, key_col: str, ts_col: str,
     need = [key_col, ts_col, x_col, y_col] + \
         ([tie_col] if tie_col else [])
     order = [key_col, ts_col] + ([tie_col] if tie_col else [])
-
-    def tag(batch):
-        df = pd.DataFrame({c: np.asarray(batch[c]) for c in need})
-        k = np.asarray(batch[key_col])
-        if not np.issubdtype(k.dtype, np.integer):
-            k = pd.util.hash_array(k)
-        df["_bk"] = (k.astype(np.int64) % n_buckets + n_buckets) \
-            % n_buckets
-        return df
 
     def runs(group: pd.DataFrame) -> pd.DataFrame:
         g = group.sort_values(order, kind="stable")
@@ -954,8 +861,4 @@ def staypoints(ds, key_col: str, ts_col: str,
             out[c] = out[c].astype(np.int64)
         return out
 
-    return (ds.select_columns(need)
-            .map_batches(tag, batch_format="numpy", batch_size=65536)
-            .groupby("_bk")
-            .map_groups(lambda g: runs(g.drop(columns=["_bk"])),
-                        batch_format="pandas"))
+    return co_partition(merged(ds, need), key_col, runs)

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from proj_ray.exchange import co_partition
+
 STOPWORDS = frozenset(
     "the and of a to in is it that was for on are as with they be at "
     "one have this from or had by word but what some we can out other "
@@ -383,8 +385,7 @@ def bm25_topk(ds, query_terms, k: int = 10, k1: float = 1.2,
     return top
 
 
-def cooccurrence_pmi(ds, k: int = 25, scale: int = 1_000_000,
-                     n_buckets: int = 64):
+def cooccurrence_pmi(ds, k: int = 25, scale: int = 1_000_000):
     """Global top-k term pairs by PMI over per-document co-occurrence.
 
     pmi_f = floor(ln((N * c_ab) / (c_a * c_b)) * scale + 0.5), where
@@ -393,9 +394,10 @@ def cooccurrence_pmi(ds, k: int = 25, scale: int = 1_000_000,
 
     Scale shape: per-batch distinct-pair partials (pairs generated
     doc-locally, combined within the batch) -> stream-combine ->
-    hash-bucket groupby for exact corpus totals (pair vocabulary is
-    O(vocab^2): never merged on the driver) -> per-bucket top-k ->
-    bounded driver merge of <= n_buckets*k rows. Unigram DFs ride the
+    `exchange.co_partition` on the pair for exact corpus totals (pair
+    vocabulary is O(vocab^2): never merged on the driver) ->
+    per-bucket top-k -> bounded driver merge of <= k rows per
+    bucket. Unigram DFs ride the
     object store (ray.put) into the finalize stage. Ranking is on the
     fixed-point score, ties broken (term_a, term_b) — deterministic
     and SQL-reproducible."""
@@ -445,13 +447,9 @@ def cooccurrence_pmi(ds, k: int = 25, scale: int = 1_000_000,
         g = (pd.DataFrame({"ta": b["ta"], "tb": b["tb"],
                            "c": b["c_part"]})
              .groupby(["ta", "tb"], as_index=False)["c"].sum())
-        key = (g["ta"].astype(str) + "\x00" + g["tb"].astype(str))
-        g["_bk"] = (pd.util.hash_array(key.to_numpy(dtype=object))
-                    % n_buckets).astype(np.int64)
         return {"ta": g["ta"].to_numpy(dtype=object),
                 "tb": g["tb"].to_numpy(dtype=object),
-                "c_part": g["c"].to_numpy(dtype=np.int64),
-                "_bk": g["_bk"].to_numpy()}
+                "c_part": g["c"].to_numpy(dtype=np.int64)}
 
     def finalize(group: pd.DataFrame) -> pd.DataFrame:
         dfd = ray.get(df_ref)
@@ -468,15 +466,12 @@ def cooccurrence_pmi(ds, k: int = 25, scale: int = 1_000_000,
                              ascending=[False, True, True],
                              kind="stable").head(k)
 
-    tops = (ds.select_columns(["text"])
-            .map_batches(pairs_partial, batch_format="numpy",
-                         batch_size=4096)
-            .map_batches(combine, batch_format="numpy",
-                         batch_size=65536)
-            .groupby("_bk")
-            .map_groups(lambda g: finalize(g.drop(columns=["_bk"])),
-                        batch_format="pandas")
-            .to_pandas())
+    tops = co_partition(ds.select_columns(["text"])
+                        .map_batches(pairs_partial, batch_format="numpy",
+                                     batch_size=4096)
+                        .map_batches(combine, batch_format="numpy",
+                                     batch_size=65536),
+                        ["ta", "tb"], finalize).to_pandas()
     return (tops.sort_values(["pmi_f", "ta", "tb"],
                              ascending=[False, True, True],
                              kind="stable")
@@ -486,8 +481,8 @@ def cooccurrence_pmi(ds, k: int = 25, scale: int = 1_000_000,
 
 def substring_dup_stats(ds, text_col: str = "text",
                         id_col: str = "doc_id", k: int = 30,
-                        min_count: int = 2, n_buckets: int = 64,
-                        stride: int = 1, assert_max_len: int = 0,
+                        min_count: int = 2, stride: int = 1,
+                        assert_max_len: int = 0,
                         assert_ascii: bool = False):
     """Exact substring-duplication stats per document: the character
     coverage (union of intervals) and count of all length-`k`
@@ -496,16 +491,15 @@ def substring_dup_stats(ds, text_col: str = "text",
     "Deduplicating Training Data Makes Language Models Better"
     (arXiv:2107.06499), re-expressed for Ray Data.
 
-    Scale shape: TWO hash-bucket all-to-alls, both on pre-hashed
-    integers — no substring text ever crosses a shuffle.
+    Scale shape: TWO `exchange.co_partition` calls, both on integer
+    keys — no substring text ever crosses a shuffle.
     1. Every window position emits (h, doc, pos) where h is a
        vectorized 64-bit polynomial rolling hash over the batch's
        concatenated bytes (k strided adds, no per-doc loop); rows
-       co-partition on h % n_buckets, so per-gram GLOBAL counts are
-       exact within one bucket pass, which keeps only duplicated
-       positions.
-    2. Surviving (doc, pos) rows co-partition on doc % n_buckets and
-       one vectorized segment pass computes the per-doc interval
+       co-partition on h, so per-gram GLOBAL counts are exact within
+       one bucket pass, which keeps only duplicated positions.
+    2. Surviving (doc, pos) rows co-partition on doc and one
+       vectorized segment pass computes the per-doc interval
        union (running-max with per-doc offset isolation).
     `stride` > 1 subsamples window starts for the 100-TB path (the
     gram stream is total_chars/stride rows); stride=1 is exact and
@@ -546,7 +540,6 @@ def substring_dup_stats(ds, text_col: str = "text",
                 f"{assert_max_len}; raise the SQL series bound")
         total = int(lens.sum())
         empty = pd.DataFrame({"_h": np.empty(0, np.int64),
-                              "_bk": np.empty(0, np.int64),
                               "doc": np.empty(0, np.int64),
                               "pos": np.empty(0, np.int64)})
         if total < k:
@@ -570,10 +563,8 @@ def substring_dup_stats(ds, text_col: str = "text",
             ok &= pos % stride == 0
         if not ok.any():
             return empty
-        hv = h[ok].view(np.int64)
         return pd.DataFrame({
-            "_h": hv,
-            "_bk": (hv % n_buckets + n_buckets) % n_buckets,
+            "_h": h[ok].view(np.int64),
             "doc": ids[doc_of[ok]],
             "pos": pos[ok]})
 
@@ -582,10 +573,8 @@ def substring_dup_stats(ds, text_col: str = "text",
         _, inv, cnt = np.unique(h, return_inverse=True,
                                 return_counts=True)
         m = cnt[inv] >= min_count
-        return pd.DataFrame({
-            "doc": g["doc"].to_numpy()[m],
-            "pos": g["pos"].to_numpy()[m],
-            "_bk2": (g["doc"].to_numpy()[m] % n_buckets)})
+        return pd.DataFrame({"doc": g["doc"].to_numpy()[m],
+                             "pos": g["pos"].to_numpy()[m]})
 
     def union_per_doc(g: pd.DataFrame) -> pd.DataFrame:
         doc = g["doc"].to_numpy()
@@ -609,13 +598,10 @@ def substring_dup_stats(ds, text_col: str = "text",
         agg["dup_grams"] = agg["dup_grams"].astype(np.int64)
         return agg
 
-    return (ds.select_columns([id_col, text_col])
-            .map_batches(grams, batch_format="numpy", batch_size=4096)
-            .groupby("_bk")
-            .map_groups(keep_dups, batch_format="pandas")
-            .groupby("_bk2")
-            .map_groups(lambda g: union_per_doc(g.drop(columns=["_bk2"])),
-                        batch_format="pandas"))
+    gram_rows = ds.select_columns([id_col, text_col]).map_batches(
+        grams, batch_format="numpy", batch_size=4096)
+    return co_partition(co_partition(gram_rows, "_h", keep_dups), "doc",
+                        union_per_doc)
 
 
 def gopher_quality(ds, id_col: str = "doc_id", text_col: str = "text",

@@ -3,9 +3,10 @@ z/x/y tiles -> PIP join vs broadcast polygon index -> per-tile counts.
 
 Aggregation paths:
 - `bucketed_sum`: the one driver-or-exchange combine of a (key,
-  partial) table. It materializes its input once; a table of at most
-  DRIVER_FINISH_ROWS rows is pulled and summed on the driver (no
-  exchange), a larger one runs a bucketed all-to-all.
+  partial) table. `dsutil.driver_table` materializes its input once; a
+  table of at most DRIVER_FINISH_ROWS rows is summed on the driver (no
+  exchange), a larger one by the same per-key sum through
+  `exchange.co_partition`.
 - `headline_spatial`: fused actor stage emits per-batch partial
   (tile, count) pairs; the combine moves O(#tiles × #blocks) rows —
   the shuffle-minimal shape.
@@ -14,14 +15,14 @@ Aggregation paths:
   `bucketed_sum` finishes them on the driver. Above that the combine
   runs distributed with explicit skew handling: a census finds hot
   tiles (images.geotags plants Zipfian metro hotspots), their partials
-  split into `salt` deterministic sub-keys before the bucketed
-  exchange, and the sub-counts merge after. The salt bounds the
+  split into `salt` deterministic sub-keys before the exchange, and
+  the sub-counts merge after. The salt bounds the
   largest single reducer group at 100-TB skew.
 - `tile_counts_salted_fused`: census-free salting of synthetic geotags
   in one streaming execution.
 Counts are identical on every path (tests assert it). DRIVER_FINISH_ROWS
-lives in `proj_ray.dsutil` and is read at call time, so it also steers
-`state.resumable_write`.
+lives in `proj_ray.dsutil` and is read at call time by
+`dsutil.driver_table`, which `state.resumable_write` uses too.
 """
 
 from __future__ import annotations
@@ -168,65 +169,38 @@ def headline_spatial(n_rows: int, num_cpus: int = 32, zoom: int = 10,
     return total, None
 
 
-def bucketed_sum(parts, key_col: str, val_col: str, out_col: str,
-                 n_buckets: int | None = None):
+def bucketed_sum(parts, key_col: str, val_col: str, out_col: str):
     """Sum-combine of a (key, partial) table into (key_col int64,
-    out_col int64), run eagerly: the input is materialized once, in the
-    same execution as whatever feeds it (an already materialized input
-    costs nothing more).
+    out_col int64), run eagerly: `dsutil.driver_table` materializes the
+    input once, in the same execution as whatever feeds it (an already
+    materialized input costs nothing more).
 
-    - At most DRIVER_FINISH_ROWS rows: the table is pulled and summed
-      per key with one pandas groupby, so no exchange runs; an empty
-      input gives a typed zero-row table.
-    - Above it: a distributed combine hashes keys into a small `_bk`
-      bucket domain, co-partitions on it, and runs one vectorized
-      unique+add.at pass per bucket. This deliberately avoids
-      `groupby(key).aggregate(Sum(...))`: ray.data's sort-aggregate
-      runs a Python loop over every KEY on both the map and reduce
-      sides (~80 us/row measured — 4.9 s for a 131k-row partial table
-      at 4 cpus), while this shape prices the same all-to-all at ~1 s
-      because the sort domain is `n_buckets` small ints and all
-      per-key work is NumPy. Size `n_buckets` so distinct-keys /
-      n_buckets rows fit a worker heap (defaults to 4 x cluster CPUs;
-      thousands at the 100-TB target)."""
+    One per-key sum (a pandas groupby) runs on both routes: on the
+    pulled table when it has at most DRIVER_FINISH_ROWS rows, so no
+    exchange runs, and otherwise once per bucket of
+    `exchange.co_partition`. The exchange sorts on the small int bucket
+    column, never on the keys themselves: ray.data's
+    `groupby(key).aggregate(Sum(...))` runs a Python loop over every
+    KEY on both the map and reduce sides (~80 us/row measured — 4.9 s
+    for a 131k-row partial table at 4 cpus). An empty input gives a
+    typed zero-row table."""
     import pandas as pd
-    import ray
     import ray.data as rd
 
-    from proj_ray.functions._hash import splitmix64
+    from proj_ray.exchange import co_partition
 
-    parts = parts.materialize()
-    if parts.count() <= dsutil.DRIVER_FINISH_ROWS:
-        pdf = pull_pandas(parts)
-        if pdf.empty:  # no blocks, so no schema to take dtypes from
-            pdf = pd.DataFrame({key_col: np.empty(0, np.int64),
-                                val_col: np.empty(0, np.int64)})
-        out = pdf.groupby(key_col, as_index=False)[val_col].sum()
-        return rd.from_pandas(pd.DataFrame({
-            key_col: out[key_col].to_numpy(np.int64),
-            out_col: out[val_col].to_numpy(np.int64)}))
+    def key_sum(g: pd.DataFrame) -> pd.DataFrame:
+        out = g.groupby(key_col, as_index=False)[val_col].sum()
+        return pd.DataFrame({key_col: out[key_col].to_numpy(np.int64),
+                             out_col: out[val_col].to_numpy(np.int64)})
 
-    if n_buckets is None:
-        n_buckets = 4 * max(1, int(ray.cluster_resources().get("CPU", 8)))
-
-    def add_bk(b):
-        k = np.asarray(b.column(key_col).to_numpy(), dtype=np.int64)
-        bk = (splitmix64(k) % np.uint64(n_buckets)).astype(np.int64)
-        return _with_columns(b.select([key_col, val_col]),
-                             {key_col: k, "_bk": bk})
-
-    def comb(g: pd.DataFrame) -> pd.DataFrame:
-        k = g[key_col].to_numpy()
-        n = g[val_col].to_numpy()
-        uk, inv = np.unique(k, return_inverse=True)
-        s = np.zeros(len(uk), dtype=np.int64)
-        np.add.at(s, inv, n)
-        return pd.DataFrame({key_col: uk, out_col: s})
-
-    return (parts.map_batches(add_bk, batch_format="pyarrow")
-            .groupby("_bk")
-            .map_groups(lambda g: comb(g.drop(columns=["_bk"])),
-                        batch_format="pandas"))
+    parts, pdf = dsutil.driver_table(parts)
+    if pdf is None:
+        return co_partition(parts, key_col, key_sum)
+    if pdf.empty:  # no blocks, so no schema to take dtypes from
+        pdf = pd.DataFrame({key_col: np.empty(0, np.int64),
+                            val_col: np.empty(0, np.int64)})
+    return rd.from_pandas(key_sum(pdf))
 
 
 class FusedSaltedTileStage:
@@ -293,7 +267,7 @@ def tile_counts_salted_fused(n_rows: int, zoom: int = 7, salt: int = 16,
     (synthesis + tiling + local combine + salt) -> bucketed_sum ->
     driver un-salt merge. bucketed_sum materializes the map pass and
     sums its partials on the driver while they fit DRIVER_FINISH_ROWS;
-    above that it runs one bucketed all-to-all.
+    above that it runs one `exchange.co_partition`.
 
     Above its driver cap the censused `tile_counts_salted` needs up to
     four executions (map + materialize, coalesce, census, salted

@@ -496,7 +496,7 @@ def sample_points(ds_points, n_tiles: int | None = None,
 # Pyramid: level-z children -> level-(z-1) parent tiles
 # ===================================================================== #
 
-def pyramid_stats(ds, n_buckets: int = 64):
+def pyramid_stats(ds):
     """Raster pyramid build: every 2x2 block of level-z tiles becomes
     one level-(z-1) parent — each child is 2x box-averaged to 16x16
     and mosaicked into its parent quadrant (row 0 = south, so child
@@ -507,10 +507,10 @@ def pyramid_stats(ds, n_buckets: int = 64):
     exactly ONCE and already reduced 4x — the downsample runs where
     the child tile lives (map_batches over pruned [tile_id, bytes]
     columns), so the shuffle moves 256-byte quadrants keyed by
-    parent_id, and parents assemble in a bucketed groupby
-    (_bk = parent % n_buckets keeps groups coalesced; cf.
-    functions/graph.py). At 100 TB each level is ~4x smaller than the
-    last, so a full pyramid costs ~1.33x one pass over the base level.
+    parent_id, and parents assemble per bucket of
+    `exchange.co_partition` on the parent. At 100 TB each level is ~4x
+    smaller than the last, so a full pyramid costs ~1.33x one pass
+    over the base level.
 
     Returns per-parent fixed-point aggregates a SQL oracle reproduces
     from the synthetic tile formula: (parent_id, n_children, sum_ds,
@@ -540,8 +540,7 @@ def pyramid_stats(ds, n_buckets: int = 64):
         return {"parent_id": parent,
                 "qx": (tx % 2).astype(np.int64),
                 "qy": (ty % 2).astype(np.int64),
-                "ds": blobs,
-                "_bk": parent % n_buckets}
+                "ds": blobs}
 
     # position weights of the assembled parent grid (row 0 = south)
     wr = np.arange(SRC_H, dtype=np.int64)[:, None]
@@ -570,8 +569,8 @@ def pyramid_stats(ds, n_buckets: int = 64):
             "sum_ds": np.asarray(sums, dtype=np.int64),
             "chk": np.asarray(chks, dtype=np.int64)})
 
-    return (ds.map_batches(downsample, batch_format="numpy",
-                           batch_size=4096)
-            .groupby("_bk")
-            .map_groups(lambda g: assemble(g.drop(columns=["_bk"])),
-                        batch_format="pandas"))
+    from proj_ray.exchange import co_partition
+
+    return co_partition(ds.map_batches(downsample, batch_format="numpy",
+                                       batch_size=4096),
+                        "parent_id", assemble)

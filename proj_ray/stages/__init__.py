@@ -64,6 +64,16 @@ def _cached_op(defn: str):
     return create_operation(defn)
 
 
+def _no_neighbours():
+    """The zero-row kNN result, typed like a non-empty one."""
+    import pandas as pd
+
+    return pd.DataFrame({"q": np.empty(0, np.int64),
+                         "nid": np.empty(0, np.int64),
+                         "dist": np.empty(0, np.float64),
+                         "rank": np.empty(0, np.int64)})
+
+
 def _f64(batch, col: str) -> np.ndarray:
     """Column `col` of an Arrow batch as a float64 NumPy array (nulls
     read as NaN; zero-copy when it is one null-free float64 chunk)."""
@@ -448,7 +458,7 @@ def knn_cells(ds, query_lon, query_lat, k: int = 5, level: int | None = None,
             # window covered the world: everything scanned, resolve all
             unresolved[:] = False
     if best_df is None or not len(best_df):
-        return pd.DataFrame(columns=["q", "nid", "dist", "rank"])
+        return _no_neighbours()
     out = (best_df.sort_values(["q", "dist", "nid"], kind="stable")
            .reset_index(drop=True))
     out["q"] = out["q"].astype(np.int64)
@@ -618,7 +628,7 @@ def knn_index(path: str, query_lon, query_lat, k: int = 5,
         b["rank"] = np.arange(1, len(b) + 1, dtype=np.int64)
         parts.append(b)
     if not parts:
-        return pd.DataFrame(columns=["q", "nid", "dist", "rank"])
+        return _no_neighbours()
     return pd.concat(parts, ignore_index=True)
 
 
@@ -682,8 +692,6 @@ def knn_brute(ds, query_lon, query_lat, k: int = 5,
     # global merge: per-block candidates are <= nq*k rows each; above
     # merge_cap total rows a groupby("q") pre-merge runs distributed so
     # the driver receives <= nq*k rows regardless of block count
-    import pandas as pd
-
     from proj_ray.dsutil import pull_pandas
 
     merge_cap = 500_000
@@ -695,7 +703,7 @@ def knn_brute(ds, query_lon, query_lat, k: int = 5,
         cand = cand.groupby("q").map_groups(topk, batch_format="pandas")
     allc = pull_pandas(cand)
     if allc.empty:
-        return pd.DataFrame(columns=["q", "nid", "dist", "rank"])
+        return _no_neighbours()
     allc = allc.sort_values(["q", "dist", "nid"]).groupby("q").head(k)
     allc["rank"] = allc.groupby("q").cumcount() + 1
     return allc.reset_index(drop=True)

@@ -11,14 +11,16 @@ the same output as a single clean run (verified by
 tests/test_stages.py::test_checkpoint_resume and
 ::test_partial_checkpoint_resume, on both routes).
 
-`resumable_write` materializes its input once and picks a route by size,
-on the same cap as `pipelines.spatial.bucketed_sum`
-(`dsutil.DRIVER_FINISH_ROWS`):
-- driver: a table that fits is pulled, split with one pandas groupby,
-  and each partition is written from the driver, so no exchange runs;
-- exchange: a larger table is grouped by a sort all-to-all and each
-  group is written by a Ray task.
-Both routes write the same files and manifest entries.
+`resumable_write` materializes its input once and picks a route by size
+with `dsutil.driver_table`, on the same cap as
+`pipelines.spatial.bucketed_sum` (`dsutil.DRIVER_FINISH_ROWS`):
+- driver: a table that fits is pulled and its partitions are written
+  from the driver, so no exchange runs;
+- exchange: a larger table goes through `exchange.co_partition` on the
+  partition column and a Ray task writes the partitions of each bucket.
+Both routes run one function, which splits a frame with a pandas
+groupby and writes each partition, so they write the same files and
+manifest entries.
 
 This is the explicit checkpoint/resume design the reference lacks
 (SURVEY §4: "checkpoint/resume: none — explicit design needed").
@@ -83,42 +85,41 @@ def resumable_write(ds, out_dir: str, partition_col: str,
     driver or exchange route (see the module docstring).
 
     Partition values must be stable across runs (derive them from input
-    shard ids or key ranges, never from block boundaries). They must
-    also be non-null and mutually comparable: the exchange route sorts
-    them, and a None among strings fails there (a float NaN writes
-    `part-nan` on both routes).
+    shard ids or key ranges, never from block boundaries). A partition
+    is named by `str(value)`: a None key writes `part-None` and a float
+    NaN `part-nan`, on both routes.
     """
     lineage = dict(lineage or {})
+    import pandas as pd
+
     from proj_ray import __version__, dsutil
+    from proj_ray.exchange import co_partition
 
     lineage.setdefault("engine_version", __version__)
     done = finished_partitions(out_dir)
 
-    def write_group(g):
-        import pandas as pd
-
-        pid = str(g[partition_col].iloc[0])
-        if pid in done:
-            return pd.DataFrame({"pid": [pid], "rows": [0],
-                                 "skipped": [True]})
-        entry = _write_one_partition(pid, g, out_dir, lineage)
-        return pd.DataFrame({"pid": [pid], "rows": [entry["rows"]],
-                             "skipped": [False]})
+    def write_frame(pdf: pd.DataFrame) -> pd.DataFrame:
+        res = []
+        # an empty table may come without columns to group on
+        groups = pdf.groupby(partition_col, sort=False, dropna=False) \
+            if len(pdf) else []
+        for _, g in groups:
+            pid = str(g[partition_col].iloc[0])
+            if pid in done:
+                res.append((pid, 0, True))
+            else:
+                entry = _write_one_partition(pid, g, out_dir, lineage)
+                res.append((pid, entry["rows"], False))
+        return pd.DataFrame(res, columns=["pid", "rows", "skipped"])
 
     import time
 
     t0 = time.time()
-    ds = ds.materialize()
-    if ds.count() <= dsutil.DRIVER_FINISH_ROWS:
-        pdf = dsutil.pull_pandas(ds)
-        # an empty table may come without columns to group on
-        groups = pdf.groupby(partition_col, sort=False, dropna=False) \
-            if len(pdf) else []
-        res = [r for _, g in groups
-               for r in write_group(g).to_dict("records")]
+    ds, pdf = dsutil.driver_table(ds)
+    if pdf is None:
+        res = co_partition(ds, partition_col, write_frame).take_all()
     else:
-        res = ds.groupby(partition_col).map_groups(
-            write_group, batch_format="pandas").take_all()
+        res = write_frame(pdf).to_dict("records")
     wall = max(time.time() - t0, 1e-9)
     rows = sum(r["rows"] for r in res)
     return {

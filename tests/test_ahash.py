@@ -47,3 +47,24 @@ def test_band_pairs_total_recall_vs_brute(ray_session):
     r, c = np.nonzero(d <= 6)
     exp = {(i, j) for i, j in zip(r, c) if i < j}
     assert gp == exp and len(exp) > 0
+
+
+def test_band_pairs_without_pairs_is_typed(ray_session):
+    """Rows but no near-dup pairs: zero rows with the non-empty
+    path's schema, not a schema-less dataset."""
+    import ray.data as rd
+
+    from proj_ray.functions.dedup import hash_band_pairs
+
+    rng = np.random.default_rng(3)
+    hashes = np.unique(rng.integers(-2**63, 2**63 - 1, 400,
+                                    dtype=np.int64))
+    assert len(hashes) == 400
+    df = pd.DataFrame({"h": hashes, "id": np.arange(400, dtype=np.int64)})
+    out = hash_band_pairs(rd.from_pandas(df).repartition(4), "h", "id",
+                          max_hamming=2, n_bands=8)
+    assert out.count() == 0
+    schema = out.schema()
+    assert schema is not None
+    assert schema.names == ["id_a", "id_b", "hamming"]
+    assert [str(t) for t in schema.types] == ["int64"] * 3

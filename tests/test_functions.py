@@ -68,6 +68,19 @@ def test_simhash_neardups(ray_session):
                           max_hamming=6).to_pandas()
     assert ((pairs["id_a"] == 0) & (pairs["id_b"] == 1)).any()
 
+    # a pair at hamming 6 with a differing bit in each 16-bit band, so
+    # no 4 x 16-bit banding can bring it together. Texts of at most 4
+    # bytes hash whole (blake2b); longer texts set only the low ~23
+    # simhash bits, so such a pair needs short texts (found by search)
+    rows = [{"doc_id": 3, "text": "ea9n"}, {"doc_id": 4, "text": "zvym"}]
+    h = simhash64([r["text"] for r in rows]).view(np.uint64)
+    assert hamming64(h[:1].view(np.int64), h[1:].view(np.int64))[0] == 6
+    assert all((h[0] ^ h[1]) >> np.uint64(16 * b) & np.uint64(0xFFFF)
+               for b in range(4))
+    pairs = dedup_simhash(rd.from_items(rows), "text", "doc_id",
+                          max_hamming=6).to_pandas()
+    assert list(zip(pairs["id_a"], pairs["id_b"])) == [(3, 4)]
+
 
 def test_ann_brute_vs_oracle(ray_session):
     import ray.data as rd

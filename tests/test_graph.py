@@ -39,8 +39,7 @@ def test_connected_components_random_graph(ray_session):
     a = rng.integers(0, n, m)
     b = rng.integers(0, n, m)
     got = connected_components(
-        rd.from_pandas(pd.DataFrame({"a": a, "b": b})),
-        n_buckets=8).to_pandas()
+        rd.from_pandas(pd.DataFrame({"a": a, "b": b}))).to_pandas()
     exp = _union_find_labels(a, b)
     gd = dict(zip(got["node"], got["label"]))
     assert gd == exp
@@ -58,7 +57,7 @@ def test_connected_components_chain(ray_session):
     b = a + 1
     got = connected_components(
         rd.from_pandas(pd.DataFrame({"a": a, "b": b})),
-        max_iters=20, n_buckets=4).to_pandas()
+        max_iters=20).to_pandas()
     assert len(got) == 11
     assert (got["label"] == 0).all()
 
@@ -74,7 +73,7 @@ def test_pagerank_matches_numpy_reference(ray_session):
     edges = rd.from_items(
         [{"src": int(a), "dst": int(b)} for a, b in zip(src, dst)],
         override_num_blocks=4)
-    out = (pagerank(edges, iters=5, n_buckets=8).to_pandas()
+    out = (pagerank(edges, iters=5).to_pandas()
            .sort_values("node").reset_index(drop=True))
     nodes, r = pagerank_numpy(src, dst, iters=5)
     assert out["node"].tolist() == nodes.tolist()

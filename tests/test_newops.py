@@ -360,8 +360,8 @@ def test_pack_sequences_partition_invariance(ray_session):
 
 
 def test_bloom_joins_parameter_invariance(ray_session):
-    """Semi/anti results are exact regardless of bloom size, hash
-    count, or verify bucket count (the bloom only prunes)."""
+    """Semi/anti results are exact regardless of bloom size or hash
+    count (the bloom only prunes)."""
     import ray.data as rd
 
     from proj_ray.functions.bloomjoin import (bloom_anti_join,
@@ -371,23 +371,23 @@ def test_bloom_joins_parameter_invariance(ray_session):
         [{"k": int(i % 700), "v": int(i)} for i in range(3000)])
     build = rd.from_items([{"bk": int(k)} for k in range(0, 700, 5)])
 
-    def semi(m, kk, nb):
-        out = bloom_semi_join(probe, build, "k", "bk", m_bits=m, k=kk,
-                              n_buckets=nb).to_pandas()
+    def semi(m, kk):
+        out = bloom_semi_join(probe, build, "k", "bk", m_bits=m,
+                              k=kk).to_pandas()
         return out.sort_values(["k", "v"]).reset_index(drop=True)
 
-    def anti(m, kk, nb):
-        out = bloom_anti_join(probe, build, "k", "bk", m_bits=m, k=kk,
-                              n_buckets=nb).to_pandas()
+    def anti(m, kk):
+        out = bloom_anti_join(probe, build, "k", "bk", m_bits=m,
+                              k=kk).to_pandas()
         return out.sort_values(["k", "v"]).reset_index(drop=True)
 
-    s0 = semi(1 << 20, 4, 64)
-    a0 = anti(1 << 20, 4, 64)
+    s0 = semi(1 << 20, 4)
+    a0 = anti(1 << 20, 4)
     assert len(s0) + len(a0) == 3000
     assert set(s0["k"]) == {k for k in range(700) if k % 5 == 0}
     # tiny bloom = high fpr: more verify work, same exact answer
-    pd.testing.assert_frame_equal(semi(1 << 8, 2, 7), s0)
-    pd.testing.assert_frame_equal(anti(1 << 8, 2, 7), a0)
+    pd.testing.assert_frame_equal(semi(1 << 8, 2), s0)
+    pd.testing.assert_frame_equal(anti(1 << 8, 2), a0)
 
 
 def test_resample_ffill_gaps(ray_session):

@@ -247,8 +247,8 @@ def _read_written(out):
 def test_resumable_write_routes(ray_session, tmp_path, monkeypatch):
     """Under the cap resumable_write runs no groupby; below every table
     size it runs the exchange. Both write the same files, rows and
-    manifest, both write a NaN key as part-nan, and both take an empty
-    input."""
+    manifest, both write a NaN key as part-nan and a None among strings
+    as part-None, and both take an empty input."""
     import pandas as pd
     import ray.data as rd
 
@@ -264,6 +264,11 @@ def test_resumable_write_routes(ray_session, tmp_path, monkeypatch):
         return rd.from_pandas([
             pd.DataFrame({"id": [0, 1], "k": [1.5, float("nan")]}),
             pd.DataFrame({"id": [2, 3], "k": [float("nan"), 2.5]})])
+
+    def none_table():
+        return rd.from_pandas([
+            pd.DataFrame({"id": [0, 1], "s": ["a", None]}),
+            pd.DataFrame({"id": [2, 3], "s": [None, "b"]})])
 
     def empty():
         return rd.from_items([{"id": 1, "part": 2}]).filter(lambda r: False)
@@ -296,16 +301,27 @@ def test_resumable_write_routes(ray_session, tmp_path, monkeypatch):
                                      "part-nan.parquet"]
             assert manifest["nan"][0] == 2
             assert list(files["part-nan.parquet"]["id"]) == [1, 2]
+            none_out = str(tmp_path / f"{route}-none")
+            st = resumable_write(none_table(), none_out, "s")
+            assert st["partitions"] == 3
+            outs[f"{route}-none"] = _read_written(none_out)
+            files, manifest = outs[f"{route}-none"]
+            assert sorted(files) == ["part-None.parquet", "part-a.parquet",
+                                     "part-b.parquet"]
+            assert list(files["part-None.parquet"]["id"]) == [1, 2]
             st = resumable_write(empty(), str(tmp_path / f"{route}-empty"),
                                  "part")
             assert st["partitions"] == st["written"] == 0
-    assert grouped == [("part",), ("k",), ("part",)]
-    (dfiles, dman), (xfiles, xman) = outs["driver"], outs["exchange"]
-    assert sorted(dfiles) == sorted(xfiles) == \
-        [f"part-{p}.parquet" for p in range(7)]
-    for f in dfiles:
-        pd.testing.assert_frame_equal(dfiles[f], xfiles[f])
-    assert dman == xman
+    assert grouped == [("_bk",)] * 4
+    for kind in ("", "-none"):
+        (dfiles, dman), (xfiles, xman) = (outs["driver" + kind],
+                                          outs["exchange" + kind])
+        assert sorted(dfiles) == sorted(xfiles)
+        for f in dfiles:
+            pd.testing.assert_frame_equal(dfiles[f], xfiles[f])
+        assert dman == xman
+    dfiles, dman = outs["driver"]
+    assert sorted(dfiles) == [f"part-{p}.parquet" for p in range(7)]
     assert dman["3"][0] == len(range(3, 3000, 7))
     assert dman["3"][1]["job"] == "routes"
 
@@ -499,7 +515,7 @@ def test_bucketed_sum_routes(ray_session, monkeypatch):
         return real_groupby(self, *a, **k)
 
     monkeypatch.setattr(rd.Dataset, "groupby", spy_groupby)
-    check(spatial.bucketed_sum(parts, "k", "v", "s", n_buckets=7))
+    check(spatial.bucketed_sum(parts, "k", "v", "s"))
     assert grouped == [("_bk",)]
 
 
@@ -513,7 +529,7 @@ def test_tile_join_plan_is_one_operator_per_block(ray_session, monkeypatch,
     import pyarrow.parquet as pq
     import ray.data as rd
 
-    from proj_ray import join, stages
+    from proj_ray import dsutil, join, stages
     from proj_ray.pipelines import spatial
     from proj_ray.tiles import tile_assign
 
@@ -538,13 +554,13 @@ def test_tile_join_plan_is_one_operator_per_block(ray_session, monkeypatch,
         return {"tile_key": uk, "n": cnt.astype(np.int64)}
 
     stats = []
-    real_pull = spatial.pull_pandas
+    real_pull = dsutil.pull_pandas
 
     def spy_pull(ds):
         stats.append(ds.stats())
         return real_pull(ds)
 
-    monkeypatch.setattr(spatial, "pull_pandas", spy_pull)
+    monkeypatch.setattr(dsutil, "pull_pandas", spy_pull)
     ds = rd.read_parquet(str(tmp_path))
     ds = stages.reproject(ds, "+proj=tmerc +lon_0=0 +ellps=WGS84")
     ds = stages.with_tiles(ds, zoom)

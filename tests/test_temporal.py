@@ -139,8 +139,7 @@ def test_rolling_window_matches_pandas(ray_session):
         "value": rng.normal(10, 5, n).round(2),
     })
     out = rolling_window(rd.from_pandas(df), "user_id", "ts", "value",
-                         "event_id", preceding=3, scale=100,
-                         n_buckets=8).to_pandas()
+                         "event_id", preceding=3, scale=100).to_pandas()
     out = out.sort_values("event_id").reset_index(drop=True)
 
     s = df.sort_values(["user_id", "ts", "event_id"]).copy()
@@ -169,8 +168,7 @@ def test_track_length_matches_pandas(ray_session):
         "lon": rng.uniform(-180, 180, n),
         "lat": rng.uniform(-85, 85, n),
     })
-    got = track_length(rd.from_pandas(df), "k", "o",
-                       n_buckets=8).to_pandas()
+    got = track_length(rd.from_pandas(df), "k", "o").to_pandas()
     got = got.sort_values("k").reset_index(drop=True)
 
     R = 6371000.0
@@ -258,7 +256,7 @@ def test_funnel_counts_bruteforce(ray_session):
         })
     out = funnel_counts(
         rd.from_items(rows, override_num_blocks=4),
-        ["view", "click", "purchase"], n_buckets=8).iloc[0]
+        ["view", "click", "purchase"]).iloc[0]
 
     # serial first-match reference
     import collections
@@ -304,7 +302,7 @@ def test_retention_cohorts_bruteforce(ray_session):
             for _ in range(1500)]
     out = retention_cohorts(
         rd.from_items(rows, override_num_blocks=4),
-        max_offset=7, period_us=86_400_000_000, n_buckets=8)
+        max_offset=7, period_us=86_400_000_000)
 
     import collections
     per_user = collections.defaultdict(set)
@@ -338,8 +336,8 @@ def test_snapshot_diff_bruteforce(ray_session):
     t1 = "2024-06-08T00:00:00"
     t2 = "2024-06-15T00:00:00"
     out = snapshot_diff(rd.from_items(rows, override_num_blocks=4),
-                        "k", "ts", "v", t1, t2, order_cols=("eid",),
-                        n_buckets=8).iloc[0]
+                        "k", "ts", "v", t1, t2,
+                        order_cols=("eid",)).iloc[0]
 
     def snap(cut):
         cutd = np.datetime64(cut, "us")

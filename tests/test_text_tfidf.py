@@ -64,7 +64,7 @@ def test_cooccurrence_pmi_matches_brute(ray_session):
             for _ in range(150)]
     df_in = pd.DataFrame({"doc_id": np.arange(150, dtype=np.int64),
                           "text": docs})
-    got = cooccurrence_pmi(rd.from_pandas(df_in), k=15, n_buckets=8)
+    got = cooccurrence_pmi(rd.from_pandas(df_in), k=15)
 
     # brute force in plain python
     n = len(docs)

@@ -32,7 +32,7 @@ def test_watermark_matches_pandas(ray_session):
     sh = df.sample(frac=1.0, random_state=3).reset_index(drop=True)
     got = watermark_lateness(
         rd.from_pandas(sh[["eid", "ts", "g"]]).repartition(7),
-        "eid", "ts", "g", late_us=10**8, n_buckets=16)
+        "eid", "ts", "g", late_us=10**8)
     exp = _expected(df, 10**8)
     got = got.rename(columns={"g": "g"}).reset_index(drop=True)
     pd.testing.assert_frame_equal(got, exp.astype(
@@ -54,7 +54,6 @@ def test_watermark_carry_crosses_buckets(ray_session):
                        "ts": pd.to_datetime(t, unit="us"),
                        "g": ["x"] * n})
     out = watermark_lateness(rd.from_pandas(df).repartition(5),
-                             "eid", "ts", "g", late_us=10**6,
-                             n_buckets=8)
+                             "eid", "ts", "g", late_us=10**6)
     assert out.iloc[0]["n_late"] == n - 1
     assert out.iloc[0]["max_late_us"] == 10**9 - 100

@@ -576,7 +576,7 @@ def _q13_part_brand(sf_dir: str):
     part = _read(sf_dir, "part",
                  columns=["p_partkey", "p_brand"]).to_pandas()
     # sparse sorted-key lookup: memory O(#parts), not O(max partkey);
-    # above stages.BROADCAST_ROW_LIMIT a caller should fall back to a
+    # above dsutil.BROADCAST_ROWS a caller should fall back to a
     # hash-shuffle join, as q52 does for its dimensions
     ref = ray.put(BroadcastLookup(part["p_partkey"].to_numpy(),
                                   {"brand": part["p_brand"].to_numpy()}))
@@ -1907,14 +1907,14 @@ FROM events GROUP BY 1, 2
 
 
 def _q37_range_join(sf_dir: str):
-    """Range (interval) join, deliberately on the DISTRIBUTED path
-    (broadcast_rows_cap=0): lineitem quantities against overlapping
-    price-bracket intervals derived from `part`, one bucketed
-    all-to-all (left rows to floor(v/w), intervals replicated into
-    every bucket they overlap), then a per-bracket aggregate. The
-    broadcast path is pytest-verified against the same brute join
-    (tests/test_interval.py). Half-open [lo, hi) so SQL reproduces
-    boundaries exactly."""
+    """Range (interval) join: lineitem quantities against overlapping
+    price-bracket intervals derived from `part`, then a per-bracket
+    aggregate. The 20 brackets take range_join's broadcast path; above
+    `dsutil.BROADCAST_ROWS` intervals it runs one bucketed all-to-all
+    (left rows to floor(v/w), intervals replicated into every bucket
+    they overlap), which tests/test_entry_oracles.py forces and
+    compares with this route at sf0.001. Half-open [lo, hi) so SQL
+    reproduces boundaries exactly."""
     import pandas as pd
 
     from proj_ray.functions.interval import range_join
@@ -1933,7 +1933,7 @@ def _q37_range_join(sf_dir: str):
     right = parts.map_batches(brackets, batch_format="numpy")
     joined = range_join(li, right, "l_quantity", "lo", "hi",
                         right_cols=("bracket_id", "lo", "hi"),
-                        broadcast_rows_cap=0, bucket_width=10.0)
+                        bucket_width=10.0)
 
     def partial(batch):
         df = pd.DataFrame({
@@ -2489,26 +2489,24 @@ ORDER BY cnt DESC, l_partkey ASC LIMIT 10
 """
 
 
-def _q52_revenue_by_nation(sf_dir: str, dim_cap: int | None = None):
+def _q52_revenue_by_nation(sf_dir: str):
     """TPC-H Q5-style 6-table pipeline: lineitem JOIN orders (the one
     big-big pair -> Ray's native hash-shuffle join, partition count
     sized to the cluster) with every dimension attached via CAPPED
-    broadcast lookups — customer, supplier and orders each check
-    `stages.BROADCAST_ROW_LIMIT` (TPC-H dims scale linearly with SF,
-    so at the 100-TB target they are tens of GB and must NOT be pulled
-    to the driver) and fall back to Ray's hash-shuffle join above it.
-    Nation x region (25 x 5 rows, SF-invariant) stays broadcast.
-    Same-nation customer/supplier filter, date + region predicates,
-    then exact int64 revenue partials per nation streaming-combined to
-    a 5-row result. Below the caps: zero shuffles total.
-
-    `dim_cap` overrides the broadcast cap (pytest drives it to 0 to
-    exercise every join fallback on small data)."""
+    broadcast lookups — customer, supplier and orders each go through
+    `dsutil.driver_table` with `dsutil.BROADCAST_ROWS` (TPC-H dims
+    scale linearly with SF, so at the 100-TB target they are tens of
+    GB and must NOT be pulled to the driver) and fall back to Ray's
+    hash-shuffle join on the materialized side above it. Nation x
+    region (25 x 5 rows, SF-invariant) stays broadcast. Same-nation
+    customer/supplier filter, date + region predicates, then exact
+    int64 revenue partials per nation streaming-combined to a 5-row
+    result. Below the caps: zero shuffles total (pytest sets the cap to
+    0 to run every join fallback on small data)."""
     import ray
 
-    from proj_ray.stages import BROADCAST_ROW_LIMIT, BroadcastLookup
-
-    cap = BROADCAST_ROW_LIMIT if dim_cap is None else dim_cap
+    from proj_ray import dsutil
+    from proj_ray.stages import BroadcastLookup
 
     def _nparts() -> int:
         return max(2, min(64, int(
@@ -2532,8 +2530,8 @@ def _q52_revenue_by_nation(sf_dir: str, dim_cap: int | None = None):
                     columns=["c_custkey", "c_nationkey"])
     orders_rd = _read(sf_dir, "orders",
                       columns=["o_orderkey", "o_custkey", "o_orderdate"])
-    if cust_ds.count() <= cap:
-        cust = cust_ds.to_pandas()
+    cust_ds, cust = dsutil.driver_table(cust_ds, dsutil.BROADCAST_ROWS)
+    if cust is not None:
         cmap = BroadcastLookup(cust["c_custkey"].to_numpy(),
                                {"cn": cust["c_nationkey"].to_numpy()})
         cref = ray.put(cmap)
@@ -2547,9 +2545,8 @@ def _q52_revenue_by_nation(sf_dir: str, dim_cap: int | None = None):
                     np.asarray(b["o_orderkey"])[keep][found],
                     "cn": vals["cn"][found]}
 
-        orders = (orders_rd
-                  .map_batches(orders_filtered, batch_format="numpy")
-                  .materialize())
+        orders = orders_rd.map_batches(orders_filtered,
+                                       batch_format="numpy")
     else:
         def date_only(b: dict) -> dict:
             ts = np.asarray(b["o_orderdate"]).astype("datetime64[us]")
@@ -2566,8 +2563,7 @@ def _q52_revenue_by_nation(sf_dir: str, dim_cap: int | None = None):
                   .join(cust_ds, join_type="inner",
                         num_partitions=_nparts(),
                         on=("o_custkey",), right_on=("c_custkey",))
-                  .map_batches(keep_cn, batch_format="numpy")
-                  .materialize())
+                  .map_batches(keep_cn, batch_format="numpy"))
 
     li = _read(sf_dir, "lineitem",
                columns=["l_orderkey", "l_suppkey",
@@ -2577,10 +2573,8 @@ def _q52_revenue_by_nation(sf_dir: str, dim_cap: int | None = None):
     # Ray's hash join (partition count sized to the cluster — each
     # partition is an aggregator actor, and actor startup dominated a
     # first version that always joined: 21-75 s for a 600k-row fact).
-    if orders.count() <= cap:
-        from proj_ray.dsutil import pull_pandas
-
-        odf = pull_pandas(orders)
+    orders, odf = dsutil.driver_table(orders, dsutil.BROADCAST_ROWS)
+    if odf is not None:
         omap = BroadcastLookup(odf["o_orderkey"].to_numpy(),
                                {"cn": odf["cn"].to_numpy()})
         oref = ray.put(omap)
@@ -2601,8 +2595,8 @@ def _q52_revenue_by_nation(sf_dir: str, dim_cap: int | None = None):
     # --- fact x supplier: broadcast below cap, else one more hash join
     sup_ds = _read(sf_dir, "supplier",
                    columns=["s_suppkey", "s_nationkey"])
-    if sup_ds.count() <= cap:
-        sup = sup_ds.to_pandas()
+    sup_ds, sup = dsutil.driver_table(sup_ds, dsutil.BROADCAST_ROWS)
+    if sup is not None:
         smap = BroadcastLookup(sup["s_suppkey"].to_numpy(),
                                {"sn": sup["s_nationkey"].to_numpy()})
         sref = ray.put(smap)
@@ -3772,20 +3766,20 @@ def _q71_overlay_area(sf_dir: str):
     """Rectangle intersection-area overlay join (PBSM shape on the
     measured surface): event footprints x supplier coverage rects ->
     every STRICTLY overlapping pair with the exact integer
-    intersection area in milli-degree^2 units. The partitioned path
-    is forced so the oracle gate exercises the 100-TB plan — both
-    sides flat-mapped to 4-degree grid cells, ONE co-partitioned
-    all-to-all, per-cell vectorized pairing with REFERENCE-POINT
-    duplicate avoidance (a pair overlapping k cells is claimed only by
-    the cell containing the intersection's min corner; Patel & DeWitt
-    PBSM, SIGMOD 1996). Broadcast-path parity is pytest-asserted
-    (proj_ray/functions/overlay.py)."""
+    intersection area in milli-degree^2 units. The supplier side
+    takes the broadcast path; above `dsutil.BROADCAST_ROWS` rows the
+    partitioned 100-TB plan runs — both sides flat-mapped to 4-degree
+    grid cells, ONE co-partitioned all-to-all, per-cell vectorized
+    pairing with REFERENCE-POINT duplicate avoidance (a pair
+    overlapping k cells is claimed only by the cell containing the
+    intersection's min corner; Patel & DeWitt PBSM, SIGMOD 1996).
+    tests/test_entry_oracles.py forces that plan and compares it with
+    this route at sf0.001 (proj_ray/functions/overlay.py)."""
     from proj_ray.functions.overlay import rect_overlay_join
 
     return rect_overlay_join(
         _event_rects(sf_dir), _supplier_rects(sf_dir),
-        "event_id", "s_suppkey", scale=1000, cell_deg=4.0,
-        force="partitioned")
+        "event_id", "s_suppkey", scale=1000, cell_deg=4.0)
 
 
 _Q71_SQL = """
@@ -5323,24 +5317,26 @@ ORDER BY source
 """
 
 
-def _trade_pairs(sf_dir: str, cap: int):
+def _trade_pairs(sf_dir: str):
     """(o_custkey, l_suppkey) trade pairs from orders x lineitem —
     the shared edge source of the graph queries (q104 pagerank, q126
-    BFS). Broadcast-joins the orders side below `cap` rows; above it,
+    BFS, q136 SSSP). Broadcast-joins the orders side at most
+    `dsutil.BROADCAST_ROWS` rows (`dsutil.driver_table`); above it,
     a hash-bucket co-partition merge (no driver-side join either
     way). Pairs are NOT deduped here — callers dedup in the shape
     their algorithm needs."""
     import pandas as pd
     import ray
 
+    from proj_ray import dsutil
     from proj_ray.stages import BroadcastLookup
 
-    orders_ds = _read(sf_dir, "orders",
-                      columns=["o_orderkey", "o_custkey"])
+    orders_ds, od = dsutil.driver_table(
+        _read(sf_dir, "orders", columns=["o_orderkey", "o_custkey"]),
+        dsutil.BROADCAST_ROWS)
     li = _read(sf_dir, "lineitem", columns=["l_orderkey", "l_suppkey"])
 
-    if orders_ds.count() <= cap:
-        od = orders_ds.to_pandas()
+    if od is not None:
         omap = BroadcastLookup(od["o_orderkey"].to_numpy(),
                                {"ck": od["o_custkey"].to_numpy()})
         oref = ray.put(omap)
@@ -5380,7 +5376,7 @@ def _trade_pairs(sf_dir: str, cap: int):
         "k", merge)
 
 
-def _q104_pagerank(sf_dir: str, iters: int = 5, dim_cap=None):
+def _q104_pagerank(sf_dir: str, iters: int = 5):
     """Iterative distributed PageRank over the customer<->supplier
     trade graph (distinct (o_custkey, l_suppkey) pairs from
     orders x lineitem, both directions, suppliers namespaced +1e6),
@@ -5388,30 +5384,29 @@ def _q104_pagerank(sf_dir: str, iters: int = 5, dim_cap=None):
     chained CTEs, one per iteration — is bit-exact. Returns the
     top-20 nodes by final rank (ties broken by node id).
 
-    Scale shape: the orders->custkey side broadcasts below
-    stages.BROADCAST_ROW_LIMIT and falls back to a bucketed
+    Scale shape: the orders->custkey side broadcasts at most
+    `dsutil.BROADCAST_ROWS` rows and falls back to a bucketed
     co-partition join above it; pair-dedup is bucketed drop-duplicates.
-    The iteration loop runs on the driver below an explicit edge cap
-    (numpy fixed-point, bit-identical) and as the distributed
-    functions/graph.py pagerank above it — two hash-bucket all-to-alls
-    per iteration over (node, contrib) messages, never a driver-side
-    graph. dim_cap=0 in pytest drives BOTH fallbacks."""
+    The iteration loop runs on the driver at most
+    `dsutil.DRIVER_FINISH_ROWS` raw pairs (numpy fixed-point,
+    bit-identical) and as the distributed functions/graph.py pagerank
+    above it — two hash-bucket all-to-alls per iteration over (node,
+    contrib) messages, never a driver-side graph. pytest sets both
+    caps to 0 to run BOTH fallbacks."""
     import pandas as pd
-    import ray
 
+    from proj_ray import dsutil
     from proj_ray.functions.graph import pagerank
-    from proj_ray.stages import BROADCAST_ROW_LIMIT, BroadcastLookup
 
-    cap = BROADCAST_ROW_LIMIT if dim_cap is None else dim_cap
     ns = 1_000_000
-    pr = _trade_pairs(sf_dir, cap).materialize()
-    edge_cap = 5_000_000 if dim_cap is None else dim_cap
-    if pr.count() <= edge_cap:
+    pr, ep = dsutil.driver_table(_trade_pairs(sf_dir),
+                                 dsutil.DRIVER_FINISH_ROWS)
+    if ep is not None:
         # raw pair list fits the driver: dedup + numpy fixed-point
         # loop here (bit-identical to the distributed path,
         # pytest-enforced)
         from proj_ray.functions.graph import pagerank_numpy
-        ep = pr.to_pandas().drop_duplicates(["c", "s"])
+        ep = ep.drop_duplicates(["c", "s"])
         c = ep["c"].to_numpy(np.int64)
         s = ep["s"].to_numpy(np.int64) + ns
         nodes_a, r_a = pagerank_numpy(np.concatenate([c, s]),
@@ -6366,32 +6361,32 @@ FROM p ORDER BY q DESC, id ASC LIMIT 100
 """
 
 
-def _q126_bfs_hops(sf_dir: str, dim_cap=None):
+def _q126_bfs_hops(sf_dir: str):
     """Exact hop distances (BFS, <= 4 hops) from the smallest-id
     supplier over the customer<->supplier trade graph: iterative
     min-message dataflow — two bucketed all-to-alls per hop over
     (node, dist) messages, never a driver-side graph
-    (functions/graph.py bfs_hops). Below the edge cap the raw pair
-    list BFSes on the driver instead (bfs_numpy, bit-identical —
-    the q104 dispatch convention; an iterative dataflow pays ~12
-    exchange latencies for a graph whose edge list is a few MB);
-    dim_cap=0 in pytest drives the distributed path. The oracle is
-    a recursive CTE whose UNION-deduped (node, depth) state set is
-    bounded by nodes x hops."""
+    (functions/graph.py bfs_hops). At most
+    `dsutil.DRIVER_FINISH_ROWS` raw pairs the pair list BFSes on the
+    driver instead (bfs_numpy, bit-identical — the q104 dispatch
+    convention; an iterative dataflow pays ~12 exchange latencies for
+    a graph whose edge list is a few MB; tests/test_bfs.py holds
+    bfs_hops to bfs_numpy). The oracle is a recursive CTE whose
+    UNION-deduped (node, depth) state set is bounded by nodes x
+    hops."""
     import pandas as pd
 
+    from proj_ray import dsutil
     from proj_ray.functions.graph import bfs_hops
-    from proj_ray.stages import BROADCAST_ROW_LIMIT
 
     ns = 1_000_000
-    cap = BROADCAST_ROW_LIMIT if dim_cap is None else dim_cap
-    pr = _trade_pairs(sf_dir, cap).materialize()
+    pr, ep = dsutil.driver_table(_trade_pairs(sf_dir),
+                                 dsutil.DRIVER_FINISH_ROWS)
     li = _read(sf_dir, "lineitem", columns=["l_suppkey"])
     src = ns + int(li.min("l_suppkey"))
-    edge_cap = 5_000_000 if dim_cap is None else dim_cap
-    if pr.count() <= edge_cap:
+    if ep is not None:
         from proj_ray.functions.graph import bfs_numpy
-        ep = pr.to_pandas().drop_duplicates(["c", "s"])
+        ep = ep.drop_duplicates(["c", "s"])
         c = ep["c"].to_numpy(np.int64)
         s = ep["s"].to_numpy(np.int64) + ns
         nodes, dist = bfs_numpy(np.concatenate([c, s]),
@@ -7005,10 +7000,9 @@ def _q136_sssp(sf_dir: str):
     import pandas as pd
 
     from proj_ray.functions.graph import sssp_hops
-    from proj_ray.stages import BROADCAST_ROW_LIMIT
 
     ns = 1_000_000
-    pr = _trade_pairs(sf_dir, BROADCAST_ROW_LIMIT)
+    pr = _trade_pairs(sf_dir)
 
     def dedup(g: pd.DataFrame) -> pd.DataFrame:
         u = g.drop_duplicates(["c", "s"])
@@ -9377,28 +9371,6 @@ def _copurchase_edges(sf_dir: str):
         ["u", "v"], dedup)
 
 
-def _copurchase_degrees(edges):
-    """Per-node degree table of a canonical edge Dataset via per-block
-    partial counts + a co-partitioned per-node sum. Returns Dataset
-    (node, deg)."""
-    import pandas as pd
-
-    def partial(b: dict) -> dict:
-        n, c = np.unique(np.concatenate(
-            [np.asarray(b["u"], np.int64),
-             np.asarray(b["v"], np.int64)]), return_counts=True)
-        return {"node": n, "deg": c.astype(np.int64)}
-
-    def comb(g: pd.DataFrame) -> pd.DataFrame:
-        out = g.groupby("node", as_index=False)["deg"].sum()
-        out["deg"] = out["deg"].astype(np.int64)
-        return out
-
-    return co_partition(edges.map_batches(partial, batch_format="numpy",
-                                          batch_size=65536),
-                        "node", comb)
-
-
 _COPURCH_SQL = """
 pp AS (
   SELECT DISTINCT l_orderkey AS o, l_partkey AS p FROM lineitem),
@@ -9420,7 +9392,9 @@ def _q169_degree_hist(sf_dir: str):
     int) rows cross any exchange."""
     import pandas as pd
 
-    deg = _copurchase_degrees(_copurchase_edges(sf_dir))
+    from proj_ray.functions.graph import degree_table
+
+    deg = degree_table(_copurchase_edges(sf_dir))
 
     def hist(b: dict) -> pd.DataFrame:
         g = (pd.DataFrame({"deg": b["deg"]})
@@ -9451,13 +9425,15 @@ def _q170_assortativity(sf_dir: str):
     (du + dv) = sum over nodes of deg^2, s2 = sum over edges of
     (du^2 + dv^2) = sum over nodes of deg^3 (both via the DEGREE
     table, no edge join), and s3 = sum over edges of du*dv, the one
-    term that genuinely needs degrees attached to edges — two
-    endpoint co-partition merges (the triangle_count attach shape).
-    All exchanges ship int rows."""
+    term that genuinely needs degrees attached to edges —
+    functions/graph.py attach_degrees, which triangle_count's exchange
+    path runs too. All exchanges ship int rows."""
     import pandas as pd
 
+    from proj_ray.functions.graph import attach_degrees, degree_table
+
     edges = _copurchase_edges(sf_dir).materialize()
-    deg = _copurchase_degrees(edges).materialize()
+    deg = degree_table(edges).materialize()
 
     def node_stats(b: dict) -> pd.DataFrame:
         d = np.asarray(b["deg"], dtype=np.int64)
@@ -9468,40 +9444,7 @@ def _q170_assortativity(sf_dir: str):
     ns = (deg.map_batches(node_stats, batch_format="numpy",
                           batch_size=65536).to_pandas().sum())
 
-    def attach(key: str, out_col: str, ecols: list):
-        def tag_e(b: dict) -> pd.DataFrame:
-            df = pd.DataFrame({k: np.asarray(b[k], np.int64)
-                               for k in ecols})
-            df["_side"] = np.int8(1)
-            df["node"] = df[key]
-            df["deg"] = np.int64(0)
-            return df
-
-        def tag_d(b: dict) -> pd.DataFrame:
-            n = len(np.asarray(b["node"]))
-            df = pd.DataFrame({k: np.zeros(n, dtype=np.int64)
-                               for k in ecols})
-            df["_side"] = np.int8(0)
-            df["node"] = np.asarray(b["node"], np.int64)
-            df["deg"] = np.asarray(b["deg"], np.int64)
-            return df
-
-        def join(g: pd.DataFrame) -> pd.DataFrame:
-            d = g[g["_side"] == 0][["node", "deg"]]
-            e = g[g["_side"] == 1].drop(columns=["deg", "_side"])
-            m = e.merge(d, on="node").drop(columns=["node"])
-            return m.rename(columns={"deg": out_col})
-
-        return tag_e, tag_d, join
-
-    cur = edges
-    for key, out_col, ecols in (("u", "du", ["u", "v"]),
-                                ("v", "dv", ["u", "v", "du"])):
-        tag_e, tag_d, join = attach(key, out_col, ecols)
-        cur = co_partition(
-            [cur.map_batches(tag_e, batch_format="numpy", batch_size=65536),
-             deg.map_batches(tag_d, batch_format="numpy", batch_size=65536)],
-            "node", join).materialize()
+    cur = attach_degrees(edges, deg)
 
     def s3_partial(b: dict) -> pd.DataFrame:
         du = np.asarray(b["du"], dtype=np.int64)
@@ -9541,10 +9484,10 @@ def _q171_clustering_coeff(sf_dir: str):
     node/edge counts."""
     import pandas as pd
 
-    from proj_ray.functions.graph import triangle_count
+    from proj_ray.functions.graph import degree_table, triangle_count
 
     edges = _copurchase_edges(sf_dir).materialize()
-    deg = _copurchase_degrees(edges)
+    deg = degree_table(edges)
 
     def wedge_partial(b: dict) -> pd.DataFrame:
         d = np.asarray(b["deg"], dtype=np.int64)

@@ -12,17 +12,19 @@ def pull_pandas(ds):
     measured: 0.92 s vs 0.007 s for the same 200k-row 8-block pull) —
     `ray.get` on the materialized block refs is milliseconds. Only for
     tables known to fit the driver; every caller gates on a row cap.
+    Blocks convert as in `Dataset.to_pandas` (tensor columns become
+    NumPy arrays).
     """
     import pandas as pd
-    import pyarrow as pa
     import ray
+    from ray.data.block import BlockAccessor
     from ray.data.dataset import MaterializedDataset
 
     mat = ds if isinstance(ds, MaterializedDataset) else ds.materialize()
     refs = [r for bun in mat.iter_internal_ref_bundles()
             for r in bun.block_refs]
     blocks = ray.get(refs)
-    dfs = [b.to_pandas() if isinstance(b, pa.Table) else pd.DataFrame(b)
+    dfs = [BlockAccessor.for_block(b).to_pandas()
            for b in blocks if len(b)]
     if not dfs:
         cols = mat.schema().names if mat.schema() is not None else []
@@ -31,21 +33,37 @@ def pull_pandas(ds):
         dfs[0].reset_index(drop=True)
 
 
-# a table of at most this many rows is finished on the driver instead
-# of through an all-to-all (~64 MB as a pandas (int64, int64) frame).
-# `driver_table` (behind `bucketed_sum` and `resumable_write`) and
-# `tile_counts_salted` read it at call time, so one setting steers all
+# The size rule. Every route choice that pulls a table to the driver,
+# to finish it there or to `ray.put` it to every task, goes through
+# `driver_table(ds, cap)` with one of these caps. Callers name the cap
+# at call time (`dsutil.BROADCAST_ROWS`, not a default argument), so one
+# setting, or a test's monkeypatch, steers every site of its kind.
+
+# a (key, value) table of at most this many rows is finished on the
+# driver instead of through an all-to-all (~64 MB as a pandas (int64,
+# int64) frame): sums, top-k merges, driver-side graph loops
 DRIVER_FINISH_ROWS = 4_000_000
 
+# a join's small side of at most this many rows is pulled and shipped
+# to every task by `ray.put`; each worker process holds its own copy,
+# which is why it sits below the finish cap
+BROADCAST_ROWS = 2_000_000
 
-def driver_table(ds):
+# rows that carry a document's text (or its shingle sets, or a
+# candidate pair whose two texts get broadcast) weigh kilobytes, not
+# tens of bytes: at most this many documents are handled on the driver
+DOC_ROWS = 100_000
+
+
+def driver_table(ds, cap: int):
     """Materialize `ds` once and return (materialized, pandas or None):
-    the pulled table when it has at most DRIVER_FINISH_ROWS rows, else
-    None, and the caller runs its exchange on the materialized dataset.
-    The pull goes through this module's `pull_pandas`, looked up at
-    call time."""
+    the pulled table when it has at most `cap` rows, else None, and the
+    caller runs its exchange on the materialized dataset, so the input
+    runs once on either route. A cap below 0 sends even an empty table
+    to the exchange. The pull goes through this module's `pull_pandas`,
+    looked up at call time."""
     mat = ds.materialize()
-    if mat.count() <= DRIVER_FINISH_ROWS:
+    if mat.count() <= cap:
         return mat, pull_pandas(mat)
     return mat, None
 

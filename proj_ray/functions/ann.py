@@ -57,33 +57,35 @@ def ann_brute(ds, queries: np.ndarray, k: int = 10,
 
     cand = ds.map_batches(local, batch_format="numpy",
                           batch_size=batch_size)
-    return _merge_topk(cand, k)
+    return merge_topk(cand, k)
 
 
-def _merge_topk(cand, k: int, merge_cap: int = 500_000):
-    """Final per-query top-k. Each block already contributed <= nq*k
-    candidate rows; below `merge_cap` total rows the merge is one
-    driver-side concat of that bounded table. Above it (many blocks —
-    the 100-TB case) a groupby("q") pre-merge runs distributed so the
-    driver receives <= nq*k rows regardless of block count."""
+def merge_topk(cand, k: int, score: str = "cosine",
+               descending: bool = True):
+    """Final per-query top-k of a (q, nid, `score`) candidate table,
+    best `score` first and ties to the smaller nid, ranked from 1. Each
+    block already contributed <= nq*k candidate rows; at most
+    `dsutil.DRIVER_FINISH_ROWS` total rows the merge is one driver-side
+    concat of that bounded table. Above it (many blocks — the 100-TB
+    case) a groupby("q") pre-merge runs distributed so the driver
+    receives <= nq*k rows regardless of block count."""
     import pandas as pd
 
-    from proj_ray.dsutil import pull_pandas
+    from proj_ray import dsutil
 
-    cand = cand.materialize()
-    if cand.count() > merge_cap:
+    order = [not descending, True]
+    cand, allc = dsutil.driver_table(cand, dsutil.DRIVER_FINISH_ROWS)
+    if allc is None:
         def topk(g):
-            return g.sort_values(["cosine", "nid"],
-                                 ascending=[False, True]).head(k)
+            return g.sort_values([score, "nid"], ascending=order).head(k)
 
-        cand = cand.groupby("q").map_groups(topk, batch_format="pandas")
-    allc = pull_pandas(cand)
+        allc = dsutil.pull_pandas(
+            cand.groupby("q").map_groups(topk, batch_format="pandas"))
     if allc.empty:
         allc = pd.DataFrame({"q": np.empty(0, np.int64),
                              "nid": np.empty(0, np.int64),
-                             "cosine": np.empty(0, np.float64)})
-    allc = (allc.sort_values(["q", "cosine", "nid"],
-                             ascending=[True, False, True])
+                             score: np.empty(0, np.float64)})
+    allc = (allc.sort_values(["q", score, "nid"], ascending=[True, *order])
                 .groupby("q").head(k))
     allc["rank"] = allc.groupby("q").cumcount() + 1
     return allc.reset_index(drop=True)
@@ -243,7 +245,7 @@ def ann_ivf(ds, queries: np.ndarray, k: int = 10, centroids=None,
 
     cand = ds.map_batches(local, batch_format="numpy",
                           batch_size=batch_size)
-    return _merge_topk(cand, k)
+    return merge_topk(cand, k)
 
 
 def ivf_build(ds, path: str, centroids=None, n_centroids: int = 64,
@@ -349,7 +351,7 @@ def ann_ivf_index(path: str, queries: np.ndarray, k: int = 10,
 
     cand = ds.map_batches(local, batch_format="numpy",
                           batch_size=batch_size)
-    return _merge_topk(cand, k)
+    return merge_topk(cand, k)
 
 
 def pq_adc_topk(ds, query_ids, k: int = 10, m: int = 4, ncode: int = 16,

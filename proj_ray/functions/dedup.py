@@ -19,6 +19,7 @@ import hashlib
 
 import numpy as np
 
+from proj_ray import dsutil
 from proj_ray.exchange import co_partition
 
 
@@ -183,8 +184,7 @@ def dedup_exact_incremental(ds_new, path: str, key_col: str,
 
 def minhash_index_build(ds, text_col: str, id_col: str, path: str,
                         num_perm: int = 64, bands: int = 16,
-                        n_buckets: int = 64, shingle_k: int = 5,
-                        local_cap: int = 100_000):
+                        n_buckets: int = 64, shingle_k: int = 5):
     """Persist the MinHash near-dup state of a corpus under `path`:
 
     - `bands/bucket=K/` — (band, rid) rows, partitioned by
@@ -202,12 +202,13 @@ def minhash_index_build(ds, text_col: str, id_col: str, path: str,
     On a multi-node cluster `path` must be cluster-shared storage
     (NFS/S3-fuse).
 
-    Adaptive shape (same trade as dedup_minhash_lsh's local_sig_cap):
-    at or under `local_cap` source rows the signing/shingling passes
-    still run distributed but the bucket partitioning happens
-    driver-local (the two groupby all-to-alls cost seconds of fixed
-    exchange latency that dwarf small corpora); above the cap the
-    bucket co-partitioning is a distributed groupby."""
+    Adaptive shape (`dsutil.driver_table` decides on the shingle rows,
+    one per document): at most `dsutil.DOC_ROWS` documents the
+    signing/shingling passes still run distributed but the bucket
+    partitioning happens driver-local (the two groupby all-to-alls
+    cost seconds of fixed exchange latency that dwarf small corpora);
+    above the cap the bucket co-partitioning is a distributed
+    groupby."""
     import os
 
     import pandas as pd
@@ -262,11 +263,12 @@ def minhash_index_build(ds, text_col: str, id_col: str, path: str,
                              "bytes": [os.path.getsize(f)]})
 
     src = ds.select_columns([id_col, text_col])
-    if ds.count() <= local_cap:
-        bands_df = src.map_batches(sign, batch_format="numpy",
-                                   batch_size=256).to_pandas()
-        sh_df = src.map_batches(shingle_rows, batch_format="pandas",
-                                batch_size=256).to_pandas()
+    sh, sh_df = dsutil.driver_table(
+        src.map_batches(shingle_rows, batch_format="pandas",
+                        batch_size=256), dsutil.DOC_ROWS)
+    if sh_df is not None:
+        bands_df = dsutil.pull_pandas(
+            src.map_batches(sign, batch_format="numpy", batch_size=256))
         mans = [write_bands(g) for _, g in bands_df.groupby("_bk")]
         mans += [write_shingles(g) for _, g in sh_df.groupby("_bk")]
         man = pd.concat(mans, ignore_index=True)
@@ -277,9 +279,7 @@ def minhash_index_build(ds, text_col: str, id_col: str, path: str,
              .groupby("_bk")
              .map_groups(write_bands, batch_format="pandas")
              .to_pandas())
-    man_s = (src.map_batches(shingle_rows, batch_format="pandas",
-                             batch_size=1024)
-             .groupby("_bk")
+    man_s = (sh.groupby("_bk")
              .map_groups(write_shingles, batch_format="pandas")
              .to_pandas())
     return (pd.concat([man_b, man_s], ignore_index=True)
@@ -290,8 +290,7 @@ def minhash_incremental(ds_new, path: str, text_col: str, id_col: str,
                         threshold: float = 0.6, num_perm: int = 64,
                         bands: int = 16, n_buckets: int = 64,
                         shingle_k: int = 5,
-                        pairs_cap: int = 1_000_000,
-                        local_cap: int = 100_000):
+                        pairs_cap: int = 1_000_000):
     """Near-dup pairs between a NEW shard and the history persisted by
     `minhash_index_build` — without rescanning history.
 
@@ -344,19 +343,19 @@ def minhash_incremental(ds_new, path: str, text_col: str, id_col: str,
         return m[["id_new", "id_old"]].drop_duplicates(
             ignore_index=True)
 
-    sigs = ds_new.select_columns([id_col, text_col]) \
-        .map_batches(sign, batch_format="numpy", batch_size=256)
-    if ds_new.count() <= local_cap:
-        # bounded delta: sign distributed, probe driver-local (skips
-        # the band groupby's fixed all-to-all latency); each needed
-        # bucket partition is still read exactly once
-        sdf = sigs.to_pandas()
+    # `bands` signature rows per document: a delta of at most
+    # DOC_ROWS documents signs distributed and probes driver-local
+    # (skips the band groupby's fixed all-to-all latency); each needed
+    # bucket partition is still read exactly once
+    sigs, sdf = dsutil.driver_table(
+        ds_new.select_columns([id_col, text_col])
+        .map_batches(sign, batch_format="numpy", batch_size=256),
+        dsutil.DOC_ROWS * bands)
+    if sdf is not None:
         pairs = pd.concat(
             [probe(g) for _, g in sdf.groupby("_bk")],
             ignore_index=True)
     else:
-        from proj_ray.dsutil import pull_pandas
-
         cand = (sigs.groupby("_bk")
                 .map_groups(probe, batch_format="pandas")
                 .materialize())
@@ -367,7 +366,7 @@ def minhash_incremental(ds_new, path: str, text_col: str, id_col: str,
                 f"pairs_cap={pairs_cap}; raise the cap or tighten "
                 "bands — the verify below broadcasts the candidate "
                 "sides")
-        pairs = pull_pandas(cand)
+        pairs = dsutil.pull_pandas(cand)
     if len(pairs) > pairs_cap:
         raise ValueError(
             f"{len(pairs)} LSH candidates exceed "
@@ -622,16 +621,15 @@ def _bucket_pair_arrays(ids: np.ndarray, bucket_cap: int):
 def dedup_minhash_lsh(ds, text_col: str, id_col: str,
                       threshold: float = 0.7, num_perm: int = 64,
                       bands: int = 16, concurrency=(2, 8),
-                      bucket_cap: int = 4096,
-                      local_sig_cap: int = 2_000_000,
-                      broadcast_pairs_cap: int = 100_000):
+                      bucket_cap: int = 4096):
     """Near-duplicate pairs via MinHash LSH.
 
     Scale shape: the signing pass emits only (band_key, rid) — ~10 B/row
     × bands, never the document text. When the signature table is small
-    (<= local_sig_cap rows) the bucket pairing happens driver-local
-    (pandas groupby over a bounded table — no all-to-all at all);
-    above the cap it is a distributed groupby(band). Candidate pairs
+    (at most `dsutil.DRIVER_FINISH_ROWS` rows; `dsutil.driver_table`
+    decides) the bucket pairing happens driver-local (pandas groupby
+    over a bounded table — no all-to-all at all); above the cap it is a
+    distributed groupby(band) on the materialized signatures. Candidate pairs
     are deduped across bands and each pair's text is fetched ONCE for
     the exact n-gram Jaccard verify (see _verify_pairs_exact for its
     own broadcast/distributed split). Oversized buckets (> bucket_cap)
@@ -648,13 +646,11 @@ def dedup_minhash_lsh(ds, text_col: str, id_col: str,
         keys = mh.band_keys_batch(mh.signatures(batch[text_col]))
         return {"band": keys.ravel(), "rid": np.repeat(ids, bands)}
 
-    sigs = ds.map_batches(sign, batch_format="numpy", batch_size=1024)
-
-    # decide local vs distributed pairing from the SOURCE row count
-    # (metadata-cheap for parquet) — the signature table itself is
-    # never materialized just to count it
-    if ds.count() * bands <= local_sig_cap:
-        pdf = sigs.to_pandas().drop_duplicates(["band", "rid"])
+    sigs, pdf = dsutil.driver_table(
+        ds.map_batches(sign, batch_format="numpy", batch_size=1024),
+        dsutil.DRIVER_FINISH_ROWS)
+    if pdf is not None:
+        pdf = pdf.drop_duplicates(["band", "rid"])
         sizes = pdf.groupby("band")["rid"].transform("size")
         multi = pdf[sizes > 1]
         out_a, out_b = [], []
@@ -680,18 +676,16 @@ def dedup_minhash_lsh(ds, text_col: str, id_col: str,
 
         pairs = sigs.groupby("band").map_groups(bucket_pairs,
                                                 batch_format="pandas")
-    return _verify_pairs_exact(ds, pairs, text_col, id_col, threshold,
-                               broadcast_pairs_cap=broadcast_pairs_cap)
+    return _verify_pairs_exact(ds, pairs, text_col, id_col, threshold)
 
 
 def _verify_pairs_exact(docs, pairs, text_col: str, id_col: str,
                         threshold: float, shingle_k: int = 5,
-                        broadcast_pairs_cap: int = 100_000,
                         sim_fn=None):
     """Exact n-gram Jaccard verify of candidate pairs (cross-band
     duplicates deduped here). Adaptive two-path shape:
 
-    - candidate set <= broadcast_pairs_cap (the common case — LSH
+    - candidate set <= `dsutil.DOC_ROWS` (the common case — LSH
       collisions are a tiny fraction of the corpus): broadcast the
       candidate-id set, semi-join the docs with a shuffle-free
       map_batches filter, judge in a distributed actor stage holding
@@ -712,16 +706,13 @@ def _verify_pairs_exact(docs, pairs, text_col: str, id_col: str,
             return jaccard_ngrams(a, b, k=shingle_k)
     if isinstance(pairs, pd.DataFrame):
         pdf = pairs.drop_duplicates(["id_a", "id_b"])
-        small = len(pdf) <= broadcast_pairs_cap
-        pairs_ds = None
+        if len(pdf) > dsutil.DOC_ROWS:
+            pairs_ds, pdf = rd.from_pandas(pdf.reset_index(drop=True)), None
     else:
-        from proj_ray.dsutil import pull_pandas
-
-        pairs_ds = pairs.materialize()
-        small = pairs_ds.count() <= broadcast_pairs_cap
-        pdf = pull_pandas(pairs_ds).drop_duplicates(["id_a", "id_b"]) \
-            if small else None
-    if small:
+        pairs_ds, pdf = dsutil.driver_table(pairs, dsutil.DOC_ROWS)
+        if pdf is not None:
+            pdf = pdf.drop_duplicates(["id_a", "id_b"])
+    if pdf is not None:
         if len(pdf) == 0:
             return rd.from_pandas(pd.DataFrame(
                 {"id_a": [], "id_b": [], "jaccard": []}))
@@ -761,8 +752,6 @@ def _verify_pairs_exact(docs, pairs, text_col: str, id_col: str,
 
         return rd.from_pandas(pdf.reset_index(drop=True)).map_batches(
             judge, batch_format="pandas", batch_size=4096)
-    if pairs_ds is None:
-        pairs_ds = rd.from_pandas(pdf.reset_index(drop=True))
 
     # distributed path: attach text_a (dedup folded in), then attach
     # text_b and judge inline
@@ -940,9 +929,7 @@ def _length_filtered_pairs(pre, threshold: float, bucket_cap: int):
 
 def dedup_ngram_jaccard(ds, text_col: str, id_col: str,
                         threshold: float = 0.5, n: int = 2,
-                        local_docs_cap: int = 100_000,
-                        bucket_cap: int = 4096,
-                        broadcast_pairs_cap: int = 100_000):
+                        bucket_cap: int = 4096):
     """EXACT word-n-gram Jaccard similarity self-join (near-dup pairs
     with J >= threshold) via AllPairs prefix filtering — no sketching,
     full recall, SQL-oracle-checkable.
@@ -951,11 +938,14 @@ def dedup_ngram_jaccard(ds, text_col: str, id_col: str,
     rows — never text. Candidate generation indexes only each doc's
     prefix (the ~(1-t)*sz globally-rarest grams), so a doc pair is
     compared only if it shares a rare gram; the length filter prunes
-    size-mismatched pairs before any text moves. Below local_docs_cap
-    source docs the df/prefix/pair steps run driver-local on the
-    bounded gram table (0 all-to-alls); above, they are three
-    distributed groupbys (gram -> rid -> gram). Verification fetches
-    each candidate's text once (see _verify_pairs_exact).
+    size-mismatched pairs before any text moves. At most
+    `dsutil.DOC_ROWS` source docs (`dsutil.driver_table` decides) are
+    signed on the driver and the df/prefix/pair steps run driver-local
+    on the bounded gram table (0 all-to-alls); above, the signing pass
+    runs distributed and they are three distributed groupbys (gram ->
+    rid -> gram). Either way the docs run once, materialized for the
+    verify, which fetches each candidate's text once (see
+    _verify_pairs_exact).
 
     Returns {id_a, id_b, jaccard} with exact string-set jaccard.
     """
@@ -967,11 +957,11 @@ def dedup_ngram_jaccard(ds, text_col: str, id_col: str,
         hh, rid, sz = _word_gram_rows(batch[text_col], batch[id_col], n)
         return {"gram": hh, "rid": rid, "sz": sz}
 
-    grams = ds.map_batches(sign, batch_format="numpy", batch_size=1024)
     sim = functools.partial(jaccard_word_ngrams, n=n)
-
-    if ds.count() <= local_docs_cap:
-        pdf = grams.to_pandas()
+    ds, docs = dsutil.driver_table(ds.select_columns([id_col, text_col]),
+                                   dsutil.DOC_ROWS)
+    if docs is not None:
+        pdf = pd.DataFrame(sign(docs))
         if len(pdf) == 0:
             import ray.data as rd
 
@@ -983,9 +973,8 @@ def dedup_ngram_jaccard(ds, text_col: str, id_col: str,
             "size")
         pairs = _length_filtered_pairs(
             _prefix_rows(pdf, threshold), threshold, bucket_cap)
-        return _verify_pairs_exact(
-            ds, pairs, text_col, id_col, threshold,
-            broadcast_pairs_cap=broadcast_pairs_cap, sim_fn=sim)
+        return _verify_pairs_exact(ds, pairs, text_col, id_col,
+                                   threshold, sim_fn=sim)
 
     def attach_df(group):
         return group.assign(df=len(group))
@@ -996,13 +985,12 @@ def dedup_ngram_jaccard(ds, text_col: str, id_col: str,
     def bucket_pairs(group):
         return _length_filtered_pairs(group, threshold, bucket_cap)
 
-    pairs = (grams
+    pairs = (ds.map_batches(sign, batch_format="numpy", batch_size=1024)
              .groupby("gram").map_groups(attach_df, batch_format="pandas")
              .groupby("rid").map_groups(prefix, batch_format="pandas")
              .groupby("gram").map_groups(bucket_pairs,
                                          batch_format="pandas"))
     return _verify_pairs_exact(ds, pairs, text_col, id_col, threshold,
-                               broadcast_pairs_cap=broadcast_pairs_cap,
                                sim_fn=sim)
 
 

@@ -239,7 +239,70 @@ def _pair_expand(sorted_src: np.ndarray, sorted_dst: np.ndarray):
     return np.minimum(a, b), np.maximum(a, b)
 
 
-def triangle_count(edges, broadcast_cap: int = 5_000_000):
+def degree_table(edges):
+    """Per-node degree table (node, deg int64) of a canonical edge
+    Dataset (u, v int64): per-block partial counts, then one
+    co-partitioned per-node sum."""
+    import pandas as pd
+
+    def partial(b: dict) -> dict:
+        n, c = np.unique(np.concatenate(
+            [np.asarray(b["u"], np.int64),
+             np.asarray(b["v"], np.int64)]), return_counts=True)
+        return {"node": n, "deg": c.astype(np.int64)}
+
+    def comb(g: pd.DataFrame) -> pd.DataFrame:
+        out = g.groupby("node", as_index=False)["deg"].sum()
+        out["deg"] = out["deg"].astype(np.int64)
+        return out
+
+    return co_partition(edges.map_batches(partial, batch_format="numpy",
+                                          batch_size=65536),
+                        "node", comb)
+
+
+def attach_degrees(edges, deg):
+    """`edges` (u, v int64) with the degree of each endpoint attached as
+    `du` and `dv`, from a degree table (node, deg int64): two
+    co-partitions on the node, one per endpoint, materialized. Both
+    sides ship int rows only."""
+    import pandas as pd
+
+    def attach(cur, col: str, out: str, ecols: list):
+        def tag_e(b: dict) -> pd.DataFrame:
+            df = pd.DataFrame({k: np.asarray(b[k], np.int64)
+                               for k in ecols})
+            df["_side"] = np.int8(1)
+            df["node"] = df[col]
+            df["deg"] = np.int64(0)
+            return df
+
+        def tag_d(b: dict) -> pd.DataFrame:
+            # same columns, same order, so the union schemas line up
+            n = len(np.asarray(b["node"]))
+            df = pd.DataFrame({k: np.zeros(n, dtype=np.int64)
+                               for k in ecols})
+            df["_side"] = np.int8(0)
+            df["node"] = np.asarray(b["node"], np.int64)
+            df["deg"] = np.asarray(b["deg"], np.int64)
+            return df
+
+        def join(g: pd.DataFrame) -> pd.DataFrame:
+            d = g[g["_side"] == 0][["node", "deg"]]
+            e = g[g["_side"] == 1].drop(columns=["deg", "_side"])
+            m = e.merge(d, on="node").drop(columns=["node"])
+            return m.rename(columns={"deg": out})
+
+        return co_partition(
+            [cur.map_batches(tag_e, batch_format="numpy", batch_size=65536),
+             deg.map_batches(tag_d, batch_format="numpy", batch_size=65536)],
+            "node", join).materialize()
+
+    return attach(attach(edges, "u", "du", ["u", "v"]),
+                  "v", "dv", ["u", "v", "du"])
+
+
+def triangle_count(edges):
     """Exact distributed triangle count (Suri & Vassilvitskii,
     WWW'11 node-iterator++): orient every edge from its lower-
     (degree, id) endpoint so out-degrees are O(sqrt(m)), generate
@@ -249,15 +312,19 @@ def triangle_count(edges, broadcast_cap: int = 5_000_000):
 
     Returns one-row pandas (n_nodes, n_edges, n_triangles).
 
-    Closing paths (parity-tested): at or below `broadcast_cap` edges
-    (and 32-bit ids) the canonical edge set broadcasts ONCE as a
-    sorted packed-key array and wedges close inside the generating
-    task — the O(sum C(out,2)) wedge volume never crosses the wire.
-    Above the cap, wedges compact per (pair) within each source
-    bucket and close in one co-partition on the pair. Fixed
-    exchanges either way: edge dedup, degree sum, degree attach x2,
-    (+ wedge close above cap) — each ships int rows only."""
+    Closing paths (parity-tested): at most `dsutil.BROADCAST_ROWS`
+    edges (`dsutil.driver_table` decides; and 32-bit ids) the
+    canonical edge set broadcasts ONCE as a sorted packed-key array
+    and wedges close inside the generating task — the O(sum C(out,2))
+    wedge volume never crosses the wire. Above the cap, wedges compact
+    per (pair) within each source bucket and close in one
+    co-partition on the pair. Exchanges: edge dedup and the
+    per-source wedge bucket on both paths; above the cap also the
+    degree sum, the degree attach x2 and the wedge close — each ships
+    int rows only."""
     import pandas as pd
+
+    from proj_ray import dsutil
 
     def canon(b: dict) -> dict:
         u = np.asarray(b["u"], dtype=np.int64)
@@ -269,12 +336,13 @@ def triangle_count(edges, broadcast_cap: int = 5_000_000):
     def dedup(g: pd.DataFrame) -> pd.DataFrame:
         return g.drop_duplicates(subset=["u", "v"])
 
-    E = co_partition(edges.map_batches(canon, batch_format="numpy",
+    E, ekeys = dsutil.driver_table(
+        co_partition(edges.map_batches(canon, batch_format="numpy",
                                        batch_size=65536),
-                     ["u", "v"], dedup).materialize()
+                     ["u", "v"], dedup), dsutil.BROADCAST_ROWS)
     n_edges = E.count()
 
-    if 0 < n_edges <= broadcast_cap:
+    if ekeys is not None and n_edges:
         # broadcast path: the edge set ships to the driver ONCE
         # anyway (as the sorted packed-key close array), so degrees
         # and orientation come from that same pull instead of the
@@ -284,7 +352,6 @@ def triangle_count(edges, broadcast_cap: int = 5_000_000):
         # id spaces fall through to the exchange path)
         import ray
 
-        ekeys = E.to_pandas()
         eu = ekeys["u"].to_numpy(np.int64)
         ev = ekeys["v"].to_numpy(np.int64)
         mx = max(int(eu.max()), int(ev.max()), 0)
@@ -331,57 +398,10 @@ def triangle_count(edges, broadcast_cap: int = 5_000_000):
                                  "n_edges": [np.int64(n_edges)],
                                  "n_triangles": [np.int64(n_tri)]})
 
-    # degrees: per-block partial counts -> per-node sum
-    def deg_partial(b: dict) -> dict:
-        n, c = np.unique(np.concatenate(
-            [np.asarray(b["u"], np.int64),
-             np.asarray(b["v"], np.int64)]), return_counts=True)
-        return {"node": n, "deg": c.astype(np.int64)}
-
-    def deg_sum(g: pd.DataFrame) -> pd.DataFrame:
-        return g.groupby("node", as_index=False)["deg"].sum()
-
-    deg = co_partition(E.map_batches(deg_partial, batch_format="numpy",
-                                     batch_size=65536),
-                       "node", deg_sum).materialize()
+    deg = degree_table(E).materialize()
     n_nodes = deg.count()
 
-    # attach deg(u) then deg(v) via two co-partitions
-    def attach(col: str, out: str, ecols: list):
-        def tag_e(b: dict) -> pd.DataFrame:
-            df = pd.DataFrame({k: np.asarray(b[k], np.int64)
-                               for k in ecols})
-            df["_side"] = np.int64(1)
-            df["node"] = df[col]
-            df["deg"] = np.int64(0)
-            return df
-
-        def tag_d(b: dict) -> pd.DataFrame:
-            # same columns, same order, so the union schemas line up
-            n = len(np.asarray(b["node"]))
-            df = pd.DataFrame({k: np.zeros(n, dtype=np.int64)
-                               for k in ecols})
-            df["_side"] = np.int64(0)
-            df["node"] = np.asarray(b["node"], np.int64)
-            df["deg"] = np.asarray(b["deg"], np.int64)
-            return df
-
-        def join(g: pd.DataFrame) -> pd.DataFrame:
-            d = g[g["_side"] == 0][["node", "deg"]]
-            e = g[g["_side"] == 1].drop(columns=["deg", "_side"])
-            m = e.merge(d, on="node").drop(columns=["node"])
-            return m.rename(columns={"deg": out})
-
-        return tag_e, tag_d, join
-
-    cur = E
-    for col, out, ecols in (("u", "du", ["u", "v"]),
-                            ("v", "dv", ["u", "v", "du"])):
-        tag_e, tag_d, join = attach(col, out, ecols)
-        cur = co_partition(
-            [cur.map_batches(tag_e, batch_format="numpy", batch_size=65536),
-             deg.map_batches(tag_d, batch_format="numpy", batch_size=65536)],
-            "node", join).materialize()
+    cur = attach_degrees(E, deg)
 
     # orient from lower (deg, id); generate wedges per source bucket
     def orient(b: dict) -> dict:

@@ -95,15 +95,22 @@ def _intra_group_arange(lens: np.ndarray) -> np.ndarray:
 def range_join(left, right, value_col: str, lo_col: str, hi_col: str,
                right_cols: tuple = (), key_col: str | None = None,
                left_key: str | None = None,
-               broadcast_rows_cap: int = 2_000_000,
                bucket_width: float | None = None):
     """Inner range join: every (left row, right interval) pair with
     lo <= value < hi, optionally also requiring key equality
     (left[left_key] == right[key_col]). Multi-match: overlapping
     intervals each emit a pair. Unmatched left rows are dropped.
+
+    The right side's needed columns run once, through
+    `dsutil.driver_table`: at most `dsutil.BROADCAST_ROWS` intervals
+    broadcast as a segment index that each left batch probes; above
+    it both sides meet in one all-to-all on value buckets
+    `bucket_width` wide, so a right side that large needs one.
     """
     import pandas as pd
     import ray
+
+    from proj_ray import dsutil
 
     need = list(dict.fromkeys(
         [lo_col, hi_col, *(() if key_col is None else (key_col,)),
@@ -113,8 +120,10 @@ def range_join(left, right, value_col: str, lo_col: str, hi_col: str,
     def right_rows(batch):
         return {c: np.asarray(batch[c]) for c in need}
 
-    if right.count() <= broadcast_rows_cap:
-        rp = right.map_batches(right_rows, batch_format="numpy").to_pandas()
+    right, rp = dsutil.driver_table(
+        right.map_batches(right_rows, batch_format="numpy"),
+        dsutil.BROADCAST_ROWS)
+    if rp is not None:
         cols = {c: rp[c].to_numpy() for c in need}
         if key_col is None:
             index = {None: _SegmentIndex(cols[lo_col], cols[hi_col])}

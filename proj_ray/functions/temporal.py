@@ -54,8 +54,7 @@ def _merge_asof_arrays(lt, rt, r_order, direction):
 def asof_join(left, right, left_key: str, right_key: str,
               left_ts: str, right_ts: str,
               right_cols: tuple = (), tie_col: str | None = None,
-              direction: str = "backward",
-              broadcast_rows_cap: int = 2_000_000):
+              direction: str = "backward"):
     """Inner as-of join: each left row pairs with the right row having
     the latest right_ts <= left_ts (backward) / earliest >= (forward)
     for the same key; unmatched left rows are dropped.
@@ -64,9 +63,16 @@ def asof_join(left, right, left_key: str, right_key: str,
     the boundary timestamp, backward picks the one with the LARGEST
     tie_col, forward the SMALLEST (tie_col defaults to the first of
     right_cols, which should be a unique id).
+
+    The right side's needed columns run once, through
+    `dsutil.driver_table`: at most `dsutil.BROADCAST_ROWS` rows
+    broadcast as per-key sorted slices that each left batch probes;
+    above it both sides meet in one all-to-all on the key.
     """
     import pandas as pd
     import ray
+
+    from proj_ray import dsutil
 
     tie = tie_col or (right_cols[0] if right_cols else right_key)
     need = list(dict.fromkeys([right_key, right_ts, tie, *right_cols]))
@@ -74,10 +80,10 @@ def asof_join(left, right, left_key: str, right_key: str,
     def right_rows(batch):
         return {c: np.asarray(batch[c]) for c in need}
 
-    rsmall = right.count() <= broadcast_rows_cap
-    if rsmall:
-        rp = right.map_batches(
-            right_rows, batch_format="numpy").to_pandas()
+    right, rp = dsutil.driver_table(
+        right.map_batches(right_rows, batch_format="numpy"),
+        dsutil.BROADCAST_ROWS)
+    if rp is not None:
         rts = _ts_us(rp[right_ts].to_numpy())
         rtie = rp[tie].to_numpy()
         order = np.lexsort((rtie, rts, rp[right_key].to_numpy()))

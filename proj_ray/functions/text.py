@@ -157,7 +157,7 @@ def document_frequencies(ds, text_col: str = "text",
     token streams. The driver result is vocabulary-sized and guarded
     by `vocab_cap`; corpora whose vocabulary exceeds it should switch
     to a groupby("term") aggregate and a shuffle join instead of the
-    broadcast path (same trade as stages.BROADCAST_ROW_LIMIT).
+    broadcast path (same trade as dsutil.BROADCAST_ROWS).
 
     count_docs=True piggybacks the corpus document count on the same
     pass (a NUL-prefixed sentinel term) and returns (df, n_docs) —

@@ -10,9 +10,10 @@ Aggregation paths:
 - `headline_spatial`: fused actor stage emits per-batch partial
   (tile, count) pairs; the combine moves O(#tiles × #blocks) rows —
   the shuffle-minimal shape.
-- `tile_counts_salted`: per-tile counts of a Dataset. Per-block
-  partials are materialized once; under DRIVER_FINISH_ROWS rows
-  `bucketed_sum` finishes them on the driver. Above that the combine
+- `tile_counts_salted`: per-tile counts of a Dataset. One
+  `dsutil.driver_table` call materializes the per-block partials and,
+  under DRIVER_FINISH_ROWS rows, pulls them, and the same per-key sum
+  as `bucketed_sum` finishes them on the driver. Above that the combine
   runs distributed with explicit skew handling: a census finds hot
   tiles (images.geotags plants Zipfian metro hotspots), their partials
   split into `salt` deterministic sub-keys before the exchange, and
@@ -21,8 +22,10 @@ Aggregation paths:
 - `tile_counts_salted_fused`: census-free salting of synthetic geotags
   in one streaming execution.
 Counts are identical on every path (tests assert it). DRIVER_FINISH_ROWS
-lives in `proj_ray.dsutil` and is read at call time by
-`dsutil.driver_table`, which `state.resumable_write` uses too.
+is the `proj_ray.dsutil` cap of every driver finish, read at call time
+and passed to `dsutil.driver_table`, which chooses every route in the
+engine that pulls a table to the driver (`state.resumable_write`'s
+too); a broadcast join's small side uses `dsutil.BROADCAST_ROWS`.
 """
 
 from __future__ import annotations
@@ -184,6 +187,14 @@ def bucketed_sum(parts, key_col: str, val_col: str, out_col: str):
     KEY on both the map and reduce sides (~80 us/row measured — 4.9 s
     for a 131k-row partial table at 4 cpus). An empty input gives a
     typed zero-row table."""
+    return _finish_sum(*dsutil.driver_table(parts, dsutil.DRIVER_FINISH_ROWS),
+                       key_col, val_col, out_col)
+
+
+def _finish_sum(parts, pdf, key_col: str, val_col: str, out_col: str):
+    """`bucketed_sum` after `dsutil.driver_table` chose its route: the
+    pulled table `pdf`, or the materialized `parts` when `pdf` is
+    None."""
     import pandas as pd
     import ray.data as rd
 
@@ -194,7 +205,6 @@ def bucketed_sum(parts, key_col: str, val_col: str, out_col: str):
         return pd.DataFrame({key_col: out[key_col].to_numpy(np.int64),
                              out_col: out[val_col].to_numpy(np.int64)})
 
-    parts, pdf = dsutil.driver_table(parts)
     if pdf is None:
         return co_partition(parts, key_col, key_sum)
     if pdf.empty:  # no blocks, so no schema to take dtypes from
@@ -333,9 +343,10 @@ def tile_counts_salted(ds, zoom: int = 7, threshold: int | None = None,
     and `lat` as NumPy and returns a new Arrow (tile_key, n_part)
     table, so Ray never infers the type of an int64 NumPy column (see
     the `proj_ray.stages` docstring).
-    Then the partial table (#tiles x #blocks rows at most) decides:
+    Then the partial table (#tiles x #blocks rows at most) decides,
+    through one `dsutil.driver_table` call:
 
-    - at or under DRIVER_FINISH_ROWS rows `bucketed_sum` sums it on
+    - at or under DRIVER_FINISH_ROWS rows it is pulled and summed on
       the driver with no exchange, since the state already fits there;
     - above it the combine runs distributed: the partials are
       coalesced, a bucketed_sum census finds tiles with at least
@@ -358,10 +369,11 @@ def tile_counts_salted(ds, zoom: int = 7, threshold: int | None = None,
         return pa.table({"tile_key": keys,
                          "n_part": counts.astype(np.int64)})
 
-    parts = ds.map_batches(tile_partials, batch_format="pyarrow",
-                           batch_size=None).materialize()
-    if parts.count() <= dsutil.DRIVER_FINISH_ROWS:
-        return bucketed_sum(parts, "tile_key", "n_part", "n")
+    parts, pdf = dsutil.driver_table(
+        ds.map_batches(tile_partials, batch_format="pyarrow",
+                       batch_size=None), dsutil.DRIVER_FINISH_ROWS)
+    if pdf is not None:
+        return _finish_sum(parts, pdf, "tile_key", "n_part", "n")
 
     ncpu = int(ray.cluster_resources().get("CPU", 8))
     if parts.num_blocks() > 2 * ncpu:

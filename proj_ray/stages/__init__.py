@@ -275,9 +275,6 @@ def spatial_join(ds, index, how: str = "inner",
     )
 
 
-BROADCAST_ROW_LIMIT = 2_000_000
-
-
 class BroadcastLookup:
     """Sparse key->value lookup for broadcast joins: sorted keys +
     parallel value arrays, probed with np.searchsorted — no dense
@@ -689,24 +686,9 @@ def knn_brute(ds, query_lon, query_lat, k: int = 5,
 
     cand = ds.map_batches(local_topk, batch_format="numpy",
                           batch_size=batch_size)
-    # global merge: per-block candidates are <= nq*k rows each; above
-    # merge_cap total rows a groupby("q") pre-merge runs distributed so
-    # the driver receives <= nq*k rows regardless of block count
-    from proj_ray.dsutil import pull_pandas
+    from proj_ray.functions.ann import merge_topk
 
-    merge_cap = 500_000
-    cand = cand.materialize()
-    if cand.count() > merge_cap:
-        def topk(g):
-            return g.sort_values(["dist", "nid"]).head(k)
-
-        cand = cand.groupby("q").map_groups(topk, batch_format="pandas")
-    allc = pull_pandas(cand)
-    if allc.empty:
-        return _no_neighbours()
-    allc = allc.sort_values(["q", "dist", "nid"]).groupby("q").head(k)
-    allc["rank"] = allc.groupby("q").cumcount() + 1
-    return allc.reset_index(drop=True)
+    return merge_topk(cand, k, "dist", descending=False)
 
 
 def dwithin_join(ds, query_lon, query_lat, radius_m: float,
@@ -722,7 +704,7 @@ def dwithin_join(ds, query_lon, query_lat, radius_m: float,
     a level sized to the radius and join per cell-ring instead — this
     broadcast variant is the small-query-side fast path, the same split
     q52 makes between `BroadcastLookup` and a shuffle join at
-    `BROADCAST_ROW_LIMIT`.
+    `dsutil.BROADCAST_ROWS`.
 
     The formula is written in the exact operation order a DuckDB
     oracle reproduces: a = sin^2(dphi/2) + cos(phi1) cos(phi2)
@@ -834,32 +816,31 @@ def bloom_maybe_contains(bits: np.ndarray, keys, m_bits: int,
 
 def semi_anti_join(ds, right, key_col: str, right_key: str | None = None,
                    how: str = "anti",
-                   max_rows: int = BROADCAST_ROW_LIMIT,
                    use_bloom: bool = True, bloom_bits: int = 1 << 24):
     """Semi / anti join: keep `ds` rows whose key does (semi) or does
     not (anti) appear in `right`'s key column.
 
     The right side is reduced to DISTINCT keys first (a tiny
-    aggregate), so what moves is the key set, never right rows. Below
-    `max_rows` distinct keys: one `ray.put` of the sorted key array,
-    each batch filtered with searchsorted — no shuffle of `ds` at all.
-    Above it: Ray Data's hash-partitioned join on the key (semi) or a
-    left-outer join with a null-probe filter (anti), so the driver
-    never holds an unbounded key set.
+    aggregate), so what moves is the key set, never right rows. At
+    most `dsutil.BROADCAST_ROWS` distinct keys (`dsutil.driver_table`
+    decides): one `ray.put` of the sorted key array, each batch
+    filtered with searchsorted — no shuffle of `ds` at all. Above it:
+    Ray Data's hash-partitioned join on the key (semi) or a left-outer
+    join with a null-probe filter (anti), so the driver never holds an
+    unbounded key set.
     """
     import ray
+
+    from proj_ray import dsutil
 
     rk = right_key or key_col
     # distinct keys as a (still distributed) dataset; batch-local
     # dedup happens inside Ray's hash aggregate.
-    distinct = (right.select_columns([rk])
-                .groupby(rk).count().select_columns([rk]).materialize())
-    if distinct.count() <= max_rows:
-        keys = np.sort(np.concatenate(
-            [np.asarray(b[rk]) for b in
-             distinct.iter_batches(batch_format="numpy")] or
-            [np.empty(0)]))
-        ref = ray.put(keys)
+    distinct, kdf = dsutil.driver_table(
+        right.select_columns([rk]).groupby(rk).count().select_columns([rk]),
+        dsutil.BROADCAST_ROWS)
+    if kdf is not None:
+        ref = ray.put(np.sort(kdf[rk].to_numpy()))
         want = how == "semi"
 
         def filt(batch: dict) -> dict:

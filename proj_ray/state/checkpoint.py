@@ -115,7 +115,7 @@ def resumable_write(ds, out_dir: str, partition_col: str,
     import time
 
     t0 = time.time()
-    ds, pdf = dsutil.driver_table(ds)
+    ds, pdf = dsutil.driver_table(ds, dsutil.DRIVER_FINISH_ROWS)
     if pdf is None:
         res = co_partition(ds, partition_col, write_frame).take_all()
     else:

@@ -71,18 +71,47 @@ def test_q17_sql_generates():
     assert " AS anti," not in sql and " AS inner," not in sql
 
 
-def test_q52_join_fallback_matches_broadcast(ray_session):
-    """Above BROADCAST_ROW_LIMIT the customer/supplier/orders lookups
+def test_q52_join_fallback_matches_broadcast(ray_session, monkeypatch):
+    """Above dsutil.BROADCAST_ROWS the customer/supplier/orders lookups
     must switch from driver broadcasts to hash-shuffle joins; drive
     the cap to 0 so every fallback runs, and assert the result equals
     the broadcast path (both oracle-checked by the driver gate)."""
     import __ray_entry__ as E
+    from proj_ray import dsutil
 
     sf = "/root/testdata/sf0.001"
     broad = E._q52_revenue_by_nation(sf).reset_index(drop=True)
-    joined = E._q52_revenue_by_nation(sf, dim_cap=0).reset_index(drop=True)
+    monkeypatch.setattr(dsutil, "BROADCAST_ROWS", 0)
+    joined = E._q52_revenue_by_nation(sf).reset_index(drop=True)
     assert broad.equals(joined)
     assert len(broad) >= 1
+
+
+def test_q37_q71_distributed_route_matches_default(ray_session,
+                                                   monkeypatch):
+    """q37 (range join) and q71 (rectangle overlay) take their
+    broadcast route by default, and that route is what
+    tools/check_queries.py holds to the DuckDB oracle. With
+    dsutil.BROADCAST_ROWS below 0 they take the bucketed all-to-all
+    (q37) and the PBSM co-partition (q71) instead, which must give the
+    same frame."""
+    import pandas as pd
+
+    import __ray_entry__ as E
+    from proj_ray import dsutil
+
+    def run(q):
+        out = q("/root/testdata/sf0.001")
+        df = out if isinstance(out, pd.DataFrame) else out.to_pandas()
+        return df.sort_values(list(df.columns)).reset_index(drop=True)
+
+    for q in (E._q37_range_join, E._q71_overlay_area):
+        default = run(q)
+        with monkeypatch.context() as m:
+            m.setattr(dsutil, "BROADCAST_ROWS", -1)
+            distributed = run(q)
+        assert len(default) >= 1, q.__name__
+        pd.testing.assert_frame_equal(default, distributed)
 
 
 def test_q210_q211_reject_event_types_missing_from_broadcast(

@@ -145,3 +145,42 @@ def test_only_exchange_groups_on_a_bucket_column():
     for rel, names in ALLOWED.items():
         seen = {fn for fn, _ in _bucket_groupbys(ROOT / rel)}
         assert seen == names, f"stale allowlist for {rel}: {seen}"
+
+
+# size parameters that guard an error (raise above them), not a route
+GUARD_CAPS = {"pairs_cap", "vocab_cap", "survivor_cap", "bucket_cap"}
+
+
+def _route_params(source: str):
+    """(function, parameter) of every def or lambda parameter that would
+    pick a driver-or-exchange route by size: `*_cap` other than the
+    error guards, `dim_cap`, `max_rows` and `force`. Routes are chosen
+    by `dsutil.driver_table` with a `dsutil` cap instead."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.Lambda)):
+            a = node.args
+            for arg in a.posonlyargs + a.args + a.kwonlyargs:
+                name = arg.arg
+                if ((name.endswith("_cap") and name not in GUARD_CAPS)
+                        or name in ("max_rows", "force")):
+                    found.append((getattr(node, "name", "lambda"), name))
+    return found
+
+
+def test_route_params_ratchet_catches_a_cap_parameter():
+    src = "def join(a, b, broadcast_rows_cap=2_000_000):\n    pass\n"
+    assert _route_params(src) == [("join", "broadcast_rows_cap")]
+    assert _route_params("def f(x, pairs_cap=10, force_x=1):\n"
+                         "    pass\n") == []
+
+
+def test_no_function_takes_a_route_size_parameter():
+    files = [ROOT / "__ray_entry__.py", *sorted(
+        (ROOT / "proj_ray").rglob("*.py"))]
+    bad = [f"{path.relative_to(ROOT).as_posix()} {fn}({name})"
+           for path in files
+           for fn, name in _route_params(path.read_text())]
+    assert not bad, "route by dsutil.driver_table, not a parameter: " \
+        + ", ".join(bad)

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from proj_ray import dsutil
+
 
 @pytest.fixture(scope="module")
 def docs_ds(ray_session):
@@ -215,7 +217,7 @@ def test_ivf_build_partition_pruned(ray_session, tmp_path):
                 == set(exact[exact["q"] == qi]["nid"]))
 
 
-def test_minhash_all_paths_agree(ray_session):
+def test_minhash_all_paths_agree(ray_session, monkeypatch):
     """The three execution shapes (local pairing + broadcast verify,
     distributed band groupby, distributed two-pass attach verify) must
     produce the identical verified pair set."""
@@ -240,17 +242,17 @@ def test_minhash_all_paths_agree(ray_session):
 
     fast = norm(dedup_minhash_lsh(ds, "text", "doc_id",
                                   threshold=0.5).to_pandas())
+    monkeypatch.setattr(dsutil, "DRIVER_FINISH_ROWS", 0)
     dist_bucket = norm(dedup_minhash_lsh(
-        ds, "text", "doc_id", threshold=0.5,
-        local_sig_cap=0).to_pandas())
+        ds, "text", "doc_id", threshold=0.5).to_pandas())
+    monkeypatch.setattr(dsutil, "DOC_ROWS", 0)
     dist_verify = norm(dedup_minhash_lsh(
-        ds, "text", "doc_id", threshold=0.5, local_sig_cap=0,
-        broadcast_pairs_cap=0).to_pandas())
+        ds, "text", "doc_id", threshold=0.5).to_pandas())
     assert fast == dist_bucket == dist_verify
     assert (200, 201) in fast and (200, 202) in fast
 
 
-def test_ngram_jaccard_exact_recall_all_paths(ray_session):
+def test_ngram_jaccard_exact_recall_all_paths(ray_session, monkeypatch):
     """dedup_ngram_jaccard is an EXACT similarity join: its output must
     equal the brute-force all-pairs word-bigram jaccard >= t set, on
     every execution shape (local prefix pipeline + broadcast verify,
@@ -284,11 +286,15 @@ def test_ngram_jaccard_exact_recall_all_paths(ray_session):
 
     local = norm(dedup_ngram_jaccard(ds, "text", "doc_id",
                                      threshold=0.5).to_pandas())
-    dist = norm(dedup_ngram_jaccard(ds, "text", "doc_id", threshold=0.5,
-                                    local_docs_cap=0).to_pandas())
-    dist2 = norm(dedup_ngram_jaccard(ds, "text", "doc_id", threshold=0.5,
-                                     local_docs_cap=0,
-                                     broadcast_pairs_cap=0).to_pandas())
+    # one cap gates the docs and the verify's candidate pairs: here
+    # fewer pairs than docs, so one below the doc count routes the docs
+    # alone to the exchange
+    monkeypatch.setattr(dsutil, "DOC_ROWS", len(rows) - 1)
+    dist = norm(dedup_ngram_jaccard(ds, "text", "doc_id",
+                                    threshold=0.5).to_pandas())
+    monkeypatch.setattr(dsutil, "DOC_ROWS", 0)
+    dist2 = norm(dedup_ngram_jaccard(ds, "text", "doc_id",
+                                     threshold=0.5).to_pandas())
     assert local == dist == dist2 == brute
     assert (300, 301) in brute
 

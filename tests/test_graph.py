@@ -82,10 +82,14 @@ def test_pagerank_matches_numpy_reference(ray_session):
     assert (r >= 150_000).all()
 
 
-def test_pagerank_q104_driver_vs_distributed(ray_session):
+def test_pagerank_q104_driver_vs_distributed(ray_session, monkeypatch):
     import __ray_entry__ as E
+    from proj_ray import dsutil
 
     a = E._q104_pagerank("/root/testdata/sf0.001")
-    b = E._q104_pagerank("/root/testdata/sf0.001", dim_cap=0)
+    # both fallbacks: the orders join and the distributed iteration
+    monkeypatch.setattr(dsutil, "BROADCAST_ROWS", 0)
+    monkeypatch.setattr(dsutil, "DRIVER_FINISH_ROWS", 0)
+    b = E._q104_pagerank("/root/testdata/sf0.001")
     pd.testing.assert_frame_equal(a.reset_index(drop=True),
                                   b.reset_index(drop=True))

@@ -7,6 +7,7 @@ import pandas as pd
 import pytest
 import ray.data as rd
 
+from proj_ray import dsutil
 from proj_ray.functions.interval import range_join
 
 
@@ -66,27 +67,53 @@ def test_range_join_broadcast_keyed(sides):
     assert _pairs(out) == _brute(lp, rp, key="rk")
 
 
-def test_range_join_distributed_matches_broadcast(sides):
+def test_range_join_distributed_matches_broadcast(sides, monkeypatch):
+    monkeypatch.setattr(dsutil, "BROADCAST_ROWS", -1)
     lp, rp = sides
     left = rd.from_pandas(lp).repartition(7)
     right = rd.from_pandas(rp).repartition(3)
     dist = range_join(left, right, "v", "lo", "hi",
-                      right_cols=("rid",),
-                      broadcast_rows_cap=0, bucket_width=8.0)
+                      right_cols=("rid",), bucket_width=8.0)
     assert _pairs(dist) == _brute(lp, rp)
 
 
-def test_range_join_distributed_keyed(sides):
+def test_range_join_distributed_keyed(sides, monkeypatch):
+    monkeypatch.setattr(dsutil, "BROADCAST_ROWS", -1)
     lp, rp = sides
     dist = range_join(rd.from_pandas(lp), rd.from_pandas(rp),
                       "v", "lo", "hi", right_cols=("rid",),
-                      key_col="rk", left_key="lk",
-                      broadcast_rows_cap=0, bucket_width=8.0)
+                      key_col="rk", left_key="lk", bucket_width=8.0)
     assert _pairs(dist) == _brute(lp, rp, key="rk")
 
 
-def test_range_join_large_needs_bucket_width(sides):
+def test_range_join_large_needs_bucket_width(sides, monkeypatch):
+    monkeypatch.setattr(dsutil, "BROADCAST_ROWS", -1)
     lp, rp = sides
     with pytest.raises(ValueError):
         range_join(rd.from_pandas(lp), rd.from_pandas(rp),
-                   "v", "lo", "hi", broadcast_rows_cap=0)
+                   "v", "lo", "hi")
+
+
+def test_range_join_runs_right_side_once(ray_session, sides, tmp_path):
+    """The route choice and the broadcast index come from ONE execution
+    of the right side: its last map runs once per block, not once to
+    count the rows and again to pull them."""
+    lp, rp = sides
+    log = tmp_path / "calls"
+
+    def counted(b):
+        with open(log, "a") as f:
+            f.write("x\n")
+        return b
+
+    def right():
+        return rd.from_pandas(rp).repartition(3).map_batches(
+            counted, batch_format="pandas")
+
+    right().materialize()
+    once = len(log.read_text().splitlines())
+    log.unlink()
+    out = range_join(rd.from_pandas(lp), right(), "v", "lo", "hi",
+                     right_cols=("rid",))
+    assert _pairs(out) == _brute(lp, rp)
+    assert len(log.read_text().splitlines()) == once

@@ -11,8 +11,19 @@ import pandas as pd
 import pytest
 import ray.data as rd
 
+from proj_ray import dsutil
 from proj_ray.functions.overlay import (rect_overlay_join,
                                         segment_crossings)
+
+# the `dsutil.BROADCAST_ROWS` value that sends the right side of
+# rect_overlay_join down each path
+ROUTE_CAP = {"broadcast": 10**9, "partitioned": -1}
+
+
+def _overlay(monkeypatch, lp, rp, path):
+    monkeypatch.setattr(dsutil, "BROADCAST_ROWS", ROUTE_CAP[path])
+    return rect_overlay_join(rd.from_pandas(lp), rd.from_pandas(rp),
+                             "lid", "rid")
 
 
 def _mk_rects(rng, n, maxext, idc):
@@ -58,28 +69,26 @@ def _collect(ds, lidc, ridc):
                       df["area"].tolist()))
 
 
-def test_overlay_broadcast_matches_brute(ray_session, rect_sides):
+def test_overlay_broadcast_matches_brute(ray_session, rect_sides,
+                                         monkeypatch):
     lp, rp = rect_sides
-    got = _collect(
-        rect_overlay_join(rd.from_pandas(lp), rd.from_pandas(rp),
-                          "lid", "rid", force="broadcast"),
-        "lid", "rid")
+    got = _collect(_overlay(monkeypatch, lp, rp, "broadcast"),
+                   "lid", "rid")
     assert got == _brute_pairs(lp, rp)
 
 
-def test_overlay_partitioned_matches_brute(ray_session, rect_sides):
+def test_overlay_partitioned_matches_brute(ray_session, rect_sides,
+                                           monkeypatch):
     """The PBSM path (flat-map to cells + one co-partitioned
     all-to-all + reference-point dedup) emits the identical pair set —
     rects spanning multiple 4-deg cells are claimed exactly once."""
     lp, rp = rect_sides
-    got = _collect(
-        rect_overlay_join(rd.from_pandas(lp), rd.from_pandas(rp),
-                          "lid", "rid", force="partitioned"),
-        "lid", "rid")
+    got = _collect(_overlay(monkeypatch, lp, rp, "partitioned"),
+                   "lid", "rid")
     assert got == _brute_pairs(lp, rp)
 
 
-def test_overlay_multi_cell_spanners(ray_session):
+def test_overlay_multi_cell_spanners(ray_session, monkeypatch):
     """Rectangles far wider than the grid cell overlap in MANY cells;
     both paths must still emit each pair once with the full area."""
     lp = pd.DataFrame({"lid": np.arange(3, dtype=np.int64),
@@ -92,9 +101,8 @@ def test_overlay_multi_cell_spanners(ray_session):
                        "x1": [35.0, 7.0], "y1": [25.0, 45.0]})
     want = _brute_pairs(lp, rp)
     for force in ("broadcast", "partitioned"):
-        got = _collect(
-            rect_overlay_join(rd.from_pandas(lp), rd.from_pandas(rp),
-                              "lid", "rid", force=force), "lid", "rid")
+        got = _collect(_overlay(monkeypatch, lp, rp, force),
+                       "lid", "rid")
         assert got == want, force
 
 
@@ -165,7 +173,7 @@ def test_segment_crossings_touch_excluded(ray_session):
     assert int(got["n_cross"].iloc[0]) == 1
 
 
-def test_overlay_degenerate_rects_dropped(ray_session):
+def test_overlay_degenerate_rects_dropped(ray_session, monkeypatch):
     """Inverted, zero-width, and non-finite rectangles never match and
     must not break either path."""
     lp = pd.DataFrame({"lid": np.arange(4, dtype=np.int64),
@@ -177,6 +185,5 @@ def test_overlay_degenerate_rects_dropped(ray_session):
                        "x0": [1.0], "y0": [1.0], "x1": [6.0],
                        "y1": [6.0]})
     for force in ("broadcast", "partitioned"):
-        got = rect_overlay_join(rd.from_pandas(lp), rd.from_pandas(rp),
-                                "lid", "rid", force=force).to_pandas()
+        got = _overlay(monkeypatch, lp, rp, force).to_pandas()
         assert sorted(got["lid"].tolist()) == [0]

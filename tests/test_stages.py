@@ -735,10 +735,11 @@ def test_dwithin_join_matches_brute(ray_session):
     assert len(got) > 20
 
 
-def test_semi_anti_join_both_paths(ray_session):
+def test_semi_anti_join_both_paths(ray_session, monkeypatch):
     import pandas as pd
     import ray.data as rd
 
+    from proj_ray import dsutil
     from proj_ray.stages import semi_anti_join
 
     left = pd.DataFrame({"k": np.arange(20), "v": np.arange(20) * 10})
@@ -746,10 +747,11 @@ def test_semi_anti_join_both_paths(ray_session):
     lds, rds = rd.from_pandas(left), rd.from_pandas(right)
 
     for max_rows in (1_000_000, 1):  # broadcast path, then shuffle path
+        monkeypatch.setattr(dsutil, "BROADCAST_ROWS", max_rows)
         anti = semi_anti_join(lds, rds, "k", right_key="rk",
-                              how="anti", max_rows=max_rows).to_pandas()
+                              how="anti").to_pandas()
         semi = semi_anti_join(lds, rds, "k", right_key="rk",
-                              how="semi", max_rows=max_rows).to_pandas()
+                              how="semi").to_pandas()
         assert sorted(semi["k"]) == [3, 5, 11, 17], max_rows
         assert sorted(anti["k"]) == \
             [i for i in range(20) if i not in (3, 5, 11, 17)], max_rows
@@ -772,12 +774,16 @@ def test_pivot_counts_discovery_pass(ray_session):
     assert out["n_c"].tolist() == [0, 1, 0]
 
 
-def test_bloom_prefilter_parity_and_no_false_negatives(ray_session):
+def test_bloom_prefilter_parity_and_no_false_negatives(ray_session,
+                                                       monkeypatch):
     import pandas as pd
     import ray.data as rd
 
+    from proj_ray import dsutil
     from proj_ray.stages import (bloom_maybe_contains, build_bloom,
                                  semi_anti_join)
+
+    monkeypatch.setattr(dsutil, "BROADCAST_ROWS", 1)
 
     rng = np.random.default_rng(21)
     left = pd.DataFrame({"k": rng.integers(0, 5000, 3000),
@@ -787,11 +793,9 @@ def test_bloom_prefilter_parity_and_no_false_negatives(ray_session):
 
     for how in ("semi", "anti"):
         with_bloom = semi_anti_join(lds, rds, "k", right_key="rk",
-                                    how=how, max_rows=1,
-                                    use_bloom=True).to_pandas()
+                                    how=how, use_bloom=True).to_pandas()
         without = semi_anti_join(lds, rds, "k", right_key="rk",
-                                 how=how, max_rows=1,
-                                 use_bloom=False).to_pandas()
+                                 how=how, use_bloom=False).to_pandas()
         a = with_bloom.sort_values(["k", "v"]).reset_index(drop=True)
         b = without.sort_values(["k", "v"]).reset_index(drop=True)
         assert np.array_equal(a["k"], b["k"]), how

@@ -10,6 +10,7 @@ import pytest
 
 import ray.data as rd
 
+from proj_ray import dsutil
 from proj_ray.functions.temporal import asof_join, window_aggregate
 
 
@@ -53,13 +54,15 @@ def _oracle(left, right, direction):
 
 
 def _run(left, right, direction, cap):
-    out = asof_join(
-        rd.from_pandas(left).repartition(4),
-        rd.from_pandas(right).repartition(3),
-        "k", "rk", "lt", "rt",
-        right_cols=("rid", "val"), tie_col="rid",
-        direction=direction, broadcast_rows_cap=cap,
-    ).to_pandas()
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(dsutil, "BROADCAST_ROWS", cap)
+        out = asof_join(
+            rd.from_pandas(left).repartition(4),
+            rd.from_pandas(right).repartition(3),
+            "k", "rk", "lt", "rt",
+            right_cols=("rid", "val"), tie_col="rid",
+            direction=direction,
+        ).to_pandas()
     return out[["lid", "rid", "val"]].sort_values("lid") \
         .reset_index(drop=True).astype({"lid": np.int64, "rid": np.int64})
 

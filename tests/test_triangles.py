@@ -3,6 +3,7 @@
 import numpy as np
 import pandas as pd
 
+from proj_ray import dsutil
 from proj_ray.functions.graph import _pair_expand
 
 
@@ -30,7 +31,7 @@ def _brute(u, v, n):
             int(np.trace(A @ A @ A) // 6))
 
 
-def test_triangle_count_matches_brute(ray_session):
+def test_triangle_count_matches_brute(ray_session, monkeypatch):
     import ray.data as rd
 
     from proj_ray.functions.graph import triangle_count
@@ -42,10 +43,11 @@ def test_triangle_count_matches_brute(ray_session):
         df = pd.DataFrame({"u": u, "v": v})
         nn, ne, nt = _brute(u, v, n)
         # both closing paths: broadcast (default) and co-partition
-        # exchange (forced with broadcast_cap=0)
+        # exchange (forced with dsutil.BROADCAST_ROWS = 0)
         for cap in (5_000_000, 0):
-            out = triangle_count(rd.from_pandas(df).repartition(4),
-                                 broadcast_cap=cap).iloc[0]
+            monkeypatch.setattr(dsutil, "BROADCAST_ROWS", cap)
+            out = triangle_count(
+                rd.from_pandas(df).repartition(4)).iloc[0]
             assert (out["n_nodes"], out["n_edges"],
                     out["n_triangles"]) == (nn, ne, nt)
 

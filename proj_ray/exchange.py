@@ -43,13 +43,14 @@ def _key_u64(col) -> np.ndarray:
     return stable_u64(col.to_numpy(zero_copy_only=False))
 
 
-def co_partition(ds, key, fn):
+def co_partition(ds, key, fn, batch_format: str = "pandas"):
     """Lazily co-partition `ds` (a Dataset, or a list of Datasets to
     join) on `key` (a column name or a list of them) and return the
     concatenation of `fn(frame)` over the buckets.
 
-    `fn` gets one pandas frame per bucket: every row of each key in
-    that bucket, without the `_bk` column, and returns a pandas frame.
+    `fn` gets one pandas frame per bucket (an Arrow table with
+    `batch_format="pyarrow"`): every row of each key in that bucket,
+    without the `_bk` column, and returns a frame of the same kind.
     The `_bk` column is added by a map that Ray fuses into the
     caller's last map and that keeps each block's format, so a pandas
     block is not converted to Arrow and back around the sort. End the
@@ -78,6 +79,10 @@ def co_partition(ds, key, fn):
     tagged = [d.map_batches(add_bk, batch_format=None)
               for d in (ds if isinstance(ds, list) else [ds])]
     joined = tagged[0].union(*tagged[1:]) if len(tagged) > 1 else tagged[0]
-    return (joined.groupby("_bk")
-            .map_groups(lambda g: fn(g.drop(columns=["_bk"])),
-                        batch_format="pandas"))
+    if batch_format == "pyarrow":
+        def run(g):
+            return fn(g.drop_columns(["_bk"]))
+    else:
+        def run(g):
+            return fn(g.drop(columns=["_bk"]))
+    return joined.groupby("_bk").map_groups(run, batch_format=batch_format)

@@ -4,23 +4,28 @@ z/x/y tiles -> PIP join vs broadcast polygon index -> per-tile counts.
 Aggregation paths:
 - `bucketed_sum`: the one driver-or-exchange combine of a (key,
   partial) table. `dsutil.driver_table` materializes its input once; a
-  table of at most DRIVER_FINISH_ROWS rows is summed on the driver (no
-  exchange), a larger one by the same per-key sum through
+  table of at most DRIVER_FINISH_ROWS rows is pulled as Arrow and
+  summed on the driver by `key_sum` (NumPy, int64, no exchange) and
+  goes back as `dsutil.from_arrow` blocks of the one-block rule; a
+  larger one is summed by `key_sum` per bucket of
   `exchange.co_partition`.
 - `headline_spatial`: fused actor stage emits per-batch partial
   (tile, count) pairs; the combine moves O(#tiles × #blocks) rows —
   the shuffle-minimal shape.
 - `tile_counts_salted`: per-tile counts of a Dataset. One
   `dsutil.driver_table` call materializes the per-block partials and,
-  under DRIVER_FINISH_ROWS rows, pulls them, and the same per-key sum
-  as `bucketed_sum` finishes them on the driver. Above that the combine
-  runs distributed with explicit skew handling: a census finds hot
-  tiles (images.geotags plants Zipfian metro hotspots), their partials
-  split into `salt` deterministic sub-keys before the exchange, and
-  the sub-counts merge after. The salt bounds the
-  largest single reducer group at 100-TB skew.
+  under DRIVER_FINISH_ROWS rows, pulls them as Arrow, and the same
+  per-key sum as `bucketed_sum` finishes them on the driver. Above
+  that the combine runs distributed with explicit skew handling: a
+  census finds hot tiles (images.geotags plants Zipfian metro
+  hotspots), their partials split into `salt` deterministic sub-keys
+  before the exchange, and the sub-counts merge after. The salt
+  bounds the largest single reducer group at 100-TB skew.
 - `tile_counts_salted_fused`: census-free salting of synthetic geotags
   in one streaming execution.
+Tables that are already finished (the census, the salted sums) are read
+back with `dsutil.pull_arrow`, never with `iter_batches`, which starts
+a new streaming execution on each call.
 Counts are identical on every path (tests assert it). DRIVER_FINISH_ROWS
 is the `proj_ray.dsutil` cap of every driver finish, read at call time
 and passed to `dsutil.driver_table`, which chooses every route in the
@@ -178,39 +183,56 @@ def bucketed_sum(parts, key_col: str, val_col: str, out_col: str):
     input once, in the same execution as whatever feeds it (an already
     materialized input costs nothing more).
 
-    One per-key sum (a pandas groupby) runs on both routes: on the
-    pulled table when it has at most DRIVER_FINISH_ROWS rows, so no
+    One per-key sum (`key_sum`: a stable argsort and `np.add.reduceat`
+    on int64, exact at any total) runs on both routes: on the table
+    pulled as Arrow when it has at most DRIVER_FINISH_ROWS rows, so no
     exchange runs, and otherwise once per bucket of
     `exchange.co_partition`. The exchange sorts on the small int bucket
     column, never on the keys themselves: ray.data's
     `groupby(key).aggregate(Sum(...))` runs a Python loop over every
     KEY on both the map and reduce sides (~80 us/row measured — 4.9 s
-    for a 131k-row partial table at 4 cpus). An empty input gives a
-    typed zero-row table."""
-    return _finish_sum(*dsutil.driver_table(parts, dsutil.DRIVER_FINISH_ROWS),
-                       key_col, val_col, out_col)
+    for a 131k-row partial table at 4 cpus). The driver route's table
+    goes back through `dsutil.from_arrow`, in blocks of at most
+    ONE_BLOCK_ROWS rows. An empty input gives a typed zero-row table."""
+    return _finish_sum(*dsutil.driver_table(
+        parts, dsutil.DRIVER_FINISH_ROWS, arrow=True),
+        key_col, val_col, out_col)
 
 
-def _finish_sum(parts, pdf, key_col: str, val_col: str, out_col: str):
+def key_sum(keys, vals) -> tuple[np.ndarray, np.ndarray]:
+    """(distinct keys ascending, sum of `vals` per key), both int64.
+    Exact: int64 throughout, no float weights."""
+    keys = np.asarray(keys, dtype=np.int64)
+    if not len(keys):
+        return keys, np.empty(0, np.int64)
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+    return keys[starts], np.add.reduceat(
+        np.asarray(vals, dtype=np.int64)[order], starts)
+
+
+def _finish_sum(parts, table, key_col: str, val_col: str, out_col: str):
     """`bucketed_sum` after `dsutil.driver_table` chose its route: the
-    pulled table `pdf`, or the materialized `parts` when `pdf` is
-    None."""
+    pulled Arrow `table`, or the materialized `parts` when `table` is
+    None. An empty input gives a typed zero-row table on either
+    route."""
     import pandas as pd
-    import ray.data as rd
 
     from proj_ray.exchange import co_partition
 
-    def key_sum(g: pd.DataFrame) -> pd.DataFrame:
-        out = g.groupby(key_col, as_index=False)[val_col].sum()
-        return pd.DataFrame({key_col: out[key_col].to_numpy(np.int64),
-                             out_col: out[val_col].to_numpy(np.int64)})
+    if table is None and parts.count():
+        def bucket_sum(g: pd.DataFrame) -> pd.DataFrame:
+            k, n = key_sum(g[key_col].to_numpy(), g[val_col].to_numpy())
+            return pd.DataFrame({key_col: k, out_col: n})
 
-    if pdf is None:
-        return co_partition(parts, key_col, key_sum)
-    if pdf.empty:  # no blocks, so no schema to take dtypes from
-        pdf = pd.DataFrame({key_col: np.empty(0, np.int64),
-                            val_col: np.empty(0, np.int64)})
-    return rd.from_pandas(key_sum(pdf))
+        return co_partition(parts, key_col, bucket_sum)
+    if table is not None and table.num_rows:
+        k, n = key_sum(table.column(key_col).to_numpy(),
+                       table.column(val_col).to_numpy())
+    else:  # an empty input may have no columns to take dtypes from
+        k = n = np.empty(0, np.int64)
+    return dsutil.from_arrow(pa.table({key_col: k, out_col: n}))
 
 
 class FusedSaltedTileStage:
@@ -308,16 +330,11 @@ def tile_counts_salted_fused(n_rows: int, zoom: int = 7, salt: int = 16,
     stage = FusedSaltedTileStage(zoom, salt)
     parts = rd.from_items(items).map_batches(
         stage, batch_format="numpy", batch_size=2)
-    merged = bucketed_sum(parts, "cell_salted", "n_part", "n_sub")
-    outs = []
-    for b in merged.iter_batches(batch_format="numpy"):
-        outs.append(pd.DataFrame({
-            "tile_key": np.asarray(b["cell_salted"]) // salt,
-            "n_sub": np.asarray(b["n_sub"], dtype=np.int64)}))
-    mdf = pd.concat(outs, ignore_index=True) if outs else \
-        pd.DataFrame({"tile_key": [], "n_sub": []})
-    return (mdf.groupby("tile_key", as_index=False)["n_sub"].sum()
-            .rename(columns={"n_sub": "n"}))
+    merged = dsutil.pull_arrow(
+        bucketed_sum(parts, "cell_salted", "n_part", "n_sub"))
+    k, n = key_sum(merged.column("cell_salted").to_numpy() // salt,
+                   merged.column("n_sub").to_numpy())
+    return pd.DataFrame({"tile_key": k, "n": n})
 
 
 def _combine_partials(b):
@@ -369,11 +386,12 @@ def tile_counts_salted(ds, zoom: int = 7, threshold: int | None = None,
         return pa.table({"tile_key": keys,
                          "n_part": counts.astype(np.int64)})
 
-    parts, pdf = dsutil.driver_table(
+    parts, table = dsutil.driver_table(
         ds.map_batches(tile_partials, batch_format="pyarrow",
-                       batch_size=None), dsutil.DRIVER_FINISH_ROWS)
-    if pdf is not None:
-        return _finish_sum(parts, pdf, "tile_key", "n_part", "n")
+                       batch_size=None), dsutil.DRIVER_FINISH_ROWS,
+        arrow=True)
+    if table is not None:
+        return _finish_sum(parts, table, "tile_key", "n_part", "n")
 
     ncpu = int(ray.cluster_resources().get("CPU", 8))
     if parts.num_blocks() > 2 * ncpu:
@@ -391,12 +409,10 @@ def tile_counts_salted(ds, zoom: int = 7, threshold: int | None = None,
         return bucketed_sum(parts, "tile_key", "n_part", "n")
     if threshold is None:
         threshold = 10000
-    census = bucketed_sum(parts, "tile_key", "n_part", "n")
-    hot: set[int] = set()
-    for b in census.iter_batches(batch_format="numpy"):
-        sel = np.asarray(b["n"]) >= threshold
-        hot.update(int(c) for c in np.asarray(b["tile_key"])[sel])
-    hot_sorted = np.sort(np.fromiter(hot, dtype=np.int64, count=len(hot)))
+    census = dsutil.pull_arrow(bucketed_sum(parts, "tile_key", "n_part",
+                                            "n"))
+    hot_sorted = np.sort(census.column("tile_key").to_numpy()[
+        census.column("n").to_numpy() >= threshold])
 
     def salt_parts(b):
         from proj_ray.functions._hash import splitmix64

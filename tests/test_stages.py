@@ -248,8 +248,12 @@ def test_resumable_write_routes(ray_session, tmp_path, monkeypatch):
     """Under the cap resumable_write runs no groupby; below every table
     size it runs the exchange. Both write the same files, rows and
     manifest, both write a NaN key as part-nan and a None among strings
-    as part-None, and both take an empty input."""
+    as part-None, name a bool key True/False and an int64 key with
+    nulls as pandas holds it (1.0, nan: also in a bucket without the
+    null), and both take an empty input."""
     import pandas as pd
+    import pyarrow as pa
+    import pyarrow.parquet as pq
     import ray.data as rd
 
     from proj_ray import dsutil
@@ -269,6 +273,18 @@ def test_resumable_write_routes(ray_session, tmp_path, monkeypatch):
         return rd.from_pandas([
             pd.DataFrame({"id": [0, 1], "s": ["a", None]}),
             pd.DataFrame({"id": [2, 3], "s": [None, "b"]})])
+
+    def bool_table():
+        return rd.range(40, override_num_blocks=4).map_batches(
+            lambda b: {"id": b["id"], "flag": b["id"] % 3 == 0},
+            batch_format="numpy")
+
+    def int_null_table():
+        return rd.from_arrow([
+            pa.table({"id": [0, 1, 2],
+                      "k": pa.array([1, None, 2], pa.int64())}),
+            pa.table({"id": [3, 4, 5],
+                      "k": pa.array([2, 5, None], pa.int64())})])
 
     def empty():
         return rd.from_items([{"id": 1, "part": 2}]).filter(lambda r: False)
@@ -309,16 +325,33 @@ def test_resumable_write_routes(ray_session, tmp_path, monkeypatch):
             assert sorted(files) == ["part-None.parquet", "part-a.parquet",
                                      "part-b.parquet"]
             assert list(files["part-None.parquet"]["id"]) == [1, 2]
+            bool_out = str(tmp_path / f"{route}-bool")
+            st = resumable_write(bool_table(), bool_out, "flag")
+            assert st["partitions"] == 2 and st["rows_written"] == 40
+            outs[f"{route}-bool"] = _read_written(bool_out)
+            assert sorted(outs[f"{route}-bool"][0]) == [
+                "part-False.parquet", "part-True.parquet"]
+            int_out = str(tmp_path / f"{route}-intnull")
+            st = resumable_write(int_null_table(), int_out, "k")
+            assert st["partitions"] == 4
+            outs[f"{route}-intnull"] = _read_written(int_out)
+            files, manifest = outs[f"{route}-intnull"]
+            assert sorted(files) == ["part-1.0.parquet", "part-2.0.parquet",
+                                     "part-5.0.parquet", "part-nan.parquet"]
+            assert list(files["part-nan.parquet"]["id"]) == [1, 5]
+            assert list(files["part-2.0.parquet"]["id"]) == [2, 3]
             st = resumable_write(empty(), str(tmp_path / f"{route}-empty"),
                                  "part")
             assert st["partitions"] == st["written"] == 0
-    assert grouped == [("_bk",)] * 4
-    for kind in ("", "-none"):
+    assert grouped == [("_bk",)] * 6
+    for kind in ("", "-none", "-bool", "-intnull"):
         (dfiles, dman), (xfiles, xman) = (outs["driver" + kind],
                                           outs["exchange" + kind])
         assert sorted(dfiles) == sorted(xfiles)
         for f in dfiles:
             pd.testing.assert_frame_equal(dfiles[f], xfiles[f])
+            assert pq.read_schema(tmp_path / f"driver{kind}" / f).equals(
+                pq.read_schema(tmp_path / f"exchange{kind}" / f))
         assert dman == xman
     dfiles, dman = outs["driver"]
     assert sorted(dfiles) == [f"part-{p}.parquet" for p in range(7)]
@@ -519,6 +552,62 @@ def test_bucketed_sum_routes(ray_session, monkeypatch):
     assert grouped == [("_bk",)]
 
 
+def test_bucketed_sum_is_exact_past_2_53(ray_session, monkeypatch):
+    """Per-key int64 sums past 2**53 (where a float sum rounds) are
+    exact on the driver route and on the exchange (cap -1), and an
+    empty input gives a typed (int64, int64) zero-row table on both."""
+    import pyarrow as pa
+    import ray.data as rd
+
+    from proj_ray import dsutil
+    from proj_ray.pipelines import spatial
+
+    big = 2 ** 53
+    blocks = [pa.table({"k": np.array([7, 8, 7], np.int64),
+                        "v": np.array([big, 1, 1], np.int64)}),
+              pa.table({"k": np.array([7, 8], np.int64),
+                        "v": np.array([2 ** 60 + 1, big + 3], np.int64)})]
+    want = {7: big + 1 + 2 ** 60 + 1, 8: big + 4}
+    assert float(want[7]) != want[7]  # a float sum could not hold it
+    for cap in (dsutil.DRIVER_FINISH_ROWS, -1):
+        monkeypatch.setattr(dsutil, "DRIVER_FINISH_ROWS", cap)
+        out = dsutil.pull_arrow(
+            spatial.bucketed_sum(rd.from_arrow(blocks), "k", "v", "s"))
+        assert dict(zip(out.column("k").to_pylist(),
+                        out.column("s").to_pylist())) == want
+        empty = rd.from_items([{"k": 1, "v": 2}]).filter(lambda r: False)
+        out = spatial.bucketed_sum(empty, "k", "v", "s")
+        assert out.count() == 0
+        assert out.schema().names == ["k", "s"]
+        assert [str(t) for t in out.schema().types] == ["int64", "int64"]
+
+
+def test_driver_finish_hands_off_one_block_rule_blocks(ray_session):
+    """A table finished on the driver goes back in ceil(rows /
+    ONE_BLOCK_ROWS) blocks, so each map after it runs one task per
+    block; a table that fits one block (tile_join's ~1.2k tiles) stays
+    one block."""
+    import pyarrow as pa
+    import ray.data as rd
+
+    from proj_ray import dsutil
+    from proj_ray.pipelines import spatial
+
+    per = dsutil.ONE_BLOCK_ROWS
+    for rows, blocks in ((1200, 1), (per, 1), (2 * per + 5, 3),
+                         (3 * per + 1000, 4)):
+        keys = np.arange(rows, dtype=np.int64)
+        parts = rd.from_arrow([pa.table({"k": keys[i::3],
+                                         "v": np.ones(len(keys[i::3]),
+                                                      np.int64)})
+                               for i in range(3)])
+        out = spatial.bucketed_sum(parts, "k", "v", "n")
+        assert out.num_blocks() == blocks, (rows, out.num_blocks())
+        t = dsutil.pull_arrow(out)
+        assert t.column("k").to_pylist() == keys.tolist()
+        assert t.column("n").to_pylist() == [1] * rows
+
+
 def test_tile_join_plan_is_one_operator_per_block(ray_session, monkeypatch,
                                                  tmp_path):
     """read_parquet of 8 files -> reproject -> with_tiles ->
@@ -554,19 +643,21 @@ def test_tile_join_plan_is_one_operator_per_block(ray_session, monkeypatch,
         return {"tile_key": uk, "n": cnt.astype(np.int64)}
 
     stats = []
-    real_pull = dsutil.pull_pandas
+    real_pull = dsutil.pull_arrow
 
     def spy_pull(ds):
         stats.append(ds.stats())
         return real_pull(ds)
 
-    monkeypatch.setattr(dsutil, "pull_pandas", spy_pull)
+    monkeypatch.setattr(dsutil, "pull_arrow", spy_pull)
     ds = rd.read_parquet(str(tmp_path))
     ds = stages.reproject(ds, "+proj=tmerc +lon_0=0 +ellps=WGS84")
     ds = stages.with_tiles(ds, zoom)
     ds = stages.spatial_join(ds, index)
     ds = ds.map_batches(partials, batch_format="numpy", batch_size=None)
-    out = spatial.bucketed_sum(ds, "tile_key", "n", "n").to_pandas()
+    out = spatial.bucketed_sum(ds, "tile_key", "n", "n")
+    assert out.num_blocks() == 1
+    out = out.to_pandas()
 
     assert len(stats) == 1
     ops = [ln for ln in stats[0].splitlines() if ln.startswith("Operator")]

@@ -1,10 +1,19 @@
 """Local replica of the driver's correctness gate: run each queries()
 entry and its oracle_sql() side by side, compare row count + schema +
-order-insensitive values. Usage: python tools/check_queries.py [sf_dir]"""
+order-insensitive values. Usage: python tools/check_queries.py [sf_dir]
+
+DuckDB runs under a memory limit of a quarter of the host's RAM (its
+default is 80%, and q19's and q62's sf0.1 oracles grew the checker past
+13 GB next to Ray's workers) and spills to a fresh temp directory, not
+to `.tmp/` in the working directory, removed on exit also when the run
+is interrupted by an exception."""
 
 from __future__ import annotations
 
+import os
+import shutil
 import sys
+import tempfile
 import time
 
 import duckdb
@@ -65,23 +74,39 @@ def compare(name: str, ray_df: pd.DataFrame, sql_df: pd.DataFrame) -> str:
     return "OK"
 
 
-def main(sf_dir: str, only: list[str]) -> int:
-    import os
+def duckdb_connect(temp_dir: str):
+    """A DuckDB connection limited to a quarter of the host's RAM that
+    spills to `temp_dir`."""
+    ram = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    return duckdb.connect(config={
+        "memory_limit": f"{ram // 4 // 2 ** 20}MB",
+        "temp_directory": temp_dir})
 
+
+def main(sf_dir: str, only: list[str]) -> int:
+    temp_dir = tempfile.mkdtemp(prefix="check_queries-")
+    con = duckdb_connect(temp_dir)
+    try:
+        return check(sf_dir, only, con)
+    finally:
+        con.close()
+        shutil.rmtree(temp_dir, ignore_errors=True)
+
+
+def check(sf_dir: str, only: list[str], con) -> int:
     sys.path.insert(0, os.path.dirname(os.path.dirname(
         os.path.abspath(__file__))))
     import ray
 
     if not ray.is_initialized():
-        ray.init(address="local", num_cpus=8, include_dashboard=False,
-                 logging_level="ERROR")
+        ray.init(address="local", num_cpus=os.cpu_count(),
+                 include_dashboard=False, logging_level="ERROR")
     from ray.data import DataContext
 
     DataContext.get_current().enable_progress_bars = False
 
     import __ray_entry__ as E
 
-    con = duckdb.connect()
     for t in TABLES:
         con.execute(f"CREATE VIEW {t} AS SELECT * FROM "
                     f"read_parquet('{sf_dir}/{t}.parquet')")

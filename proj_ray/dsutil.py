@@ -5,16 +5,81 @@ streaming execution: `pull_pandas` and `pull_arrow` `ray.get` the
 materialized blocks, `driver_table` decides by a row cap whether to
 pull at all, and `from_arrow` hands a driver-finished Arrow table back
 as blocks of the one-block rule (`ONE_BLOCK_ROWS`). The Arrow pair
-keeps int64 columns int64 and skips the pandas round trip."""
+keeps int64 columns int64 and skips the pandas round trip.
+
+Every plan that ends on the driver (`driver_table`, and a lazy
+dataset given to a pull) runs through `materialize`. When Ray fuses
+the plan into one task-pool map, it runs without Ray Data's per-op
+resource reservation. Ray (2.49) budgets an operator that has not
+finished a task yet at `target_max_block_size` x
+`_max_num_blocks_in_streaming_gen_buffer` = 128 MiB x 2 = 256 MiB of
+pending output per task. Under a 1 GB object store, the reservation
+allocator leaves room for one such task, and the executor's
+`ray.wait(num_returns=len(active), timeout=0.1)` loop then dispatches
+the rest in lockstep waves: geobench's tile_join ran its 8 tasks in 3
+waves (1, 3, 4), not 2 of 4. Reservation keeps an upstream operator
+from starving a downstream one; a single map whose output the driver
+materializes whole has no downstream operator, so it only held the
+tasks back."""
 
 from __future__ import annotations
+
+
+def _fuses_to_one_map(ds) -> bool:
+    """Whether Ray runs `ds`'s plan as one task-pool map: its physical
+    plan, after Ray's fusion rules, is a `TaskPoolMapOperator` over the
+    input buffer, or the buffer alone (a materialized or in-memory
+    dataset). Asked of the physical plan because the logical one does
+    not say it: Ray keeps a read apart from a map with `batch_size`,
+    a read it splits further, or maps whose remote args differ.
+
+    Planning a copy of the logical plan leaves `ds` as it was (the
+    planner rewrites the plan's DAG); it costs ~0.5 ms for an
+    in-memory source and ~4-5 ms for geobench's 8-file parquet read
+    (4 vCPUs), most of it Ray sizing the read."""
+    import copy
+
+    from ray.data._internal.execution.operators.input_data_buffer import \
+        InputDataBuffer
+    from ray.data._internal.execution.operators.task_pool_map_operator \
+        import TaskPoolMapOperator
+    from ray.data._internal.logical.optimizers import get_execution_plan
+
+    op = get_execution_plan(copy.copy(ds._logical_plan)).dag
+    if isinstance(op, TaskPoolMapOperator):
+        op = op.input_dependencies[0]
+    return isinstance(op, InputDataBuffer)
+
+
+def materialize(ds):
+    """`ds.materialize()`, except that a plan Ray fuses into one
+    task-pool map (`_fuses_to_one_map`) runs with
+    `op_resource_reservation_enabled` off, so its first wave starts a
+    task per free CPU rather than one (see the module docstring).
+
+    The flag is set on a deep copy of `ds`, which owns its own
+    `DataContext`: neither `ds.context` nor the global
+    `DataContext.get_current()` changes, and the returned dataset's
+    context reads as `ds.context` does, so a plan built on it later
+    reserves as usual. Every other plan runs unchanged."""
+    from ray.data.dataset import Dataset
+
+    if not _fuses_to_one_map(ds):
+        return ds.materialize()
+    run = Dataset.copy(ds, _deep_copy=True)
+    run.context.op_resource_reservation_enabled = False
+    mat = run.materialize()
+    for ctx in (run.context, mat.context):  # the two that `mat` keeps
+        ctx.op_resource_reservation_enabled = \
+            ds.context.op_resource_reservation_enabled
+    return mat
 
 
 def _block_refs(ds):
     """The materialized `ds` and its block refs."""
     from ray.data.dataset import MaterializedDataset
 
-    mat = ds if isinstance(ds, MaterializedDataset) else ds.materialize()
+    mat = ds if isinstance(ds, MaterializedDataset) else materialize(ds)
     return mat, [r for bun in mat.iter_internal_ref_bundles()
                  for r in bun.block_refs]
 
@@ -100,8 +165,10 @@ def driver_table(ds, cap: int, arrow: bool = False):
     caller runs its exchange on the materialized dataset, so the input
     runs once on either route. A cap below 0 sends even an empty table
     to the exchange. The pull goes through this module's `pull_pandas`,
-    or `pull_arrow` when `arrow`, looked up at call time."""
-    mat = ds.materialize()
+    or `pull_arrow` when `arrow`, looked up at call time. The input runs
+    through `materialize`, so a plan that fuses into one map starts a
+    full wave of tasks."""
+    mat = materialize(ds)
     if mat.count() <= cap:
         return mat, (pull_arrow if arrow else pull_pandas)(mat)
     return mat, None

@@ -2509,8 +2509,7 @@ def _q52_revenue_by_nation(sf_dir: str):
     from proj_ray.stages import BroadcastLookup
 
     def _nparts() -> int:
-        return max(2, min(64, int(
-            ray.cluster_resources().get("CPU", 4)) - 1))
+        return max(2, min(64, dsutil.cluster_cpus() - 1))
 
     nat = _read(sf_dir, "nation").to_pandas()
     reg = _read(sf_dir, "region").to_pandas()

@@ -52,6 +52,7 @@ def main() -> int:
     import numpy as np
     import pandas as pd
 
+    from proj_ray import dsutil
     from proj_ray.pipelines.spatial import (default_polygon_index,
                                             headline_spatial)
     from proj_ray.state import resumable_write
@@ -59,7 +60,7 @@ def main() -> int:
     t0 = time.time()
     matched, tiles = headline_spatial(
         args.rows,
-        num_cpus=int(ray.cluster_resources().get("CPU", 4)),
+        num_cpus=dsutil.cluster_cpus(),
         zoom=args.zoom, index=default_polygon_index(),
         combine="tiles")
     wall = time.time() - t0

@@ -20,53 +20,150 @@ the rest in lockstep waves: geobench's tile_join ran its 8 tasks in 3
 waves (1, 3, 4), not 2 of 4. Reservation keeps an upstream operator
 from starving a downstream one; a single map whose output the driver
 materializes whole has no downstream operator, so it only held the
-tasks back."""
+tasks back.
+
+Such a plan's parquet read also runs in one wave of the cluster's
+CPUs (`cluster_cpus`) when its data fits one. Ray asks a read it sizes
+itself for at least 2 x CPUs tasks, so geobench's 8-file reads ran 8
+tasks in two waves on 4 CPUs, each extra task ~5-9 ms of fixed cost;
+`materialize` runs the copy of such a read as one task per CPU when
+that many blocks stay within Ray's `target_max_block_size`. A larger
+read, a read the caller sized (`override_num_blocks`), a read Ray
+splits (`SplitBlocks`), an in-memory input and a plan of several
+operators run as Ray plans them."""
 
 from __future__ import annotations
 
 
-def _fuses_to_one_map(ds) -> bool:
-    """Whether Ray runs `ds`'s plan as one task-pool map: its physical
-    plan, after Ray's fusion rules, is a `TaskPoolMapOperator` over the
-    input buffer, or the buffer alone (a materialized or in-memory
-    dataset). Asked of the physical plan because the logical one does
-    not say it: Ray keeps a read apart from a map with `batch_size`,
-    a read it splits further, or maps whose remote args differ.
+def cluster_cpus() -> int:
+    """The cluster's CPU count, as Ray's read sizing counts it (1 when
+    the cluster reports none)."""
+    import ray
+
+    return max(1, int(ray.cluster_resources().get("CPU", 1)))
+
+
+def _one_map_plan(ds):
+    """Ray's plan for `ds` when Ray runs it as one task-pool map, else
+    None: (the top physical operator, the logical plan's source op).
+
+    One map means that the physical plan, after Ray's fusion rules, is
+    a `TaskPoolMapOperator` over the input buffer, or the buffer alone
+    (a materialized or in-memory dataset). It is asked of the physical
+    plan because the logical one does not say it: Ray keeps a read
+    apart from a map with `batch_size`, a read it splits further, or
+    maps whose remote args differ. A logical DAG that holds anything
+    but a chain of maps over a source (an all-to-all, union, zip, join
+    or limit) is refused without planning.
 
     Planning a copy of the logical plan leaves `ds` as it was (the
-    planner rewrites the plan's DAG); it costs ~0.5 ms for an
-    in-memory source and ~4-5 ms for geobench's 8-file parquet read
-    (4 vCPUs), most of it Ray sizing the read."""
+    planner rewrites the plan's DAG; it sets the detected parallelism
+    on the shared `Read` op, which Ray sets again on every plan); it
+    costs ~0.5 ms for an in-memory source and ~4-5 ms for geobench's
+    8-file parquet read (4 vCPUs), most of it Ray sizing the read."""
     import copy
 
     from ray.data._internal.execution.operators.input_data_buffer import \
         InputDataBuffer
     from ray.data._internal.execution.operators.task_pool_map_operator \
         import TaskPoolMapOperator
+    from ray.data._internal.logical.operators.map_operator import \
+        AbstractMap
     from ray.data._internal.logical.optimizers import get_execution_plan
 
-    op = get_execution_plan(copy.copy(ds._logical_plan)).dag
-    if isinstance(op, TaskPoolMapOperator):
+    op = ds._logical_plan.dag
+    while op.input_dependencies:
+        if not isinstance(op, AbstractMap):
+            return None
         op = op.input_dependencies[0]
-    return isinstance(op, InputDataBuffer)
+    logical = copy.copy(ds._logical_plan)
+    top = get_execution_plan(logical).dag
+    below = top.input_dependencies[0] \
+        if isinstance(top, TaskPoolMapOperator) else top
+    if not isinstance(below, InputDataBuffer):
+        return None
+    source = logical.dag
+    while source.input_dependencies:
+        source = source.input_dependencies[0]
+    return top, source
+
+
+def _wave_tasks(top, source):
+    """The task count for a one-map plan's read that runs in one wave of
+    the cluster's CPUs, or None to leave the read as Ray sizes it.
+
+    Only a parquet `Read` that the user did not size
+    (`override_num_blocks`) and that Ray runs without splitting its
+    output: it gets one task per CPU when its data fits that many
+    blocks of Ray's own `target_max_block_size` (ceil(mem_size /
+    target) <= CPUs) and Ray chose more tasks. Ray asks for at least
+    2 x CPUs tasks at any size, so geobench's 8-file reads ran 8 tasks
+    in two waves on 4 CPUs. A read of more data is left to Ray's
+    sizing. Ray does not split the packed read either: an unsplit read
+    has at least as many files as tasks, and its blocks fit the
+    target."""
+    import math
+
+    from ray.data._internal.datasource.parquet_datasource import \
+        ParquetDatasource
+    from ray.data._internal.logical.operators.read_operator import Read
+
+    if not (isinstance(source, Read)
+            and isinstance(source._datasource, ParquetDatasource)
+            and source._parallelism == -1
+            and top.get_additional_split_factor() == 1):
+        return None
+    cpus = cluster_cpus()
+    mem, target = source._mem_size, top.actual_target_max_block_size
+    blocks = math.ceil(mem / target) if mem and target else 1
+    fits = blocks <= cpus < source.get_detected_parallelism()
+    return cpus if fits else None
+
+
+def _with_read_tasks(op, tasks: int):
+    """A copy of the map chain that ends in `op` whose source `Read`
+    asks for `tasks` read tasks, as `override_num_blocks=tasks` would.
+    The chain's own ops are not changed."""
+    import copy
+
+    new = copy.copy(op)
+    new._output_dependencies = []
+    if op.input_dependencies:
+        below = _with_read_tasks(op.input_dependencies[0], tasks)
+        new._input_dependencies = [below]
+        below._output_dependencies.append(new)
+    else:
+        new._parallelism = tasks
+    return new
 
 
 def materialize(ds):
-    """`ds.materialize()`, except that a plan Ray fuses into one
-    task-pool map (`_fuses_to_one_map`) runs with
+    """`ds.materialize()`, except for a plan Ray fuses into one
+    task-pool map (`_one_map_plan`). That plan runs with
     `op_resource_reservation_enabled` off, so its first wave starts a
-    task per free CPU rather than one (see the module docstring).
+    task per free CPU rather than one, and when its source is a parquet
+    read that fits one wave of the cluster's CPUs but that Ray sizes at
+    more tasks, the read runs one task per CPU (`_wave_tasks`;
+    tile_join's 8-file read: 4 tasks on 4 CPUs, not 8 in two waves).
+    See the module docstring.
 
-    The flag is set on a deep copy of `ds`, which owns its own
-    `DataContext`: neither `ds.context` nor the global
-    `DataContext.get_current()` changes, and the returned dataset's
-    context reads as `ds.context` does, so a plan built on it later
-    reserves as usual. Every other plan runs unchanged."""
-    from ray.data.dataset import Dataset
+    Both run on a copy of `ds`: a deep copy of its execution plan,
+    which owns its own `DataContext`, over a new logical plan (whose
+    map chain is copied when the read is resized). Neither `ds`, its
+    ops, `ds.context` nor the global `DataContext.get_current()`
+    changes, and the returned dataset's context reads as `ds.context`
+    does, so a plan built on it later reserves as usual. Every other
+    plan runs unchanged."""
+    from ray.data._internal.logical.interfaces import LogicalPlan
 
-    if not _fuses_to_one_map(ds):
+    plan = _one_map_plan(ds)
+    if plan is None:
         return ds.materialize()
-    run = Dataset.copy(ds, _deep_copy=True)
+    dag = ds._logical_plan.dag
+    tasks = _wave_tasks(*plan)
+    if tasks is not None:
+        dag = _with_read_tasks(dag, tasks)
+    run = type(ds)(ds._plan.deep_copy(), LogicalPlan(dag, ds.context))
     run.context.op_resource_reservation_enabled = False
     mat = run.materialize()
     for ctx in (run.context, mat.context):  # the two that `mat` keeps
@@ -167,7 +264,7 @@ def driver_table(ds, cap: int, arrow: bool = False):
     to the exchange. The pull goes through this module's `pull_pandas`,
     or `pull_arrow` when `arrow`, looked up at call time. The input runs
     through `materialize`, so a plan that fuses into one map starts a
-    full wave of tasks."""
+    full wave of tasks and reads in one wave when its data fits one."""
     mat = materialize(ds)
     if mat.count() <= cap:
         return mat, (pull_arrow if arrow else pull_pandas)(mat)

@@ -318,11 +318,10 @@ def tile_counts_salted_fused(n_rows: int, zoom: int = 7, salt: int = 16,
     its execution (bucketed_sum materializes it before any exchange),
     so no downstream operator's resource reservation can starve it."""
     import pandas as pd
-    import ray
     import ray.data as rd
 
     if num_cpus is None:
-        num_cpus = int(ray.cluster_resources().get("CPU", 8))
+        num_cpus = dsutil.cluster_cpus()
     par = max(2 * num_cpus, 2, -(-n_rows // 24_000_000))
     shard = max(1, n_rows // par)
     items = [{"start": s, "count": min(shard, n_rows - s)}
@@ -375,8 +374,6 @@ def tile_counts_salted(ds, zoom: int = 7, threshold: int | None = None,
     Counts are identical on every route (tests assert it). An empty
     input gives a zero-row, typed table; it always finishes on the
     driver."""
-    import ray
-
     def tile_partials(b):
         from proj_ray.tiles import tile_assign
 
@@ -393,7 +390,7 @@ def tile_counts_salted(ds, zoom: int = 7, threshold: int | None = None,
     if table is not None:
         return _finish_sum(parts, table, "tile_key", "n_part", "n")
 
-    ncpu = int(ray.cluster_resources().get("CPU", 8))
+    ncpu = dsutil.cluster_cpus()
     if parts.num_blocks() > 2 * ncpu:
         # coalesce to ~2 blocks per CPU and re-combine: the sort
         # exchange prices O(map_blocks x reducers) objects (64 16k-row

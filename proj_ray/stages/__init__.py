@@ -521,6 +521,8 @@ def knn_index(path: str, query_lon, query_lat, k: int = 5,
     import ray
     import ray.data as rd
 
+    from proj_ray import dsutil
+
     with open(os.path.join(path, "knn_meta.json")) as f:
         meta = json.load(f)
     level = int(meta["level"])
@@ -594,9 +596,7 @@ def knn_index(path: str, query_lon, query_lat, k: int = 5,
                                    columns=[lon_col, lat_col, id_col]) \
                      .map_batches(local, batch_format="numpy",
                                   batch_size=batch_size)
-            frames = list(cand.iter_batches(batch_format="pandas"))
-            got = pd.concat(frames, ignore_index=True) if frames else \
-                pd.DataFrame({"qi": [], "nid": [], "dist": []})
+            got = dsutil.pull_pandas(cand)
             for li, qi in enumerate(qsel):
                 mine = got[got["qi"] == li][["nid", "dist"]]
                 merged = mine if best[qi] is None else \
@@ -889,8 +889,7 @@ def semi_anti_join(ds, right, key_col: str, right_key: str | None = None,
                 split(False), batch_format="numpy") \
                 .select_columns(cols)
         ds = ds.map_batches(split(True), batch_format="numpy")
-    nparts = max(2, min(64, int(
-        ray.cluster_resources().get("CPU", 4)) - 1))
+    nparts = max(2, min(64, dsutil.cluster_cpus() - 1))
     if how == "semi":
         return ds.join(distinct, join_type="inner",
                        num_partitions=nparts,

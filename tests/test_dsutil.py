@@ -25,6 +25,8 @@ def _points(tmp_path, n_files: int) -> str:
 
     rng = np.random.default_rng(3)
     path = tmp_path / f"points-{n_files}"
+    if path.exists():
+        return str(path)
     path.mkdir()
     for f in range(n_files):
         pq.write_table(pa.table({"lon": rng.uniform(-5.0, 5.0, 500),
@@ -33,9 +35,10 @@ def _points(tmp_path, n_files: int) -> str:
     return str(path)
 
 
-def _tile_join_chain(tmp_path):
+def _tile_join_chain(tmp_path, **read):
     """geobench's tile_join stage chain: read_parquet of 8 files ->
-    reproject -> with_tiles -> spatial_join -> per-block partials."""
+    reproject -> with_tiles -> spatial_join -> per-block partials.
+    `read` goes to `read_parquet`."""
     import ray.data as rd
 
     from proj_ray import join, stages
@@ -48,7 +51,7 @@ def _tile_join_chain(tmp_path):
         uk, cnt = np.unique(key[b["tile_valid"]], return_counts=True)
         return {"tile_key": uk, "n": cnt.astype(np.int64)}
 
-    ds = rd.read_parquet(_points(tmp_path, 8))
+    ds = rd.read_parquet(_points(tmp_path, 8), **read)
     ds = stages.reproject(ds, "+proj=tmerc +lon_0=0 +ellps=WGS84")
     ds = stages.with_tiles(ds, 8)
     ds = stages.spatial_join(ds, index)
@@ -110,7 +113,7 @@ NOT_FUSED = ["read_split", "read_then_batch_size", "maps_differ_in_num_cpus",
 def test_one_fused_map_predicate(ray_session, tmp_path, kind):
     from proj_ray import dsutil
 
-    assert dsutil._fuses_to_one_map(_plan(kind, tmp_path)) == \
+    assert (dsutil._one_map_plan(_plan(kind, tmp_path)) is not None) == \
         (kind in FUSED)
 
 
@@ -120,14 +123,20 @@ def test_only_a_fused_map_runs_without_reservation(ray_session, tmp_path,
                                                    monkeypatch, kind, via):
     """The dataset that executes has reservation off exactly when the
     plan fuses into one map; the caller's dataset, the global context
-    and the returned dataset all still read True."""
+    and the returned dataset all still read True. The pulled rows are
+    those of `to_pandas()`; for `tile_join_chain`, whose per-block
+    partials depend on the blocks, those of the same chain read with one
+    block per CPU, which is how the helper runs its 8-file read."""
     from ray.data import DataContext
     from ray.data.dataset import Dataset
 
     from proj_ray import dsutil
 
     ds = _plan(kind, tmp_path)
-    want = ds.to_pandas()
+    ref = _tile_join_chain(tmp_path,
+                           override_num_blocks=dsutil.cluster_cpus()) \
+        if kind == "tile_join_chain" else ds
+    want = ref.to_pandas()
     seen = []
     real = Dataset.materialize
 
@@ -158,3 +167,94 @@ def test_only_a_fused_map_runs_without_reservation(ray_session, tmp_path,
     cols = sorted(want.columns)
     got = table.to_pandas()[cols].sort_values(cols).reset_index(drop=True)
     assert got.equals(want[cols].sort_values(cols).reset_index(drop=True))
+
+
+@pytest.mark.parametrize("kind", ["groupby_aggregate", "union", "zip",
+                                  "co_partition"])
+def test_non_map_plans_are_refused_without_planning(ray_session, tmp_path,
+                                                    monkeypatch, kind):
+    from ray.data._internal.logical import optimizers
+
+    from proj_ray import dsutil
+
+    ds = _plan(kind, tmp_path)
+
+    def no_planning(plan):
+        raise AssertionError("planned")
+
+    monkeypatch.setattr(optimizers, "get_execution_plan", no_planning)
+    assert dsutil._one_map_plan(ds) is None
+
+
+def _tasks(mat) -> int:
+    """Tasks that the one operator of `mat`'s execution ran."""
+    (op,) = [ln for ln in mat.stats().splitlines()
+             if ln.startswith("Operator")]
+    return int(op.split(": ", 1)[1].split(" tasks executed", 1)[0])
+
+
+def _rows(df):
+    cols = sorted(df.columns)
+    return df[cols].sort_values(cols).reset_index(drop=True)
+
+
+def test_one_map_read_runs_in_one_wave(ray_session, tmp_path):
+    """8 files on 4 CPUs: Ray plans 8 read tasks (2 x CPUs), the helper
+    runs 4, two files a block, with the same rows; the caller's read
+    still asks Ray to size it, and runs 8 tasks on its own."""
+    import ray.data as rd
+
+    from proj_ray import dsutil
+
+    cpus = dsutil.cluster_cpus()
+    assert cpus == 4
+    ds = rd.read_parquet(_points(tmp_path, 8)).map_batches(
+        lambda t: t, batch_format="pyarrow")
+    mat = dsutil.materialize(ds)
+    assert mat.num_blocks() == cpus and _tasks(mat) == cpus
+    assert _rows(mat.to_pandas()).equals(_rows(ds.to_pandas()))
+    read = ds._logical_plan.dag.input_dependencies[0]
+    assert read._parallelism == -1
+    assert ds.materialize().num_blocks() == 8
+
+
+def test_sized_split_and_in_memory_inputs_are_left_alone(ray_session,
+                                                         tmp_path):
+    import pyarrow as pa
+    import ray.data as rd
+
+    from proj_ray import dsutil
+
+    same = dict(fn=lambda t: t, batch_format="pyarrow")
+    sized = rd.read_parquet(_points(tmp_path, 8), override_num_blocks=8)
+    split = _plan("read_split", tmp_path)
+    table = pa.table({"k": np.arange(80)})
+    in_memory = rd.from_arrow([table.slice(s, 10) for s in range(0, 80, 10)])
+    for ds in (sized.map_batches(**same), split, in_memory.map_batches(**same)):
+        assert dsutil.materialize(ds).num_blocks() == \
+            ds.materialize().num_blocks() == 8
+
+
+@pytest.mark.parametrize("share", [3, 6])
+def test_only_a_read_that_fits_one_wave_is_packed(ray_session, tmp_path,
+                                                  monkeypatch, share):
+    """With the dataset's `target_max_block_size` at a third of the
+    read's size the read fits 3-4 blocks, one wave of 4 CPUs, and runs
+    4 tasks; at a sixth it needs 6-7 blocks and runs the 16 tasks Ray
+    plans (its minimum block size lowered so that 16 files make 16
+    blocks)."""
+    import ray.data as rd
+    from ray.data import DataContext
+
+    from proj_ray import dsutil
+
+    ds = rd.read_parquet(_points(tmp_path, 16)).map_batches(
+        lambda t: t, batch_format="pyarrow")
+    mem = ds._logical_plan.dag.input_dependencies[0]._mem_size
+    monkeypatch.setattr(ds.context, "target_max_block_size", mem // share)
+    monkeypatch.setattr(DataContext.get_current(), "target_min_block_size",
+                        mem // 16)
+    ray_own = _tasks(ds.materialize())
+    got = _tasks(dsutil.materialize(ds))
+    assert ray_own == 16
+    assert got == (dsutil.cluster_cpus() if share == 3 else ray_own)

@@ -9,28 +9,32 @@ keeps int64 columns int64 and skips the pandas round trip.
 
 Every plan that ends on the driver (`driver_table`, and a lazy
 dataset given to a pull) runs through `materialize`. When Ray fuses
-the plan into one task-pool map, it runs without Ray Data's per-op
-resource reservation. Ray (2.49) budgets an operator that has not
-finished a task yet at `target_max_block_size` x
-`_max_num_blocks_in_streaming_gen_buffer` = 128 MiB x 2 = 256 MiB of
-pending output per task. Under a 1 GB object store, the reservation
-allocator leaves room for one such task, and the executor's
-`ray.wait(num_returns=len(active), timeout=0.1)` loop then dispatches
-the rest in lockstep waves: geobench's tile_join ran its 8 tasks in 3
-waves (1, 3, 4), not 2 of 4. Reservation keeps an upstream operator
-from starving a downstream one; a single map whose output the driver
-materializes whole has no downstream operator, so it only held the
-tasks back.
+the plan into one task-pool map, `materialize` drives that operator
+itself instead of handing the plan to Ray Data's `StreamingExecutor`.
+The executor exists to arbitrate between operators: per-op resource
+reservation, backpressure between queues, a scheduling loop that polls
+every task with `ray.wait(num_returns=len(active), timeout=0.1)`, a
+consumer that polls its output queue with 10 ms sleeps, and a
+registration with the stats actor and a GCS call per run. A single map
+whose whole output the driver takes has nothing to arbitrate, and the
+executor cost ~25-35 ms a run on 4 vCPUs; its reservation also held a
+fused map's first wave to one task under geobench's 1 GB object store
+(Ray 2.49 budgets an operator with no finished task at 128 MiB x 2 =
+256 MiB of pending output per task). The plans that ask for what only
+the executor enforces (a `concurrency` cap, `max_errored_blocks`,
+resource limits) still run under it. `from_arrow` skips Ray's metadata
+tasks the same way: the driver that holds the table computes each
+slice's metadata itself.
 
 Such a plan's parquet read also runs in one wave of the cluster's
 CPUs (`cluster_cpus`) when its data fits one. Ray asks a read it sizes
 itself for at least 2 x CPUs tasks, so geobench's 8-file reads ran 8
 tasks in two waves on 4 CPUs, each extra task ~5-9 ms of fixed cost;
-`materialize` runs the copy of such a read as one task per CPU when
-that many blocks stay within Ray's `target_max_block_size`. A larger
-read, a read the caller sized (`override_num_blocks`), a read Ray
-splits (`SplitBlocks`), an in-memory input and a plan of several
-operators run as Ray plans them."""
+`materialize` runs such a read as one task per CPU when that many
+blocks stay within Ray's `target_max_block_size`. A larger read, a
+read the caller sized (`override_num_blocks`), a read Ray splits
+(`SplitBlocks`), an in-memory input and a plan of several operators
+run as Ray plans them."""
 
 from __future__ import annotations
 
@@ -137,39 +141,131 @@ def _with_read_tasks(op, tasks: int):
     return new
 
 
+def _needs_executor(top, context) -> bool:
+    """Whether the one-map operator `top` asks for something that only
+    Ray's `StreamingExecutor` enforces: a `concurrency` cap on the map,
+    a `max_errored_blocks` budget, or resource limits on the execution
+    options."""
+    from ray.data._internal.execution.interfaces import ExecutionResources
+
+    options = context.execution_options
+    return (top.get_concurrency() is not None
+            or context.max_errored_blocks != 0
+            or not options.is_resource_limits_default()
+            or options.exclude_resources != ExecutionResources.zero())
+
+
+def _run_map(ds, top):
+    """Run `top`, the `TaskPoolMapOperator` of `ds`'s one-map plan, and
+    return its output as `Dataset.materialize` would: a
+    `MaterializedDataset` over the output blocks whose `stats()` reports
+    the operator's tasks, wall, UDF time, rows and bytes.
+
+    Every input bundle goes in at once, so each task is submitted as its
+    input arrives and Ray's scheduler runs as many as there are free
+    CPUs; the loop then waits for one task at a time and collects its
+    output (a task-pool map runs data tasks only; the actor pool's
+    metadata tasks never occur). The operator is shut down whatever
+    happens, so a failed task leaves none of its siblings running."""
+    import time
+
+    import ray
+    from ray.data._internal.execution.interfaces import RefBundle
+    from ray.data._internal.execution.legacy_compat import \
+        _get_initial_stats_from_plan
+    from ray.data._internal.logical.interfaces import LogicalPlan
+    from ray.data._internal.logical.operators.input_data_operator import \
+        InputData
+    from ray.data._internal.plan import ExecutionPlan
+    from ray.data._internal.stats import Timer
+    from ray.data.block import _take_first_non_empty_schema
+    from ray.data.dataset import MaterializedDataset
+
+    source = top.input_dependencies[0]
+    options = ds.context.execution_options
+    began = time.perf_counter()
+    out = []
+    source.start(options)
+    top.start(options)
+    try:
+        while source.has_next():
+            top.add_input(source.get_next(), 0)
+        top.all_inputs_done()
+        while True:
+            while top.has_next():
+                out.append(top.get_next())
+            tasks = {t.get_waitable(): t for t in top.get_active_tasks()}
+            if not tasks:
+                break
+            (ready,), _ = ray.wait(list(tasks), num_returns=1,
+                                   fetch_local=False)
+            tasks[ready].on_data_ready(None)
+    finally:
+        top.shutdown(Timer(), force=True)
+
+    stats = _get_initial_stats_from_plan(ds._plan).child_builder(
+        top.name, override_start_time=began).build_multioperator(
+        top.get_stats())
+    stats.extra_metrics = top.metrics.as_dict(skip_internal_metrics=True)
+    schema = _take_first_non_empty_schema(b.schema for b in out)
+    blocks = [RefBundle([block], owns_blocks=False, schema=schema)
+              for b in out for block in b.blocks]
+    mat = MaterializedDataset(ExecutionPlan(stats, ds.context.copy()),
+                              LogicalPlan(InputData(blocks), ds.context))
+    mat.set_name(ds.name)
+    mat._set_uuid(ds._get_uuid())
+    mat._plan.execute()  # marks the plan as executed; runs nothing
+    return mat
+
+
 def materialize(ds):
     """`ds.materialize()`, except for a plan Ray fuses into one
-    task-pool map (`_one_map_plan`). That plan runs with
-    `op_resource_reservation_enabled` off, so its first wave starts a
-    task per free CPU rather than one, and when its source is a parquet
-    read that fits one wave of the cluster's CPUs but that Ray sizes at
-    more tasks, the read runs one task per CPU (`_wave_tasks`;
-    tile_join's 8-file read: 4 tasks on 4 CPUs, not 8 in two waves).
-    See the module docstring.
+    task-pool map (`_one_map_plan`): that plan runs by driving the
+    fused operator Ray planned for it (`_run_map`), with no
+    `StreamingExecutor`. The executor's fixed cost (10 ms output-queue
+    polls, a `ray.wait(..., timeout=0.1)` loop, a stats-actor
+    registration and a GCS call per run) buys nothing for a single map
+    whose whole output the driver takes: there is no downstream
+    operator to reserve resources for and no queue between operators
+    to backpressure. Its tasks all go to Ray at once and run a task per
+    free CPU from the first wave. On 4 vCPUs, geobench's tile_join
+    chain took 129 -> 98 ms and tile_export's two maps 90 -> 57 and
+    79 -> 47 ms, with the same operator wall and UDF time.
 
-    Both run on a copy of `ds`: a deep copy of its execution plan,
-    which owns its own `DataContext`, over a new logical plan (whose
-    map chain is copied when the read is resized). Neither `ds`, its
-    ops, `ds.context` nor the global `DataContext.get_current()`
-    changes, and the returned dataset's context reads as `ds.context`
-    does, so a plan built on it later reserves as usual. Every other
-    plan runs unchanged."""
+    When the map's source is a parquet read that fits one wave of the
+    cluster's CPUs but that Ray sizes at more tasks, the read runs one
+    task per CPU (`_wave_tasks`; tile_join's 8-file read: 4 tasks on 4
+    CPUs, not 8 in two waves): a copy of the map chain with the read
+    sized (`_with_read_tasks`) is planned again. Otherwise the physical
+    plan `_one_map_plan` built is the one that runs; `ds`, its ops,
+    `ds.context` and the global `DataContext` do not change.
+
+    A plan of several operators, a materialized or in-memory dataset
+    (nothing to run), and a one-map plan that asks for what only the
+    executor enforces (`_needs_executor`: a `concurrency` cap,
+    `max_errored_blocks`, resource limits) run by `ds.materialize()`.
+
+    The route is not a custom executor handed to Ray through
+    `ExecutionPlan.create_executor`: `Dataset.materialize` deep-copies
+    the plan into a fresh `ExecutionPlan`, which drops such an
+    override, and the plan then runs under the `StreamingExecutor` with
+    Ray's resource reservation back on (a prototype of that route
+    measured geobench's tile_join at 447k -> 323k rows/s)."""
+    from ray.data._internal.execution.operators.task_pool_map_operator \
+        import TaskPoolMapOperator
     from ray.data._internal.logical.interfaces import LogicalPlan
+    from ray.data._internal.logical.optimizers import get_execution_plan
 
     plan = _one_map_plan(ds)
-    if plan is None:
+    if plan is None or not isinstance(plan[0], TaskPoolMapOperator) \
+            or _needs_executor(plan[0], ds.context):
         return ds.materialize()
-    dag = ds._logical_plan.dag
+    top = plan[0]
     tasks = _wave_tasks(*plan)
     if tasks is not None:
-        dag = _with_read_tasks(dag, tasks)
-    run = type(ds)(ds._plan.deep_copy(), LogicalPlan(dag, ds.context))
-    run.context.op_resource_reservation_enabled = False
-    mat = run.materialize()
-    for ctx in (run.context, mat.context):  # the two that `mat` keeps
-        ctx.op_resource_reservation_enabled = \
-            ds.context.op_resource_reservation_enabled
-    return mat
+        dag = _with_read_tasks(ds._logical_plan.dag, tasks)
+        top = get_execution_plan(LogicalPlan(dag, ds.context)).dag
+    return _run_map(ds, top)
 
 
 def _block_refs(ds):
@@ -298,12 +394,34 @@ def from_arrow(table):
     UDF, the rest in Ray's conversion of its output); blocks of the
     one-block rule run those maps one task per block, in parallel.
     The slices share the table's buffers; Ray writes each slice's own
-    rows to the object store."""
-    import ray.data as rd
+    rows to the object store.
+
+    The dataset is built as `rd.from_arrow` builds it (a
+    `MaterializedDataset` over a `FromArrow` op), except that each
+    slice's metadata and schema are computed here, on the driver that
+    holds the table, by `get_table_block_metadata_schema`:
+    `rd.from_arrow` runs one remote task per slice to compute them from
+    the stored copy (geobench's tile_export table on 4 vCPUs: 14.8 ->
+    6.9 ms)."""
+    import ray
+    from ray.data import DataContext
+    from ray.data._internal.logical.interfaces import LogicalPlan
+    from ray.data._internal.logical.operators.from_operators import \
+        FromArrow
+    from ray.data._internal.plan import ExecutionPlan
+    from ray.data._internal.stats import DatasetStats
+    from ray.data._internal.util import get_table_block_metadata_schema
+    from ray.data.dataset import MaterializedDataset
 
     n = table.num_rows
-    return rd.from_arrow([table.slice(s, ONE_BLOCK_ROWS)
-                          for s in range(0, n, ONE_BLOCK_ROWS)] or [table])
+    slices = [table.slice(s, ONE_BLOCK_ROWS)
+              for s in range(0, n, ONE_BLOCK_ROWS)] or [table]
+    meta = [get_table_block_metadata_schema(t) for t in slices]
+    plan = ExecutionPlan(
+        DatasetStats(metadata={"FromArrow": meta}, parent=None),
+        DataContext.get_current().copy())
+    return MaterializedDataset(plan, LogicalPlan(
+        FromArrow([ray.put(t) for t in slices], meta), plan._context))
 
 
 def read_parquet(paths, columns: list[str] | None = None, **kwargs):

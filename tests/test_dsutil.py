@@ -1,6 +1,7 @@
 """`dsutil.materialize`: a plan that Ray fuses into one task-pool map
-runs without Ray Data's per-op resource reservation, and nothing the
-caller holds changes."""
+runs by driving that operator, with no `StreamingExecutor`, and nothing
+the caller holds changes; `dsutil.from_arrow` builds its dataset on the
+driver."""
 
 import numpy as np
 import pandas as pd
@@ -117,18 +118,42 @@ def test_one_fused_map_predicate(ray_session, tmp_path, kind):
         (kind in FUSED)
 
 
+def _source(ds):
+    op = ds._logical_plan.dag
+    while op.input_dependencies:
+        op = op.input_dependencies[0]
+    return op
+
+
+def _executors(monkeypatch) -> list:
+    """A list that grows by one for each `StreamingExecutor` built."""
+    from ray.data._internal.execution.streaming_executor import \
+        StreamingExecutor
+
+    built = []
+    real = StreamingExecutor.__init__
+
+    def spy(self, *args, **kwargs):
+        built.append(self)
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(StreamingExecutor, "__init__", spy)
+    return built
+
+
 @pytest.mark.parametrize("kind", FUSED + NOT_FUSED)
 @pytest.mark.parametrize("via", ["driver_table", "pull_arrow"])
-def test_only_a_fused_map_runs_without_reservation(ray_session, tmp_path,
-                                                   monkeypatch, kind, via):
-    """The dataset that executes has reservation off exactly when the
-    plan fuses into one map; the caller's dataset, the global context
-    and the returned dataset all still read True. The pulled rows are
-    those of `to_pandas()`; for `tile_join_chain`, whose per-block
-    partials depend on the blocks, those of the same chain read with one
-    block per CPU, which is how the helper runs its 8-file read."""
+def test_only_a_fused_map_skips_the_streaming_executor(ray_session, tmp_path,
+                                                       monkeypatch, kind,
+                                                       via):
+    """A plan that fuses into one map runs with no `StreamingExecutor`;
+    every other plan runs under one. Neither changes the caller's
+    dataset, its read, its context or the global context. The pulled
+    rows are those of `to_pandas()`; for `tile_join_chain`, whose
+    per-block partials depend on the blocks, those of the same chain
+    read with one block per CPU, which is how the helper runs its
+    8-file read."""
     from ray.data import DataContext
-    from ray.data.dataset import Dataset
 
     from proj_ray import dsutil
 
@@ -137,33 +162,23 @@ def test_only_a_fused_map_runs_without_reservation(ray_session, tmp_path,
                            override_num_blocks=dsutil.cluster_cpus()) \
         if kind == "tile_join_chain" else ds
     want = ref.to_pandas()
-    seen = []
-    real = Dataset.materialize
-
-    def spy(self):
-        seen.append(self.context.op_resource_reservation_enabled)
-        return real(self)
-
-    monkeypatch.setattr(Dataset, "materialize", spy)
+    dag, ctx = ds._logical_plan.dag, ds.context
+    before = (dag.dag_str, repr(ctx), repr(DataContext.get_current()),
+              getattr(_source(ds), "_parallelism", None),
+              ds._plan.has_computed_output())
+    built = _executors(monkeypatch)
     if via == "driver_table":
-        mat, table = dsutil.driver_table(ds, dsutil.DRIVER_FINISH_ROWS,
-                                         arrow=True)
+        _, table = dsutil.driver_table(ds, dsutil.DRIVER_FINISH_ROWS,
+                                       arrow=True)
     else:
         table = dsutil.pull_arrow(ds)
-        mat = None
     monkeypatch.undo()
 
-    if kind == "materialized" and via == "pull_arrow":
-        assert seen == []  # a materialized dataset is pulled as it is
-    else:
-        assert seen == [kind not in FUSED]
-    assert ds.context.op_resource_reservation_enabled
-    assert DataContext.get_current().op_resource_reservation_enabled
-    if mat is not None:
-        assert mat.context.op_resource_reservation_enabled
-        assert mat._logical_plan.context.op_resource_reservation_enabled
-        assert mat.map_batches(lambda b: b) \
-            .context.op_resource_reservation_enabled
+    assert len(built) == (0 if kind in FUSED else 1)
+    assert ds._logical_plan.dag is dag and ds.context is ctx
+    assert (dag.dag_str, repr(ctx), repr(DataContext.get_current()),
+            getattr(_source(ds), "_parallelism", None),
+            ds._plan.has_computed_output()) == before
     cols = sorted(want.columns)
     got = table.to_pandas()[cols].sort_values(cols).reset_index(drop=True)
     assert got.equals(want[cols].sort_values(cols).reset_index(drop=True))
@@ -258,3 +273,176 @@ def test_only_a_read_that_fits_one_wave_is_packed(ray_session, tmp_path,
     got = _tasks(dsutil.materialize(ds))
     assert ray_own == 16
     assert got == (dsutil.cluster_cpus() if share == 3 else ray_own)
+
+
+def _table_map(n: int, fn=lambda t: t, **kwargs):
+    """A fused one-map plan: `fn` over `dsutil.from_arrow` of `n` rows."""
+    import pyarrow as pa
+
+    from proj_ray import dsutil
+
+    return dsutil.from_arrow(pa.table({"k": np.arange(n)})).map_batches(
+        fn, batch_format="pyarrow", **kwargs)
+
+
+def test_a_failed_task_raises_and_leaves_no_task_running(ray_session,
+                                                         monkeypatch):
+    """A UDF that raises in one task: `materialize` and `driver_table`
+    raise its error, the operator's other tasks are gone, and the next
+    fused plan runs."""
+    import time
+
+    from proj_ray import dsutil
+
+    def boom(t):
+        if t["k"][0].as_py() == 0:
+            raise ValueError("boom")
+        time.sleep(1.0)  # the other tasks are still running at the error
+        return t
+
+    ds = _table_map(3 * dsutil.ONE_BLOCK_ROWS, boom)
+    ops = []
+    real = dsutil._run_map
+
+    def spy(ds, top):
+        ops.append(top)
+        return real(ds, top)
+
+    monkeypatch.setattr(dsutil, "_run_map", spy)
+    with pytest.raises(Exception, match="boom"):
+        dsutil.materialize(ds)
+    assert len(ops) == 1 and ops[0].get_active_tasks() == []
+    with pytest.raises(Exception, match="boom"):
+        dsutil.driver_table(ds, dsutil.DRIVER_FINISH_ROWS, arrow=True)
+    assert len(ops) == 2 and ops[1].get_active_tasks() == []
+    monkeypatch.undo()
+    assert dsutil.pull_arrow(_table_map(100))["k"].to_pylist() == \
+        list(range(100))
+
+
+@pytest.mark.parametrize("need", ["concurrency", "max_errored_blocks",
+                                  "resource_limits"])
+def test_what_only_the_executor_enforces_falls_back(ray_session, monkeypatch,
+                                                     need):
+    """A one-map plan with a `concurrency` cap, a `max_errored_blocks`
+    budget or resource limits runs under one `StreamingExecutor`, with
+    the same rows."""
+    from ray.data._internal.execution.interfaces import ExecutionResources
+
+    from proj_ray import dsutil
+
+    n = 3 * dsutil.ONE_BLOCK_ROWS + 5
+    ds = _table_map(n, concurrency=2) if need == "concurrency" \
+        else _table_map(n)
+    if need == "max_errored_blocks":
+        monkeypatch.setattr(ds.context, "max_errored_blocks", 1)
+    if need == "resource_limits":
+        monkeypatch.setattr(ds.context.execution_options, "resource_limits",
+                            ExecutionResources.for_limits(cpu=2))
+    assert dsutil._one_map_plan(ds) is not None
+    want = ds.to_pandas()
+    built = _executors(monkeypatch)
+    got = dsutil.pull_pandas(ds)
+    assert len(built) == 1
+    assert _rows(got).equals(_rows(want))
+
+
+def test_preserve_order_returns_the_slices_in_order(ray_session,
+                                                    monkeypatch):
+    """With `preserve_order` on, the blocks come back in input order,
+    although the first slice's task finishes last."""
+    import time
+
+    from proj_ray import dsutil
+
+    def first_last(t):
+        if t["k"][0].as_py() == 0:
+            time.sleep(0.5)
+        return t
+
+    n = 3 * dsutil.ONE_BLOCK_ROWS + 5
+    ds = _table_map(n, first_last)
+    monkeypatch.setattr(ds.context.execution_options, "preserve_order", True)
+    built = _executors(monkeypatch)
+    table = dsutil.pull_arrow(ds)
+    assert built == []
+    assert table["k"].to_pylist() == list(range(n))
+
+
+@pytest.mark.parametrize("n", [0, 1, 32_768, 3 * 32_768 + 5])
+def test_from_arrow_matches_ray_without_remote_tasks(ray_session,
+                                                     monkeypatch, n):
+    """`dsutil.from_arrow` gives the blocks, rows, schema and count of
+    `rd.from_arrow` over the same slices, computing each slice's
+    metadata once, in this process, with no remote task."""
+    import os
+
+    import pyarrow as pa
+    import ray.data as rd
+    from ray.data._internal import util
+    from ray.remote_function import RemoteFunction
+
+    from proj_ray import dsutil
+
+    assert dsutil.ONE_BLOCK_ROWS == 32_768
+    table = pa.table({"k": np.arange(n), "v": np.arange(n) * 0.5})
+    slices = [table.slice(s, dsutil.ONE_BLOCK_ROWS)
+              for s in range(0, n, dsutil.ONE_BLOCK_ROWS)] or [table]
+    want = rd.from_arrow(slices)
+
+    computed, remote = [], []
+    real_meta, real_remote = util.get_table_block_metadata_schema, \
+        RemoteFunction._remote
+
+    def meta(t):
+        computed.append((os.getpid(), t.num_rows))
+        return real_meta(t)
+
+    def no_remote(self, *args, **kwargs):
+        remote.append(self)
+        return real_remote(self, *args, **kwargs)
+
+    monkeypatch.setattr(util, "get_table_block_metadata_schema", meta)
+    monkeypatch.setattr(RemoteFunction, "_remote", no_remote)
+    got = dsutil.from_arrow(table)
+    monkeypatch.undo()
+
+    assert remote == []
+    assert computed == [(os.getpid(), t.num_rows) for t in slices]
+
+    def rows(ds):
+        return [m.num_rows for b in ds.iter_internal_ref_bundles()
+                for m in b.metadata]
+
+    assert got.num_blocks() == want.num_blocks() == len(slices)
+    assert rows(got) == rows(want)
+    assert got.schema() == want.schema()
+    assert got.schema().base_schema == table.schema
+    assert got.count() == want.count() == n
+    pulled = dsutil.pull_arrow(got)
+    assert pulled.schema == table.schema and pulled.equals(table)
+
+
+def test_a_fused_plan_is_planned_once_unless_its_read_is_packed(
+        ray_session, tmp_path, monkeypatch):
+    """`materialize` runs the physical plan `_one_map_plan` built; only a
+    read packed into one wave is planned again."""
+    import ray.data as rd
+    from ray.data._internal.logical import optimizers
+
+    from proj_ray import dsutil
+
+    calls = []
+    real = optimizers.get_execution_plan
+
+    def spy(plan):
+        calls.append(plan)
+        return real(plan)
+
+    monkeypatch.setattr(optimizers, "get_execution_plan", spy)
+    dsutil.materialize(_table_map(100))
+    assert len(calls) == 1
+    packed = rd.read_parquet(_points(tmp_path, 8)).map_batches(
+        lambda t: t, batch_format="pyarrow")
+    assert dsutil.materialize(packed).num_blocks() == dsutil.cluster_cpus()
+    assert len(calls) == 3

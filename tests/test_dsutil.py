@@ -143,16 +143,16 @@ def _executors(monkeypatch) -> list:
 
 @pytest.mark.parametrize("kind", FUSED + NOT_FUSED)
 @pytest.mark.parametrize("via", ["driver_table", "pull_arrow"])
-def test_only_a_fused_map_skips_the_streaming_executor(ray_session, tmp_path,
-                                                       monkeypatch, kind,
-                                                       via):
-    """A plan that fuses into one map runs with no `StreamingExecutor`;
-    every other plan runs under one. Neither changes the caller's
-    dataset, its read, its context or the global context. The pulled
-    rows are those of `to_pandas()`; for `tile_join_chain`, whose
-    per-block partials depend on the blocks, those of the same chain
-    read with one block per CPU, which is how the helper runs its
-    8-file read."""
+def test_only_a_fused_map_runs_without_reservation(ray_session, tmp_path,
+                                                   monkeypatch, kind, via):
+    """A plan that fuses into one map runs with no `StreamingExecutor`,
+    so without Ray Data's per-op resource reservation; every other plan
+    runs under one executor with reservation on. Neither changes the
+    caller's dataset, its read, its context or the global context, and
+    the returned dataset still reads reservation on. The pulled rows are
+    those of `to_pandas()`; for `tile_join_chain`, whose per-block
+    partials depend on the blocks, those of the same chain read with one
+    block per CPU, which is how the helper runs its 8-file read."""
     from ray.data import DataContext
 
     from proj_ray import dsutil
@@ -168,13 +168,22 @@ def test_only_a_fused_map_skips_the_streaming_executor(ray_session, tmp_path,
               ds._plan.has_computed_output())
     built = _executors(monkeypatch)
     if via == "driver_table":
-        _, table = dsutil.driver_table(ds, dsutil.DRIVER_FINISH_ROWS,
-                                       arrow=True)
+        mat, table = dsutil.driver_table(ds, dsutil.DRIVER_FINISH_ROWS,
+                                         arrow=True)
     else:
         table = dsutil.pull_arrow(ds)
+        mat = None
     monkeypatch.undo()
 
-    assert len(built) == (0 if kind in FUSED else 1)
+    assert [e._data_context.op_resource_reservation_enabled
+            for e in built] == ([] if kind in FUSED else [True])
+    assert ds.context.op_resource_reservation_enabled
+    assert DataContext.get_current().op_resource_reservation_enabled
+    if mat is not None:
+        assert mat.context.op_resource_reservation_enabled
+        assert mat._logical_plan.context.op_resource_reservation_enabled
+        assert mat.map_batches(lambda b: b) \
+            .context.op_resource_reservation_enabled
     assert ds._logical_plan.dag is dag and ds.context is ctx
     assert (dag.dag_str, repr(ctx), repr(DataContext.get_current()),
             getattr(_source(ds), "_parallelism", None),

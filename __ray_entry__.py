@@ -15,8 +15,9 @@ arithmetic so both NumPy and DuckDB produce bit-identical values
 (`_geotag`, from `proj_ray.sqlmirror`, is the NumPy side):
   lon = (doc_id*61803 % 360000)/1000 - 180
   lat = (doc_id*75487 % 170000)/1000 - 85
-Values quantized to integer milli-units go through `_milli`, which
-rounds half away from zero like SQL's CAST(round(v * 1000) AS BIGINT).
+Values quantized to integer units (milli-units, cents) go through
+`_milli(v, scale)`, which rounds half away from zero like SQL's
+CAST(round(v * scale) AS BIGINT).
 
 Ray is initialised by the driver; nothing here calls ray.init().
 """
@@ -28,8 +29,9 @@ from typing import Any
 
 import numpy as np
 
-from proj_ray.dsutil import merged
+from proj_ray.dsutil import merged, pull_pandas
 from proj_ray.exchange import co_partition
+from proj_ray.pipelines.spatial import bucketed_sum
 from proj_ray.sqlmirror import geotag as _geotag
 from proj_ray.sqlmirror import milli as _milli
 
@@ -93,15 +95,13 @@ def _docs_geo(sf_dir: str, small_as_one_block: bool = True):
 
 
 def _q01_pricing(sf_dir: str):
-    from ray.data.aggregate import Sum
-
     ds = _read(sf_dir, "lineitem",
                columns=["l_returnflag", "l_linestatus", "l_quantity",
                         "l_extendedprice", "l_discount"])
 
     # exact integer aggregation: per-row scaled cents, summed as int64 —
     # associative, so distributed and single-threaded sums agree exactly.
-    # Per-batch partial combine first: the shuffle moves a handful of
+    # Per-batch partial combine first: the sum moves a handful of
     # (flag, status, partials) rows per block instead of every lineitem.
     def partial(b: dict) -> dict:
         import pandas as pd
@@ -109,27 +109,24 @@ def _q01_pricing(sf_dir: str):
         df = pd.DataFrame({
             "l_returnflag": b["l_returnflag"],
             "l_linestatus": b["l_linestatus"],
-            "qty_c": np.rint(b["l_quantity"] * 100).astype(np.int64),
-            "base_c": np.rint(b["l_extendedprice"] * 100).astype(np.int64),
-            "disc_c": np.rint(b["l_extendedprice"] * (1 - b["l_discount"])
-                              * 10000).astype(np.int64),
+            "qty_c": _milli(b["l_quantity"], 100),
+            "base_c": _milli(b["l_extendedprice"], 100),
+            "disc_c": _milli(b["l_extendedprice"] * (1 - b["l_discount"]),
+                             10000),
         })
         g = df.groupby(["l_returnflag", "l_linestatus"], as_index=False).agg(
             qty_c=("qty_c", "sum"), base_c=("base_c", "sum"),
             disc_c=("disc_c", "sum"), n=("qty_c", "size"))
         return {k: g[k].to_numpy() for k in g.columns}
 
-    out = (ds.map_batches(partial, batch_format="numpy")
-             .groupby(["l_returnflag", "l_linestatus"])
-             .aggregate(Sum("qty_c", alias_name="sum_qty_c"),
-                        Sum("base_c", alias_name="sum_base_c"),
-                        Sum("disc_c", alias_name="sum_disc_c"),
-                        Sum("n", alias_name="count_order"))
-             .to_pandas())
+    out = pull_pandas(bucketed_sum(
+        ds.map_batches(partial, batch_format="numpy"),
+        ["l_returnflag", "l_linestatus"], ["qty_c", "base_c", "disc_c", "n"],
+        ["sum_qty_c", "sum_base_c", "sum_disc_c", "count_order"]))
     out["sum_qty"] = out["sum_qty_c"] / 100.0
     out["sum_base_price"] = out["sum_base_c"] / 100.0
     out["sum_disc_price"] = out["sum_disc_c"] / 10000.0
-    out["avg_qty"] = (out["sum_qty_c"] // out["count_order"]).astype("int64")
+    out["avg_qty"] = out["sum_qty_c"] // out["count_order"]
     return out[["l_returnflag", "l_linestatus", "sum_qty",
                 "sum_base_price", "sum_disc_price", "avg_qty",
                 "count_order"]]
@@ -150,20 +147,16 @@ FROM lineitem GROUP BY l_returnflag, l_linestatus
 
 
 def _q02_order_status(sf_dir: str):
-    from ray.data.aggregate import Count, Sum
-
     ds = _read(sf_dir, "orders", columns=["o_orderstatus", "o_totalprice"])
 
     def cents(b: dict) -> dict:
         return {"o_orderstatus": b["o_orderstatus"],
-                "tp_c": np.rint(np.asarray(b["o_totalprice"]) * 100
-                                ).astype(np.int64)}
+                "one": np.ones(len(b["o_totalprice"]), np.int64),
+                "tp_c": _milli(b["o_totalprice"], 100)}
 
-    out = (ds.map_batches(cents, batch_format="numpy")
-             .groupby("o_orderstatus")
-             .aggregate(Count(alias_name="n_orders"),
-                        Sum("tp_c", alias_name="tp_sum"))
-             .to_pandas())
+    out = pull_pandas(bucketed_sum(
+        ds.map_batches(cents, batch_format="numpy"), "o_orderstatus",
+        ["one", "tp_c"], ["n_orders", "tp_sum"]))
     out["total"] = out["tp_sum"] / 100.0
     return out[["o_orderstatus", "n_orders", "total"]]
 
@@ -174,25 +167,21 @@ _Q02_SQL = ("SELECT o_orderstatus, COUNT(*) AS n_orders, "
 
 
 def _q03_top_customers(sf_dir: str):
-    """Top 10 customers by revenue: distributed groupby + distributed
+    """Top 10 customers by revenue: a keyed sum + distributed
     sort/limit — only 10 rows ever reach the driver, and customer names
     are fetched for just those 10 keys with one filtered scan (no
     driver-side dict of the whole customer table)."""
-    from ray.data.aggregate import Sum
-
     ds = _read(sf_dir, "orders", columns=["o_custkey", "o_totalprice"])
 
     def cents(b: dict) -> dict:
         return {"o_custkey": b["o_custkey"],
-                "tp_c": np.rint(np.asarray(b["o_totalprice"]) * 100
-                                ).astype(np.int64)}
+                "tp_c": _milli(b["o_totalprice"], 100)}
 
-    top = (ds.map_batches(cents, batch_format="numpy")
-             .groupby("o_custkey")
-             .aggregate(Sum("tp_c", alias_name="rev_c"))
-             .sort(["rev_c", "o_custkey"], descending=[True, False])
-             .limit(10)
-             .to_pandas())
+    top = pull_pandas(
+        bucketed_sum(ds.map_batches(cents, batch_format="numpy"),
+                     "o_custkey", "tp_c", "rev_c")
+        .sort(["rev_c", "o_custkey"], descending=[True, False])
+        .limit(10))
     want = top["o_custkey"].to_numpy()
 
     def pick_names(b: dict) -> dict:
@@ -218,19 +207,16 @@ ORDER BY revenue DESC, o_custkey LIMIT 10
 
 
 def _q04_events_by_type(sf_dir: str):
-    from ray.data.aggregate import Count, Sum
-
     ds = _read(sf_dir, "events", columns=["event_type", "value"])
 
     def scaled(b: dict) -> dict:
         return {"event_type": b["event_type"],
-                "v_c": np.rint(np.asarray(b["value"]) * 10000
-                               ).astype(np.int64)}
+                "one": np.ones(len(b["value"]), np.int64),
+                "v_c": _milli(b["value"], 10000)}
 
-    out = (ds.map_batches(scaled, batch_format="numpy")
-             .groupby("event_type")
-             .aggregate(Count(alias_name="n"),
-                        Sum("v_c", alias_name="v_sum")).to_pandas())
+    out = pull_pandas(bucketed_sum(
+        ds.map_batches(scaled, batch_format="numpy"), "event_type",
+        ["one", "v_c"], ["n", "v_sum"]))
     out["sum_value"] = out["v_sum"] / 10000.0
     return out[["event_type", "n", "sum_value"]]
 
@@ -292,14 +278,26 @@ FROM geo
 """
 
 
+def _tile_counts(sf_dir: str, zoom: int):
+    """COUNT(*) per (tile_x, tile_y) of the document geotags at `zoom`:
+    `spatial.tile_counts_salted`'s per-tile count with its tile_key
+    split back into the tile coordinates."""
+    import pyarrow as pa
+
+    from proj_ray.pipelines.spatial import tile_counts_salted
+
+    def split(t):
+        key = t.column("tile_key").to_numpy()
+        return pa.table({"tile_x": key >> 30,
+                         "tile_y": key & ((1 << 30) - 1),
+                         "n": t.column("n")})
+
+    return tile_counts_salted(_docs_geo(sf_dir), zoom) \
+        .map_batches(split, batch_format="pyarrow")
+
+
 def _q07_tile_counts(sf_dir: str):
-    from ray.data.aggregate import Count
-
-    from proj_ray.stages import with_tiles
-
-    return (with_tiles(_docs_geo(sf_dir), zoom=5)
-            .groupby(["tile_x", "tile_y"])
-            .aggregate(Count(alias_name="n")))
+    return _tile_counts(sf_dir, 5)
 
 
 # op-for-op tile mirror (see _Q06_SQL): docs 1250/2500/3750 sit on
@@ -321,16 +319,14 @@ SELECT tile_x, tile_y, COUNT(*) AS n FROM t GROUP BY tile_x, tile_y
 
 
 def _q08_grid_cells(sf_dir: str):
-    from ray.data.aggregate import Count
-
     from proj_ray.cells import grid_cell
 
     def cellify(b: dict) -> dict:
-        return {"cell": grid_cell(b["lon"], b["lat"], 1.0)}
+        cell = grid_cell(b["lon"], b["lat"], 1.0)
+        return {"cell": cell, "one": np.ones(len(cell), np.int64)}
 
-    return (_docs_geo(sf_dir)
-            .map_batches(cellify, batch_format="numpy")
-            .groupby("cell").aggregate(Count(alias_name="n")))
+    return bucketed_sum(_docs_geo(sf_dir).map_batches(
+        cellify, batch_format="numpy"), "cell", "one", "n")
 
 
 _Q08_SQL = f"""
@@ -535,24 +531,20 @@ _Q11_SQL = "SELECT text, MIN(doc_id) AS doc_id FROM documents GROUP BY text"
 
 
 def _q12_token_stats(sf_dir: str):
-    from ray.data.aggregate import Count, Sum
-
     from proj_ray.functions.text import simple_token_count
 
     ds = _read(sf_dir, "documents", columns=["lang", "n_chars", "text"])
 
     def feats(b: dict) -> dict:
         return {"lang": b["lang"],
-                "n_chars": np.asarray(b["n_chars"], dtype=np.int64),
+                "one": np.ones(len(b["lang"]), np.int64),
+                "n_chars": b["n_chars"],
                 "n_tokens": simple_token_count(b["text"])}
 
-    out = (ds.map_batches(feats, batch_format="numpy")
-             .groupby("lang")
-             .aggregate(Count(alias_name="n_docs"),
-                        Sum("n_chars", alias_name="sum_chars"),
-                        Sum("n_tokens", alias_name="sum_tokens"))
-             .to_pandas())
-    return out
+    return pull_pandas(bucketed_sum(
+        ds.map_batches(feats, batch_format="numpy"), "lang",
+        ["one", "n_chars", "n_tokens"],
+        ["n_docs", "sum_chars", "sum_tokens"]))
 
 
 _Q12_SQL = """
@@ -567,9 +559,8 @@ FROM documents GROUP BY lang
 
 def _q13_part_brand(sf_dir: str):
     """Broadcast small side (part) into the lineitem scan, pre-aggregate
-    per batch, then a tiny groupby — no shuffle of lineitem rows."""
+    per batch, then a tiny keyed sum — no shuffle of lineitem rows."""
     import ray
-    from ray.data.aggregate import Count, Sum
 
     from proj_ray.stages import BroadcastLookup
 
@@ -589,21 +580,16 @@ def _q13_part_brand(sf_dir: str):
 
         df = pd.DataFrame({
             "p_brand": brand,
-            "qty_c": np.rint(np.asarray(b["l_quantity"]) * 100
-                             ).astype(np.int64)})
+            "qty_c": _milli(b["l_quantity"], 100)})
         g = df.groupby("p_brand", as_index=False).agg(
             partial_qty=("qty_c", "sum"),
             partial_n=("qty_c", "size"))
-        return {"p_brand": g["p_brand"].to_numpy(),
-                "partial_qty": g["partial_qty"].to_numpy(dtype=np.int64),
-                "partial_n": g["partial_n"].to_numpy(dtype=np.int64)}
+        return {k: g[k].to_numpy() for k in g.columns}
 
-    out = (_read(sf_dir, "lineitem", columns=["l_partkey", "l_quantity"])
-           .map_batches(tag, batch_format="numpy")
-           .groupby("p_brand")
-           .aggregate(Sum("partial_qty", alias_name="qty_sum"),
-                      Sum("partial_n", alias_name="n_items"))
-           .to_pandas())
+    out = pull_pandas(bucketed_sum(
+        _read(sf_dir, "lineitem", columns=["l_partkey", "l_quantity"])
+        .map_batches(tag, batch_format="numpy"), "p_brand",
+        ["partial_qty", "partial_n"], ["qty_sum", "n_items"]))
     out["sum_qty"] = out["qty_sum"] / 100.0
     return out[["p_brand", "sum_qty", "n_items"]]
 
@@ -648,14 +634,10 @@ FROM r WHERE rank <= 5
 
 
 def _q15_region_nation(sf_dir: str):
-    from ray.data.aggregate import Count
-
     nation = _read(sf_dir, "nation").to_pandas()
     region = _read(sf_dir, "region").to_pandas()
     rn = dict(zip(region["r_regionkey"], region["r_name"]))
     nation["r_name"] = nation["n_regionkey"].map(rn)
-    import ray.data as rd
-
     cust = _read(sf_dir, "customer", columns=["c_nationkey"])
     nmap = dict(zip(nation["n_nationkey"], nation["r_name"]))
 
@@ -663,10 +645,10 @@ def _q15_region_nation(sf_dir: str):
         import pandas as pd
 
         r = pd.Series(np.asarray(b["c_nationkey"])).map(nmap)
-        return {"r_name": r.to_numpy()}
+        return {"r_name": r.to_numpy(), "one": np.ones(len(r), np.int64)}
 
-    return (cust.map_batches(tag, batch_format="numpy")
-                .groupby("r_name").aggregate(Count(alias_name="n_cust")))
+    return bucketed_sum(cust.map_batches(tag, batch_format="numpy"),
+                        "r_name", "one", "n_cust")
 
 
 _Q15_SQL = """
@@ -970,11 +952,10 @@ def _q21_images_tiles(sf_dir: str):
     """Flagship slice over the synthetic images table: cells + tiles +
     per-tile counts (rows scale with sf via documents row count).
     Per-batch partial counts collapse each block to its distinct
-    tiles, then streaming associative combines finish the aggregation
-    — no sort shuffle at all: the z=7 tile domain is bounded (<=16k),
-    so each combine round and the final driver merge are bounded by
-    tiles, never by images. Zipf-hotspot tiles arrive pre-combined
-    per block."""
+    tiles, then one keyed sum finishes the aggregation — no sort
+    shuffle below the driver cap: the z=7 tile domain is bounded
+    (<=16k), so the partial table is bounded by tiles x blocks, never
+    by images. Zipf-hotspot tiles arrive pre-combined per block."""
     import pandas as pd
 
     from proj_ray.images import images_table
@@ -992,21 +973,11 @@ def _q21_images_tiles(sf_dir: str):
         g = (pd.DataFrame({k: b[k] for k in keys})
              .groupby(keys, as_index=False).size())
         return {**{k: g[k].to_numpy() for k in keys},
-                "n_part": g["size"].to_numpy().astype(np.int64)}
+                "n_part": g["size"].to_numpy()}
 
-    def combine(df: pd.DataFrame) -> pd.DataFrame:
-        return df.groupby(keys, as_index=False)["n_part"].sum()
-
-    out = (ds.map_batches(partial, batch_format="numpy",
-                          batch_size=65536)
-           .map_batches(combine, batch_format="pandas",
-                        batch_size=65536)
-           .map_batches(combine, batch_format="pandas",
-                        batch_size=65536)
-           .to_pandas())
-    out = combine(out).rename(columns={"n_part": "n_images"})
-    out["n_images"] = out["n_images"].astype(np.int64)
-    return out.sort_values(keys, kind="stable").reset_index(drop=True)
+    return pull_pandas(bucketed_sum(
+        ds.map_batches(partial, batch_format="numpy", batch_size=65536),
+        keys, "n_part", "n_images"))
 
 
 # the synthetic images table's geotags (proj_ray/images.py:40-62) are
@@ -1936,35 +1907,20 @@ def _q37_range_join(sf_dir: str):
                         bucket_width=10.0)
 
     def partial(batch):
+        # the bucketed route's join hands the id back as float
         df = pd.DataFrame({
-            "bracket_id": np.asarray(batch["bracket_id"]),
+            "bracket_id": np.asarray(batch["bracket_id"]).astype(np.int64),
             "lo": np.asarray(batch["lo"]),
             "hi": np.asarray(batch["hi"]),
             "q": np.asarray(batch["l_quantity"]).astype(np.int64),
         })
-        g = df.groupby(["bracket_id", "lo", "hi"], sort=False,
-                       as_index=False).agg(sum_qty=("q", "sum"),
-                                           n_rows=("q", "size"))
-        g["n_rows"] = g["n_rows"].astype(np.int64)
-        return g
+        return df.groupby(["bracket_id", "lo", "hi"], sort=False,
+                          as_index=False).agg(sum_qty=("q", "sum"),
+                                              n_rows=("q", "size"))
 
-    from ray.data.aggregate import Sum
-
-    agg = (joined.map_batches(partial, batch_format="numpy")
-           .groupby(["bracket_id", "lo", "hi"])
-           .aggregate(Sum("sum_qty", alias_name="sum_qty_t"),
-                      Sum("n_rows", alias_name="n_rows_t")))
-
-    def final(batch):
-        return pd.DataFrame({
-            "bracket_id": np.asarray(batch["bracket_id"]).astype(np.int64),
-            "lo": np.asarray(batch["lo"]),
-            "hi": np.asarray(batch["hi"]),
-            "n_rows": np.asarray(batch["n_rows_t"]).astype(np.int64),
-            "sum_qty": np.asarray(batch["sum_qty_t"]).astype(np.int64),
-        })
-
-    return agg.map_batches(final, batch_format="numpy")
+    return bucketed_sum(joined.map_batches(partial, batch_format="numpy"),
+                        ["bracket_id", "lo", "hi"], ["sum_qty", "n_rows"],
+                        ["sum_qty", "n_rows"])
 
 
 _Q37_SQL = """
@@ -2300,9 +2256,8 @@ WINDOW w AS (PARTITION BY user_id ORDER BY ts, event_id
 
 def _q47_pivot(sf_dir: str):
     """Wide pivot: per-user event counts with one column per event
-    type. Batch-local crosstab partials, then one groupby(sum) —
-    the shuffle moves pre-combined rows (proj_ray/functions/stats.py
-    pivot_counts). The column domain is passed explicitly (the known
+    type. Batch-local crosstab partials, then one keyed sum of the
+    pre-combined rows (proj_ray/functions/stats.py pivot_counts). The column domain is passed explicitly (the known
     event-type enum), skipping the discovery pass."""
     from proj_ray.functions.stats import pivot_counts
 
@@ -2366,8 +2321,6 @@ def _q49_zonal_stats(sf_dir: str):
     (synth formula + qjpg quantize-decode) and the tile from the
     geotag formula, so codec, tiling, or dup-row drift fails the
     hash."""
-    from ray.data.aggregate import Sum
-
     from proj_ray.images import decode, images_table
     from proj_ray.stages import with_tiles
 
@@ -2388,16 +2341,12 @@ def _q49_zonal_stats(sf_dir: str):
                            "tile_y": b["tile_y"], "lum": lum})
              .groupby(["tile_x", "tile_y"], as_index=False)
              .agg(s_part=("lum", "sum"), n_part=("lum", "size")))
-        return {"tile_x": g["tile_x"].to_numpy(),
-                "tile_y": g["tile_y"].to_numpy(),
-                "s_part": g["s_part"].to_numpy().astype(np.int64),
-                "n_part": g["n_part"].to_numpy().astype(np.int64)}
+        return {k: g[k].to_numpy() for k in g.columns}
 
-    out = (ds.map_batches(partial, batch_format="numpy",
-                          batch_size=256)
-           .groupby(["tile_x", "tile_y"])
-           .aggregate(Sum("s_part", alias_name="sum_lum"),
-                      Sum("n_part", alias_name="n_images")))
+    out = bucketed_sum(ds.map_batches(partial, batch_format="numpy",
+                                      batch_size=256),
+                       ["tile_x", "tile_y"], ["s_part", "n_part"],
+                       ["sum_lum", "n_images"])
 
     def add_z(b: dict) -> dict:
         return {"tile_z": np.full(len(b["tile_x"]), 5, dtype=np.int64),
@@ -2620,26 +2569,19 @@ def _q52_revenue_by_nation(sf_dir: str):
 
         same = np.asarray(b["sn"]) == np.asarray(b["cn"])
         nvals, nfound = ray.get(nref).take(np.asarray(b["cn"])[same])
-        rev = np.rint(np.asarray(b["l_extendedprice"])[same][nfound]
-                      * (1 - np.asarray(b["l_discount"])[same][nfound])
-                      * 10000).astype(np.int64)
+        rev = _milli(np.asarray(b["l_extendedprice"])[same][nfound]
+                     * (1 - np.asarray(b["l_discount"])[same][nfound]),
+                     10000)
         g = (pd.DataFrame({"n_name": nvals["n_name"][nfound],
                            "rev": rev})
              .groupby("n_name", as_index=False)["rev"].sum())
         return {"n_name": g["n_name"].to_numpy(object),
-                "rev": g["rev"].to_numpy(np.int64)}
+                "rev": g["rev"].to_numpy()}
 
-    def combine(df):
-        return df.groupby("n_name", as_index=False)["rev"].sum()
-
-    out = (joined.map_batches(partial, batch_format="numpy",
-                              batch_size=65536)
-           .map_batches(combine, batch_format="pandas",
-                        batch_size=65536)
-           .to_pandas())
-    out = combine(out).rename(columns={"rev": "revenue_c"})
-    out["revenue_c"] = out["revenue_c"].astype(np.int64)
-    return out.sort_values("n_name").reset_index(drop=True)
+    return pull_pandas(bucketed_sum(
+        joined.map_batches(partial, batch_format="numpy",
+                           batch_size=65536),
+        "n_name", "rev", "revenue_c"))
 
 
 _Q52_SQL = """
@@ -4074,9 +4016,9 @@ def _q78_hex_bin(sf_dir: str):
     """H3-style hexagonal binning: every geotag is assigned a
     pointy-top axial hex cell on the Web-Mercator plane (cube
     rounding) and counted per cell. Assignment + per-block partial
-    counts fuse into ONE map_batches pass; the combines are streaming
-    and associative, so the all-to-all moves (cell, n) partials only —
-    the same shuffle discipline as the Morton-cell headline. The SQL
+    counts fuse into ONE map_batches pass, so the keyed sum moves
+    (cell, n) partials only — the same shuffle discipline as the
+    Morton-cell headline. The SQL
     oracle mirrors the projection + cube rounding op-for-op in CASE
     expressions (proj_ray/cells.py hex_axial)."""
     import pandas as pd
@@ -4091,23 +4033,11 @@ def _q78_hex_bin(sf_dir: str):
              .groupby(["hq", "hr"], as_index=False).size())
         return {"hq": g["hq"].to_numpy(np.int64),
                 "hr": g["hr"].to_numpy(np.int64),
-                "n": g["size"].to_numpy(np.int64)}
+                "n": g["size"].to_numpy()}
 
-    def combine(df):
-        return df.groupby(["hq", "hr"], as_index=False)["n"].sum()
-
-    fin = (ds.map_batches(partial, batch_format="numpy",
-                          batch_size=65536)
-           .map_batches(combine, batch_format="pandas",
-                        batch_size=65536)
-           .map_batches(combine, batch_format="pandas",
-                        batch_size=65536)
-           .to_pandas())
-    fin = fin.groupby(["hq", "hr"], as_index=False)["n"].sum()
-    for c in ("hq", "hr", "n"):
-        fin[c] = fin[c].astype(np.int64)
-    return fin.sort_values(["hq", "hr"],
-                           kind="stable").reset_index(drop=True)
+    return pull_pandas(bucketed_sum(
+        ds.map_batches(partial, batch_format="numpy", batch_size=65536),
+        ["hq", "hr"], "n", "n"))
 
 
 _Q78_SQL = f"""
@@ -6150,14 +6080,9 @@ def _q120_hotspots(sf_dir: str):
     (functions/hotspot.py local_max_cells). The compare scatter ships
     only OCCUPIED (tile, n) rows 9x; points never re-shuffle after
     the count."""
-    from ray.data.aggregate import Count
-
     from proj_ray.functions.hotspot import local_max_cells
-    from proj_ray.stages import with_tiles
 
-    counts = (with_tiles(_docs_geo(sf_dir), zoom=4)
-              .groupby(["tile_x", "tile_y"])
-              .aggregate(Count(alias_name="n")))
+    counts = _tile_counts(sf_dir, 4)
     return local_max_cells(counts, "tile_x", "tile_y", "n",
                            min_count=3)
 
@@ -6427,7 +6352,6 @@ def _q127_dominant_color(sf_dir: str):
     import pandas as pd
 
     from proj_ray.images import decode, images_table
-    from ray.data.aggregate import Sum
 
     n = _read(sf_dir, "documents").count()
 
@@ -6452,13 +6376,10 @@ def _q127_dominant_color(sf_dir: str):
     per_img = images_table(
         n, columns=["image_id", "bytes", "fmt"]).map_batches(
         dominant, batch_format="numpy", batch_size=256)
-    out = (per_img.map_batches(partial, batch_format="pandas",
-                               batch_size=8192)
-           .groupby(["fmt", "dom"])
-           .aggregate(Sum("n", alias_name="n_images")).to_pandas())
-    out["dom"] = out["dom"].astype(np.int64)
-    out["n_images"] = out["n_images"].astype(np.int64)
-    return out
+    return pull_pandas(bucketed_sum(
+        per_img.map_batches(partial, batch_format="pandas",
+                            batch_size=8192),
+        ["fmt", "dom"], "n", "n_images"))
 
 
 _Q127_SQL = """
@@ -7142,7 +7063,7 @@ def _q139_trend(sf_dir: str):
     and the slope is reported as the exact integer pair
     (num, den) = (n*Sxy - Sx*Sy, n*Sxx - Sx*Sx), division-free so the
     SQL oracle matches bit-for-bit. The canonical one-pass distributed
-    regression shape: the all-to-all moves 6-counter frames, never
+    regression shape: the keyed sum moves 6-counter frames, never
     rows."""
     import pandas as pd
 
@@ -7160,25 +7081,14 @@ def _q139_trend(sf_dir: str):
                            "sxx": x * x})
         return df.groupby("t", as_index=False).sum()
 
-    def combine(df: pd.DataFrame) -> pd.DataFrame:
-        return df.groupby("t", as_index=False).sum()
-
-    agg = (ev.map_batches(partial, batch_format="numpy",
-                          batch_size=65536)
-           .map_batches(combine, batch_format="pandas",
-                        batch_size=65536)
-           .to_pandas())
-    agg = agg.groupby("t", as_index=False).sum()
-    n = agg["n"].to_numpy(np.int64)
-    sx = agg["sx"].to_numpy(np.int64)
-    sy = agg["sy"].to_numpy(np.int64)
-    out = pd.DataFrame({
-        "event_type": agg["t"],
-        "n": n,
-        "num": n * agg["sxy"].to_numpy(np.int64) - sx * sy,
-        "den": n * agg["sxx"].to_numpy(np.int64) - sx * sx})
-    return out.sort_values("event_type", kind="stable",
-                           ignore_index=True)
+    cols = ["n", "sx", "sy", "sxy", "sxx"]
+    agg = pull_pandas(bucketed_sum(
+        ev.map_batches(partial, batch_format="numpy", batch_size=65536),
+        "t", cols, cols))
+    n, sx, sy = agg["n"], agg["sx"], agg["sy"]
+    return pd.DataFrame({"event_type": agg["t"], "n": n,
+                         "num": n * agg["sxy"] - sx * sy,
+                         "den": n * agg["sxx"] - sx * sx})
 
 
 _Q139_SQL = """
@@ -7420,18 +7330,11 @@ def _q143_hist_quantile(sf_dir: str):
         nz = np.flatnonzero(cnt)
         return {"bin": nz.astype(np.int64), "n": cnt[nz]}
 
-    def combine(df: pd.DataFrame) -> pd.DataFrame:
-        return df.groupby("bin", as_index=False)["n"].sum()
-
-    hist = (li.map_batches(partial, batch_format="numpy",
-                           batch_size=65536)
-            .map_batches(combine, batch_format="pandas",
-                         batch_size=65536)
-            .to_pandas())
-    hist = hist.groupby("bin", as_index=False)["n"].sum() \
-               .sort_values("bin")
-    bins = hist["bin"].to_numpy(np.int64)
-    cum = np.cumsum(hist["n"].to_numpy(np.int64))
+    hist = pull_pandas(bucketed_sum(
+        li.map_batches(partial, batch_format="numpy", batch_size=65536),
+        "bin", "n", "n")).sort_values("bin")
+    bins = hist["bin"].to_numpy()
+    cum = np.cumsum(hist["n"].to_numpy())
     n = int(cum[-1])
     rows = []
     for q_ppm in (500_000, 900_000, 990_000):
@@ -7546,7 +7449,7 @@ def _q145_corr_matrix(sf_dir: str):
     Pearson pieces num = n*Sxy - Sx*Sy and den_i = n*Sxx - Sx^2 are
     assembled driver-side — division/sqrt-free, so the SQL oracle
     matches bit-for-bit. The warehouse correlation-scan shape: the
-    exchange moves 6 counter rows per block."""
+    keyed sum moves 6 counter rows per block."""
     import pandas as pd
 
     li = _read(sf_dir, "lineitem",
@@ -7577,23 +7480,16 @@ def _q145_corr_matrix(sf_dir: str):
         return pd.DataFrame(rows, columns=["ca", "cb", "n", "sx",
                                            "sy", "sxy", "sxx", "syy"])
 
-    agg = (li.map_batches(partial, batch_format="numpy",
-                          batch_size=65536)
-           .map_batches(lambda df: df.groupby(["ca", "cb"],
-                                              as_index=False).sum(),
-                        batch_format="pandas", batch_size=65536)
-           .to_pandas())
-    agg = agg.groupby(["ca", "cb"], as_index=False).sum()
-    n = agg["n"].to_numpy(np.int64)
-    sx = agg["sx"].to_numpy(np.int64)
-    sy = agg["sy"].to_numpy(np.int64)
-    out = pd.DataFrame({
+    sums = ["n", "sx", "sy", "sxy", "sxx", "syy"]
+    agg = pull_pandas(bucketed_sum(
+        li.map_batches(partial, batch_format="numpy", batch_size=65536),
+        ["ca", "cb"], sums, sums))
+    n, sx, sy = agg["n"], agg["sx"], agg["sy"]
+    return pd.DataFrame({
         "ca": agg["ca"], "cb": agg["cb"], "n": n,
-        "num": n * agg["sxy"].to_numpy(np.int64) - sx * sy,
-        "den_a": n * agg["sxx"].to_numpy(np.int64) - sx * sx,
-        "den_b": n * agg["syy"].to_numpy(np.int64) - sy * sy})
-    return out.sort_values(["ca", "cb"], kind="stable",
-                           ignore_index=True)
+        "num": n * agg["sxy"] - sx * sy,
+        "den_a": n * agg["sxx"] - sx * sx,
+        "den_b": n * agg["syy"] - sy * sy})
 
 
 _Q145_SQL = """
@@ -7629,8 +7525,8 @@ def _q146_source_similarity(sf_dir: str):
     vector, compared pairwise by division-free integer cosine pieces
     (dot, |a|^2, |b|^2) over the shared vocabulary — the corpus-mix
     diagnostic a data-mixing pipeline runs. Per-block (source, term,
-    n) partials -> term-bucket combine -> the small source x source
-    int matmul driver-side; token streams never cross the shuffle
+    n) partials -> one keyed sum -> the small source x source int
+    matmul driver-side; token streams never cross the shuffle
     whole."""
     import pandas as pd
 
@@ -7645,16 +7541,9 @@ def _q146_source_similarity(sf_dir: str):
         return df.groupby(["source", "term"], as_index=False).size() \
                  .rename(columns={"size": "n"})
 
-    def combine(df: pd.DataFrame) -> pd.DataFrame:
-        return df.groupby(["source", "term"], as_index=False)["n"] \
-                 .sum()
-
-    tf = (docs.map_batches(partial, batch_format="numpy",
-                           batch_size=8192)
-          .map_batches(combine, batch_format="pandas",
-                       batch_size=65536)
-          .to_pandas())
-    tf = tf.groupby(["source", "term"], as_index=False)["n"].sum()
+    tf = pull_pandas(bucketed_sum(
+        docs.map_batches(partial, batch_format="numpy", batch_size=8192),
+        ["source", "term"], "n", "n"))
     piv = tf.pivot_table(index="term", columns="source", values="n",
                          fill_value=0, aggfunc="sum")
     srcs = sorted(piv.columns)
@@ -7722,16 +7611,10 @@ def _q147_voronoi_assign(sf_dir: str):
              .groupby("seed", as_index=False).sum())
         return g
 
-    out = (ds.map_batches(assign, batch_format="numpy",
-                          batch_size=65536)
-           .map_batches(lambda df: df.groupby("seed",
-                                              as_index=False).sum(),
-                        batch_format="pandas", batch_size=65536)
-           .to_pandas())
-    fin = out.groupby("seed", as_index=False).sum()
-    for c in ("n", "sum_tmm"):
-        fin[c] = fin[c].astype(np.int64)
-    return fin.sort_values("seed", ignore_index=True)
+    cols = ["n", "sum_tmm"]
+    return pull_pandas(bucketed_sum(
+        ds.map_batches(assign, batch_format="numpy", batch_size=65536),
+        "seed", cols, cols))
 
 
 _Q147_SQL = f"""
@@ -7950,14 +7833,7 @@ def _q151_morans_i(sf_dir: str):
     statistic by row-band above that."""
     import pandas as pd
 
-    from ray.data.aggregate import Count
-
-    from proj_ray.stages import with_tiles
-
-    counts = (with_tiles(_docs_geo(sf_dir), zoom=4)
-              .groupby(["tile_x", "tile_y"])
-              .aggregate(Count(alias_name="n"))
-              .to_pandas())
+    counts = pull_pandas(_tile_counts(sf_dir, 4))
     grid = np.zeros((16, 16), dtype=np.int64)
     grid[counts["tile_x"].to_numpy(np.int64),
          counts["tile_y"].to_numpy(np.int64)] = \
@@ -8020,16 +7896,9 @@ def _q152_quadtree(sf_dir: str):
     EXISTS ancestor check."""
     import pandas as pd
 
-    from ray.data.aggregate import Count
-
-    from proj_ray.stages import with_tiles
-
     total = _read(sf_dir, "documents", columns=["doc_id"]).count()
     thr = max(1, total // 64)
-    counts = (with_tiles(_docs_geo(sf_dir), zoom=6)
-              .groupby(["tile_x", "tile_y"])
-              .aggregate(Count(alias_name="n"))
-              .to_pandas())
+    counts = pull_pandas(_tile_counts(sf_dir, 6))
     grid = np.zeros((64, 64), dtype=np.int64)
     grid[counts["tile_x"].to_numpy(np.int64),
          counts["tile_y"].to_numpy(np.int64)] = \
@@ -8134,16 +8003,10 @@ def _q153_snap_segments(sf_dir: str):
              .groupby("seg_id", as_index=False).sum())
         return g
 
-    out = (ds.map_batches(snap, batch_format="numpy",
-                          batch_size=65536)
-           .map_batches(lambda df: df.groupby("seg_id",
-                                              as_index=False).sum(),
-                        batch_format="pandas", batch_size=65536)
-           .to_pandas())
-    fin = out.groupby("seg_id", as_index=False).sum()
-    for c in ("n", "sum_d2"):
-        fin[c] = fin[c].astype(np.int64)
-    return fin.sort_values("seg_id", ignore_index=True)
+    cols = ["n", "sum_d2"]
+    return pull_pandas(bucketed_sum(
+        ds.map_batches(snap, batch_format="numpy", batch_size=65536),
+        "seg_id", cols, cols))
 
 
 _Q153_SQL = """
@@ -8304,10 +8167,6 @@ def _q155_glcm(sf_dir: str):
     shape); only (fmt, 3 counters) rows per image cross the shuffle.
     Oracle mirrors the pixel generator and codec quantization
     op-for-op (images.py synth_pixels/decode)."""
-    import pandas as pd
-
-    from ray.data.aggregate import Sum
-
     from proj_ray.images import decode, images_table
 
     n = _read(sf_dir, "documents").count()
@@ -8336,14 +8195,8 @@ def _q155_glcm(sf_dir: str):
     per = images_table(
         n, columns=["image_id", "bytes", "fmt"]).map_batches(
         texture, batch_format="numpy", batch_size=256)
-    out = (per.groupby("fmt")
-           .aggregate(Sum("n_pairs", alias_name="n_pairs"),
-                      Sum("contrast", alias_name="contrast"),
-                      Sum("energy", alias_name="energy"))
-           .to_pandas())
-    for c in ("n_pairs", "contrast", "energy"):
-        out[c] = out[c].astype(np.int64)
-    return out.sort_values("fmt", ignore_index=True)
+    cols = ["n_pairs", "contrast", "energy"]
+    return pull_pandas(bucketed_sum(per, "fmt", cols, cols))
 
 
 _Q155_SQL = """
@@ -8640,14 +8493,7 @@ def _q159_gearys_c(sf_dir: str):
     one distributed tile count, then a 256-row lattice fold."""
     import pandas as pd
 
-    from ray.data.aggregate import Count
-
-    from proj_ray.stages import with_tiles
-
-    counts = (with_tiles(_docs_geo(sf_dir), zoom=4)
-              .groupby(["tile_x", "tile_y"])
-              .aggregate(Count(alias_name="n"))
-              .to_pandas())
+    counts = pull_pandas(_tile_counts(sf_dir, 4))
     grid = np.zeros((16, 16), dtype=np.int64)
     grid[counts["tile_x"].to_numpy(np.int64),
          counts["tile_y"].to_numpy(np.int64)] = \
@@ -8860,10 +8706,6 @@ def _q162_image_moments(sf_dir: str):
     map stage; one 8-counter row per image crosses the shuffle.
     Oracle mirrors the pixel generator + codec quantization
     op-for-op."""
-    import pandas as pd
-
-    from ray.data.aggregate import Count, Sum
-
     from proj_ray.images import decode, images_table
 
     n = _read(sf_dir, "documents").count()
@@ -8885,23 +8727,15 @@ def _q162_image_moments(sf_dir: str):
             out["m11"][k] = int((lum * x * y).sum())
             out["m02"][k] = int((lum * y * y).sum())
         out["fmt"] = np.asarray(b["fmt"])
+        out["one"] = np.ones(cnt, np.int64)
         return out
 
     per = images_table(
         n, columns=["image_id", "bytes", "fmt"]).map_batches(
         moments, batch_format="numpy", batch_size=256)
-    out = (per.groupby("fmt")
-           .aggregate(Count(alias_name="n_images"),
-                      Sum("m00", alias_name="m00"),
-                      Sum("m10", alias_name="m10"),
-                      Sum("m01", alias_name="m01"),
-                      Sum("m20", alias_name="m20"),
-                      Sum("m11", alias_name="m11"),
-                      Sum("m02", alias_name="m02"))
-           .to_pandas())
-    for c in ("n_images", "m00", "m10", "m01", "m20", "m11", "m02"):
-        out[c] = out[c].astype(np.int64)
-    return out.sort_values("fmt", ignore_index=True)
+    cols = ["m00", "m10", "m01", "m20", "m11", "m02"]
+    return pull_pandas(bucketed_sum(per, "fmt", ["one", *cols],
+                                    ["n_images", *cols]))
 
 
 _Q162_SQL = """
@@ -9872,10 +9706,6 @@ def _q176_haar_energy(sf_dir: str):
     image crosses the shuffle; the oracle regenerates pixels + codec
     quantization and mirrors the block fold with y//2, x//2 sign
     aggregation."""
-    import pandas as pd
-
-    from ray.data.aggregate import Count, Sum
-
     from proj_ray.images import decode, images_table
 
     n = _read(sf_dir, "documents").count()
@@ -9900,21 +9730,15 @@ def _q176_haar_energy(sf_dir: str):
             out["e_hl"][k] = int((hl * hl).sum())
             out["e_hh"][k] = int((hh * hh).sum())
         out["fmt"] = np.asarray(b["fmt"])
+        out["one"] = np.ones(cnt, np.int64)
         return out
 
     per = images_table(
         n, columns=["image_id", "bytes", "fmt"]).map_batches(
         energy, batch_format="numpy", batch_size=256)
-    out = (per.groupby("fmt")
-           .aggregate(Count(alias_name="n_images"),
-                      Sum("e_ll", alias_name="e_ll"),
-                      Sum("e_lh", alias_name="e_lh"),
-                      Sum("e_hl", alias_name="e_hl"),
-                      Sum("e_hh", alias_name="e_hh"))
-           .to_pandas())
-    for c in ("n_images", "e_ll", "e_lh", "e_hl", "e_hh"):
-        out[c] = out[c].astype(np.int64)
-    return out.sort_values("fmt", ignore_index=True)
+    cols = ["e_ll", "e_lh", "e_hl", "e_hh"]
+    return pull_pandas(bucketed_sum(per, "fmt", ["one", *cols],
+                                    ["n_images", *cols]))
 
 
 _Q176_SQL = """
@@ -9968,10 +9792,6 @@ def _q177_rle_runs(sf_dir: str):
     predicting mask compressibility, summed per format. The oracle
     counts transitions by joining x with x+1 on the regenerated
     pixels."""
-    import pandas as pd
-
-    from ray.data.aggregate import Count, Sum
-
     from proj_ray.images import decode, images_table
 
     n = _read(sf_dir, "documents").count()
@@ -9987,20 +9807,14 @@ def _q177_rle_runs(sf_dir: str):
             trans = int((m[:, 1:] != m[:, :-1]).sum())
             n_runs[k] = trans + m.shape[0]
             n_set[k] = int(m.sum())
-        return {"fmt": np.asarray(b["fmt"]),
+        return {"fmt": np.asarray(b["fmt"]), "one": np.ones(cnt, np.int64),
                 "n_runs": n_runs, "n_set": n_set}
 
     per = images_table(
         n, columns=["image_id", "bytes", "fmt"]).map_batches(
         runs, batch_format="numpy", batch_size=256)
-    out = (per.groupby("fmt")
-           .aggregate(Count(alias_name="n_images"),
-                      Sum("n_runs", alias_name="n_runs"),
-                      Sum("n_set", alias_name="n_set"))
-           .to_pandas())
-    for c in ("n_images", "n_runs", "n_set"):
-        out[c] = out[c].astype(np.int64)
-    return out.sort_values("fmt", ignore_index=True)
+    return pull_pandas(bucketed_sum(per, "fmt", ["one", "n_runs", "n_set"],
+                                    ["n_images", "n_runs", "n_set"]))
 
 
 _Q177_SQL = """
@@ -10061,7 +9875,7 @@ def _q178_outliers(sf_dir: str):
     ev = _read(sf_dir, "events", columns=["event_type", "value"])
 
     def stats(b: dict) -> pd.DataFrame:
-        q = _milli(b["value"])
+        q = _milli(b["value"], 1000)
         g = (pd.DataFrame({"event_type": np.asarray(b["event_type"]),
                            "n": np.ones(len(q), np.int64),
                            "s": q, "q2": q * q})
@@ -10080,7 +9894,7 @@ def _q178_outliers(sf_dir: str):
     def flag(b: dict) -> pd.DataFrame:
         tab = ray.get(ref)
         ty = np.asarray(b["event_type"])
-        q = _milli(b["value"])
+        q = _milli(b["value"], 1000)
         out = np.zeros(len(q), dtype=np.int64)
         for t, (n, s, thr) in tab.items():
             m = ty == t
@@ -10547,14 +10361,7 @@ def _q185_percolation(sf_dir: str):
     recursive min-label CTE over the occupied-tile adjacency."""
     import pandas as pd
 
-    from ray.data.aggregate import Count
-
-    from proj_ray.stages import with_tiles
-
-    counts = (with_tiles(_docs_geo(sf_dir), zoom=4)
-              .groupby(["tile_x", "tile_y"])
-              .aggregate(Count(alias_name="n"))
-              .to_pandas())
+    counts = pull_pandas(_tile_counts(sf_dir, 4))
     occ = np.zeros((16, 16), dtype=bool)
     occ[counts["tile_x"].to_numpy(np.int64),
         counts["tile_y"].to_numpy(np.int64)] = True
@@ -10839,14 +10646,7 @@ def _q189_local_moran(sf_dir: str):
     count, 256-cell lattice fold."""
     import pandas as pd
 
-    from ray.data.aggregate import Count
-
-    from proj_ray.stages import with_tiles
-
-    counts = (with_tiles(_docs_geo(sf_dir), zoom=4)
-              .groupby(["tile_x", "tile_y"])
-              .aggregate(Count(alias_name="n"))
-              .to_pandas())
+    counts = pull_pandas(_tile_counts(sf_dir, 4))
     grid = np.zeros((16, 16), dtype=np.int64)
     grid[counts["tile_x"].to_numpy(np.int64),
          counts["tile_y"].to_numpy(np.int64)] = \
@@ -10920,14 +10720,7 @@ def _q190_getis_ord(sf_dir: str):
     hotspots. One distributed count, bounded lattice fold."""
     import pandas as pd
 
-    from ray.data.aggregate import Count
-
-    from proj_ray.stages import with_tiles
-
-    counts = (with_tiles(_docs_geo(sf_dir), zoom=4)
-              .groupby(["tile_x", "tile_y"])
-              .aggregate(Count(alias_name="n"))
-              .to_pandas())
+    counts = pull_pandas(_tile_counts(sf_dir, 4))
     grid = np.zeros((16, 16), dtype=np.int64)
     grid[counts["tile_x"].to_numpy(np.int64),
          counts["tile_y"].to_numpy(np.int64)] = \
@@ -11052,14 +10845,7 @@ def _q192_box_counting(sf_dir: str):
     lattice (the q152 pyramid, occupancy instead of sums)."""
     import pandas as pd
 
-    from ray.data.aggregate import Count
-
-    from proj_ray.stages import with_tiles
-
-    counts = (with_tiles(_docs_geo(sf_dir), zoom=6)
-              .groupby(["tile_x", "tile_y"])
-              .aggregate(Count(alias_name="n"))
-              .to_pandas())
+    counts = pull_pandas(_tile_counts(sf_dir, 6))
     occ = np.zeros((64, 64), dtype=bool)
     occ[counts["tile_x"].to_numpy(np.int64),
         counts["tile_y"].to_numpy(np.int64)] = True
@@ -11267,20 +11053,18 @@ def _q195_chi_square(sf_dir: str):
     (o * N - r_n * c_n)^2 and denominator r_n * c_n * N of each
     cell's contribution are exact-integer driver algebra. One
     two-key count pass; totals fold from the bounded cell table."""
-    import pandas as pd
-
-    from ray.data.aggregate import Count
+    def one(b: dict) -> dict:
+        return {**b, "one": np.ones(len(b["lang"]), np.int64)}
 
     docs = _read(sf_dir, "documents", columns=["source", "lang"])
-    cells = (docs.groupby(["source", "lang"])
-             .aggregate(Count(alias_name="o")).to_pandas())
+    cells = pull_pandas(bucketed_sum(
+        docs.map_batches(one, batch_format="numpy"), ["source", "lang"],
+        "one", "o"))
     rn = cells.groupby("source")["o"].sum().rename("r_n")
     cn = cells.groupby("lang")["o"].sum().rename("c_n")
     out = (cells.merge(rn, left_on="source", right_index=True)
            .merge(cn, left_on="lang", right_index=True))
     out["n_total"] = int(cells["o"].sum())
-    for c in ("o", "r_n", "c_n", "n_total"):
-        out[c] = out[c].astype(np.int64)
     return out.sort_values(["source", "lang"], ignore_index=True)
 
 
@@ -11970,14 +11754,7 @@ def _q205_correlogram(sf_dir: str):
     q151's scaled-deviation construction at each scale."""
     import pandas as pd
 
-    from ray.data.aggregate import Count
-
-    from proj_ray.stages import with_tiles
-
-    counts = (with_tiles(_docs_geo(sf_dir), zoom=5)
-              .groupby(["tile_x", "tile_y"])
-              .aggregate(Count(alias_name="n"))
-              .to_pandas())
+    counts = pull_pandas(_tile_counts(sf_dir, 5))
     grid = np.zeros((32, 32), dtype=np.int64)
     grid[counts["tile_x"].to_numpy(np.int64),
          counts["tile_y"].to_numpy(np.int64)] = \
@@ -12169,10 +11946,6 @@ def _q208_vignetting(sf_dir: str):
     vignettes; here it pins codec + geometry exactness). One
     4-counter row per image; oracle regenerates pixels + the qjpg
     quantization."""
-    import pandas as pd
-
-    from ray.data.aggregate import Count, Sum
-
     from proj_ray.images import decode, images_table
 
     n = _read(sf_dir, "documents").count()
@@ -12194,22 +11967,15 @@ def _q208_vignetting(sf_dir: str):
             out["sum_center"][k] = int(lum[~m].sum())
             out["n_center"][k] = int((~m).sum())
         out["fmt"] = np.asarray(b["fmt"])
+        out["one"] = np.ones(cnt, np.int64)
         return out
 
     per = images_table(
         n, columns=["image_id", "bytes", "fmt"]).map_batches(
         ring, batch_format="numpy", batch_size=256)
-    out = (per.groupby("fmt")
-           .aggregate(Count(alias_name="n_images"),
-                      Sum("sum_border", alias_name="sum_border"),
-                      Sum("n_border", alias_name="n_border"),
-                      Sum("sum_center", alias_name="sum_center"),
-                      Sum("n_center", alias_name="n_center"))
-           .to_pandas())
-    for c in out.columns:
-        if c != "fmt":
-            out[c] = out[c].astype(np.int64)
-    return out.sort_values("fmt", ignore_index=True)
+    cols = ["sum_border", "n_border", "sum_center", "n_center"]
+    return pull_pandas(bucketed_sum(per, "fmt", ["one", *cols],
+                                    ["n_images", *cols]))
 
 
 _Q208_SQL = """
@@ -12314,7 +12080,7 @@ def _q210_winsorized(sf_dir: str):
 
     def hist(b: dict) -> pd.DataFrame:
         return (pd.DataFrame({"event_type": np.asarray(
-            b["event_type"]), "v": _milli(b["value"])})
+            b["event_type"]), "v": _milli(b["value"], 1000)})
             .groupby(["event_type", "v"], as_index=False).size()
             .rename(columns={"size": "c"}))
 
@@ -12338,7 +12104,7 @@ def _q210_winsorized(sf_dir: str):
     def clip_sum(b: dict) -> pd.DataFrame:
         tab = ray.get(ref)
         ty = np.asarray(b["event_type"])
-        v = _milli(b["value"])
+        v = _milli(b["value"], 1000)
         missing = set(pd.unique(ty)) - tab.keys()
         if missing:
             raise ValueError(f"event_type {min(map(repr, missing))} has "
@@ -12408,7 +12174,7 @@ def _q211_mad(sf_dir: str):
 
     def hist(b: dict) -> pd.DataFrame:
         return (pd.DataFrame({"event_type": np.asarray(
-            b["event_type"]), "v": _milli(b["value"])})
+            b["event_type"]), "v": _milli(b["value"], 1000)})
             .groupby(["event_type", "v"], as_index=False).size()
             .rename(columns={"size": "c"}))
 
@@ -12432,7 +12198,7 @@ def _q211_mad(sf_dir: str):
     def hist_dev(b: dict) -> pd.DataFrame:
         tab = ray.get(ref)
         ty = np.asarray(b["event_type"])
-        v = _milli(b["value"])
+        v = _milli(b["value"], 1000)
         missing = set(pd.unique(ty)) - tab.keys()
         if missing:
             raise ValueError(f"event_type {min(map(repr, missing))} has "

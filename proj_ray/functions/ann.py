@@ -508,10 +508,13 @@ def kmeans_assign_stats(ds, n_centroids: int = 8,
     floor(v*scale+0.5) int64 BEFORE summation, so the distributed sum
     is order-free exact — the property an M-step accumulator needs to
     be reproducible across block orders (and what lets a SQL oracle
-    match bit-for-bit). Partial stats combine in map_batches passes;
-    the all-to-all never moves vectors."""
+    match bit-for-bit). Per-batch partial stats finish in one keyed
+    sum; it never moves vectors."""
     import pandas as pd
     import ray
+
+    from proj_ray.dsutil import pull_pandas
+    from proj_ray.pipelines.spatial import bucketed_sum
 
     cent = ds.filter(expr=f"{id_col} < {n_centroids}").take_all()
     cent.sort(key=lambda r: r[id_col])
@@ -532,35 +535,13 @@ def kmeans_assign_stats(ds, n_centroids: int = 8,
         g = (pd.DataFrame({"cid": cid, "chk": chk})
              .groupby("cid", as_index=False)
              .agg(n_part=("chk", "size"), s_part=("chk", "sum")))
-        return {"cid": g["cid"].to_numpy(np.int64),
-                "n_part": g["n_part"].to_numpy(np.int64),
-                "s_part": g["s_part"].to_numpy(np.int64)}
+        return {k: g[k].to_numpy() for k in g.columns}
 
-    def combine(b: dict) -> dict:
-        g = (pd.DataFrame({"cid": b["cid"], "n": b["n_part"],
-                           "s": b["s_part"]})
-             .groupby("cid", as_index=False).sum())
-        return {"cid": g["cid"].to_numpy(np.int64),
-                "n_part": g["n"].to_numpy(np.int64),
-                "s_part": g["s"].to_numpy(np.int64)}
-
-    parts = (ds.select_columns([id_col, vec_col])
-             .map_batches(partial, batch_format="numpy",
-                          batch_size=4096)
-             .map_batches(combine, batch_format="numpy",
-                          batch_size=65536)
-             .take_all())
-    out: dict = {}
-    for r in parts:
-        n, s = out.get(r["cid"], (0, 0))
-        out[r["cid"]] = (n + int(r["n_part"]), s + int(r["s_part"]))
-    res = pd.DataFrame(
-        [(cid, n, s) for cid, (n, s) in sorted(out.items())],
-        columns=["cid", "n_vecs", "sum_chk"])
-    res["cid"] = res["cid"].astype(np.int64)
-    res["n_vecs"] = res["n_vecs"].astype(np.int64)
-    res["sum_chk"] = res["sum_chk"].astype(np.int64)
-    return res
+    return pull_pandas(bucketed_sum(
+        ds.select_columns([id_col, vec_col])
+        .map_batches(partial, batch_format="numpy", batch_size=4096),
+        "cid", ["n_part", "s_part"], ["n_vecs", "sum_chk"])) \
+        .sort_values("cid", ignore_index=True)
 
 
 def gram_matrix(ds, vec_col: str = "embedding",
@@ -573,9 +554,9 @@ def gram_matrix(ds, vec_col: str = "embedding",
 
     This is the building block for covariance / PCA / linear probes at
     corpus scale: each block contributes one d x d partial via a
-    single int64 matmul (X^T X), so the all-to-all moves d*d-sized
-    partial frames — never vectors — and the driver's final combine is
-    bounded by the upper-triangle size, not the row count.
+    single int64 matmul (X^T X), so the keyed sum moves d*d-sized
+    partial frames — never vectors — and its result is bounded by the
+    upper-triangle size, not the row count.
 
     Returns the upper triangle as rows (i, j, s) with 1-based indices
     (matching SQL generate_subscripts). int64 bound: scale^2 *
@@ -583,7 +564,8 @@ def gram_matrix(ds, vec_col: str = "embedding",
     hold to ~2e8 rows; raise batch/driver combine to python ints past
     that — documented scale path).
     """
-    import pandas as pd
+    from proj_ray.dsutil import pull_pandas
+    from proj_ray.pipelines.spatial import bucketed_sum
 
     def partial(b: dict) -> dict:
         M = _as_matrix(b[vec_col])
@@ -594,29 +576,12 @@ def gram_matrix(ds, vec_col: str = "embedding",
         iu, ju = np.triu_indices(d)
         return {"i": (iu + 1).astype(np.int64),
                 "j": (ju + 1).astype(np.int64),
-                "s": G[iu, ju].astype(np.int64)}
+                "s": G[iu, ju]}
 
-    def combine(b: dict) -> dict:
-        g = (pd.DataFrame({"i": b["i"], "j": b["j"], "s": b["s"]})
-             .groupby(["i", "j"], as_index=False).sum())
-        return {"i": g["i"].to_numpy(np.int64),
-                "j": g["j"].to_numpy(np.int64),
-                "s": g["s"].to_numpy(np.int64)}
-
-    parts = (ds.select_columns([vec_col])
-             .map_batches(partial, batch_format="numpy",
-                          batch_size=batch_size)
-             .map_batches(combine, batch_format="numpy",
-                          batch_size=65536)
-             .map_batches(combine, batch_format="numpy",
-                          batch_size=65536)
-             .to_pandas())
-    fin = parts.groupby(["i", "j"], as_index=False).sum()
-    fin = fin.sort_values(["i", "j"], kind="stable").reset_index(
-        drop=True)
-    for c in ("i", "j", "s"):
-        fin[c] = fin[c].astype(np.int64)
-    return fin
+    return pull_pandas(bucketed_sum(
+        ds.select_columns([vec_col])
+        .map_batches(partial, batch_format="numpy", batch_size=batch_size),
+        ["i", "j"], "s", "s")).sort_values(["i", "j"], ignore_index=True)
 
 
 def pca_from_gram(gram_df, n_rows: int, mean_counts=None,

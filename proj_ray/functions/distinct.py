@@ -22,6 +22,7 @@ import numpy as np
 
 from proj_ray.exchange import co_partition
 from proj_ray.functions._hash import stable_u64
+from proj_ray.pipelines.spatial import bucketed_sum
 
 _GOLDEN = 0x9E3779B97F4A7C15
 
@@ -40,10 +41,9 @@ def _hash_vals(v: np.ndarray) -> np.ndarray:
 
 def grouped_count_distinct(ds, group_col: str, value_col: str):
     """-> rows (group, n_distinct): exact COUNT(DISTINCT value) per
-    group. One co-partition of locally-deduped pairs on the value."""
+    group. One co-partition of locally-deduped pairs on the value, then
+    one keyed sum of the per-bucket counts."""
     import pandas as pd
-
-    from ray.data.aggregate import Sum
 
     def local_dedup(batch):
         df = pd.DataFrame({
@@ -54,22 +54,13 @@ def grouped_count_distinct(ds, group_col: str, value_col: str):
 
     def count_bucket(group: pd.DataFrame) -> pd.DataFrame:
         u = group.drop_duplicates([group_col, value_col])
-        g = u.groupby(group_col, sort=False, as_index=False).size()
-        g["n"] = g["size"].astype(np.int64)
-        return g.drop(columns=["size"])
+        return u.groupby(group_col, sort=False, as_index=False).size()
 
-    def final(batch):
-        return pd.DataFrame({
-            group_col: np.asarray(batch[group_col]),
-            "n_distinct": np.asarray(batch["nd"]).astype(np.int64),
-        })
-
-    return (co_partition(ds.select_columns([group_col, value_col])
-                         .map_batches(local_dedup, batch_format="numpy"),
-                         value_col, count_bucket)
-            .groupby(group_col)
-            .aggregate(Sum("n", alias_name="nd"))
-            .map_batches(final, batch_format="numpy"))
+    return bucketed_sum(
+        co_partition(ds.select_columns([group_col, value_col])
+                     .map_batches(local_dedup, batch_format="numpy"),
+                     value_col, count_bucket),
+        group_col, "size", "n_distinct")
 
 
 def grouped_count_distinct_hll(ds, group_col: str, value_col: str,

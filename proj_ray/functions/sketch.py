@@ -173,12 +173,16 @@ def count_min(ds, col: str, depth: int = 4, width: int = 256):
     Scale shape: each block contributes ONE (depth x width) partial
     counter frame (emitted as depth*width rows) regardless of row
     count — the counter exchange is O(blocks x depth x width), never
-    O(rows) — and the frames sum-combine in streaming map_batches
-    passes; the driver folds <= depth*width rows. The per-key exact
+    O(rows) — and the frames finish in one keyed sum
+    (`pipelines.spatial.bucketed_sum`) of <= depth*width counter rows
+    plus the distinct keys. The per-key exact
     side ships per-block pre-combined (key, n) partials, bounded by
     the block's distinct keys. Estimates are then a vectorized lookup
     of the final counter matrix against the distinct-key table."""
     import pandas as pd
+
+    from proj_ray.dsutil import pull_pandas
+    from proj_ray.pipelines.spatial import bucketed_sum
 
     dw = depth * width
     pr = np.asarray(_CMS_PRIMES[:depth], dtype=np.uint64)
@@ -198,30 +202,21 @@ def count_min(ds, col: str, depth: int = 4, width: int = 256):
                 "_k": np.r_[np.full(len(nz), -1, np.int64),
                             s.index.to_numpy().astype(np.int64)]}
 
-    def combine(df: pd.DataFrame) -> pd.DataFrame:
-        return df.groupby(["_jb", "_k"], as_index=False)["_n"].sum()
-
-    parts = (ds.select_columns([col])
-             .map_batches(partial, batch_format="numpy",
-                          batch_size=65536)
-             .map_batches(combine, batch_format="pandas",
-                          batch_size=65536)
-             .map_batches(combine, batch_format="pandas",
-                          batch_size=65536)
-             .to_pandas())
-    fin = parts.groupby(["_jb", "_k"], as_index=False)["_n"].sum()
+    fin = pull_pandas(bucketed_sum(
+        ds.select_columns([col])
+        .map_batches(partial, batch_format="numpy", batch_size=65536),
+        ["_jb", "_k"], "_n", "_n"))
     sk = fin[fin["_jb"] >= 0]
     cnt = np.zeros(dw, dtype=np.int64)
-    cnt[sk["_jb"].to_numpy(np.int64)] = sk["_n"].to_numpy(np.int64)
+    cnt[sk["_jb"].to_numpy()] = sk["_n"].to_numpy()
     ex = fin[fin["_jb"] < 0]
-    keys = ex["_k"].to_numpy(np.int64)
+    keys = ex["_k"].to_numpy()
     ku = keys.astype(np.uint64) % _M32
     est = np.full(len(keys), np.iinfo(np.int64).max, dtype=np.int64)
     for j in range(depth):
         bk = ((ku * pr[j]) % _M32 % np.uint64(width)).astype(np.int64)
         est = np.minimum(est, cnt[j * width + bk])
-    out = pd.DataFrame({col: keys,
-                        "n_exact": ex["_n"].to_numpy(np.int64),
+    out = pd.DataFrame({col: keys, "n_exact": ex["_n"].to_numpy(),
                         "n_est": est})
     return out.sort_values(col, kind="mergesort").reset_index(drop=True)
 

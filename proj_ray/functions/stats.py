@@ -6,7 +6,7 @@ via two-pass histogram refinement — the classic distributed exact-
 quantile shape:
 
 pass 1  map_batches partial-counts (group, value >> bucket_shift)
-        coarse buckets; a tiny groupby sums them (distinct keys =
+        coarse buckets; one keyed sum adds them (distinct keys =
         groups x occupied buckets, NOT distinct values — a first
         version shuffled raw (group, value) pairs and degenerated to a
         594k-distinct-key sort on near-unique money columns: 151 s at
@@ -31,6 +31,9 @@ import math
 
 import numpy as np
 
+from proj_ray.dsutil import pull_pandas
+from proj_ray.pipelines.spatial import bucketed_sum
+
 
 def grouped_quantiles(ds, group_col: str, value_col: str,
                       qs: tuple = (0.25, 0.5, 0.75),
@@ -51,31 +54,13 @@ def grouped_quantiles(ds, group_col: str, value_col: str,
             group_col: np.asarray(batch[group_col]),
             "_b": to_cents(batch) >> bucket_shift,
         })
-        g = df.groupby([group_col, "_b"], sort=False,
-                       as_index=False).size()
-        g["n"] = g["size"].astype(np.int64)
-        return g.drop(columns=["size"])
-
-    def combine(df: pd.DataFrame) -> pd.DataFrame:
         return df.groupby([group_col, "_b"], sort=False,
-                          as_index=False)["n"].sum()
+                          as_index=False).size()
 
-    # Histogram counts are associative, so no sort-based groupby is
-    # needed: two streaming combine stages (map_batches with a large
-    # fan-in batch_size) shrink the per-block partials 65536x per
-    # round, and the driver merges the bounded remainder. Ray's
-    # distributed groupby on the same 20k partial rows cost 7.4 s of
-    # pure shuffle latency; this shape is under 1 s warm.
-    hist = (ds.map_batches(bucket_counts, batch_format="numpy",
-                           batch_size=65536)
-            .map_batches(combine, batch_format="pandas",
-                         batch_size=65536)
-            .map_batches(combine, batch_format="pandas",
-                         batch_size=65536)
-            .to_pandas())
-    hist = hist.groupby([group_col, "_b"], sort=False,
-                        as_index=False)["n"].sum() \
-        .rename(columns={"n": "n_total"})
+    hist = pull_pandas(bucketed_sum(
+        ds.map_batches(bucket_counts, batch_format="numpy",
+                       batch_size=65536),
+        [group_col, "_b"], "size", "n_total"))
 
     qs_arr = np.asarray(qs, dtype=np.float64)
     # driver walk: target bucket + residual 1-based rank per (group, q)
@@ -127,8 +112,8 @@ def pivot_counts(ds, key_col: str, pivot_col: str,
     distinct `pivot_col` value (SQL COUNT(CASE WHEN ...) GROUP BY).
 
     Each batch partial-pivots locally (pandas crosstab, one column per
-    known value), so the shuffle moves one pre-combined row per
-    (block, key) — never the raw events. If `values` is not given, a
+    known value), and one keyed sum adds the pre-combined rows, one
+    per (block, key) — never the raw events. If `values` is not given, a
     tiny distinct-scan pass discovers the column set first; pass it
     explicitly to skip that pass when the domain is known. Unseen
     values count 0; the column set is fixed up front, so the output
@@ -156,27 +141,17 @@ def pivot_counts(ds, key_col: str, pivot_col: str,
             out[c] = g[i].to_numpy(np.int64)
         return out
 
-    def combine(df: pd.DataFrame) -> pd.DataFrame:
-        return df.groupby(key_col, as_index=False)[cols].sum()
-
-    # `exchange.co_partition` sorts on a bucket of the key rather than
-    # the key itself — Ray's sort-based groupby priced a 1,500-key
-    # 5-aggregate sort at ~4 s of fixed latency; the bucket sort is
-    # ~1.5 s and each bucket combines all its keys in one vectorized
-    # pandas pass.
-    from proj_ray.exchange import co_partition
-
-    return co_partition(ds.select_columns([key_col, pivot_col])
+    return bucketed_sum(ds.select_columns([key_col, pivot_col])
                         .map_batches(partial, batch_format="numpy",
                                      batch_size=65536),
-                        key_col, combine)
+                        key_col, cols, cols)
 
 
 def _finest_sums(ds, keys: list, value_col: str, scale: int):
     """ONE data pass: exact int64 fixed-point sums + counts at the
-    finest (k1..kn) level. Per-batch partials, two streaming combine
-    stages (no sort shuffle — sums are associative); the returned
-    pandas frame is bounded by the key-domain product, not rows."""
+    finest (k1..kn) level. Per-batch partials, then one keyed sum; the
+    returned pandas frame is bounded by the key-domain product, not
+    rows."""
     import pandas as pd
 
     def partial(batch):
@@ -184,24 +159,12 @@ def _finest_sums(ds, keys: list, value_col: str, scale: int):
         df["_s"] = np.rint(np.asarray(batch[value_col],
                                       dtype=np.float64)
                            * scale).astype(np.int64)
-        g = df.groupby(keys, sort=False, as_index=False).agg(
-            s=("_s", "sum"), n=("_s", "size"))
-        g["n"] = g["n"].astype(np.int64)
-        return g
-
-    def combine(df: pd.DataFrame) -> pd.DataFrame:
         return df.groupby(keys, sort=False, as_index=False).agg(
-            s=("s", "sum"), n=("n", "sum"))
+            s=("_s", "sum"), n=("_s", "size"))
 
-    fin = (ds.map_batches(partial, batch_format="numpy",
-                          batch_size=65536)
-           .map_batches(combine, batch_format="pandas",
-                        batch_size=65536)
-           .map_batches(combine, batch_format="pandas",
-                        batch_size=65536)
-           .to_pandas())
-    return fin.groupby(keys, sort=False, as_index=False).agg(
-        s=("s", "sum"), n=("n", "sum"))
+    return pull_pandas(bucketed_sum(
+        ds.map_batches(partial, batch_format="numpy", batch_size=65536),
+        keys, ["s", "n"], ["s", "n"]))
 
 
 def grouping_set_sums(ds, keys: list, sets: list, value_col: str,
@@ -268,8 +231,8 @@ def grouped_moment_stats(ds, group_col: str, x_col: str, y_col: str,
 
     Per batch: int64 partials n, Sx, Sy, Sxx, Syy, Sxy over
     round(v*scale) integers — exact (no float summation order issues),
-    associative, streaming-combined with no sort shuffle. The driver
-    then evaluates the closed forms
+    associative, finished by one keyed sum. The driver then evaluates
+    the closed forms
 
         stddev_samp = sqrt((n*Sxx - Sx^2) / (n*(n-1))) / scale
         corr        = (n*Sxy - Sx*Sy) /
@@ -295,21 +258,13 @@ def grouped_moment_stats(ds, group_col: str, x_col: str, y_col: str,
                            "sxx": x * x, "syy": y * y, "sxy": x * y})
         out = df.groupby(group_col, sort=False, as_index=False).sum()
         out["n"] = df.groupby(group_col, sort=False,
-                              as_index=False).size()["size"] \
-            .astype(np.int64).to_numpy()
+                              as_index=False).size()["size"].to_numpy()
         return out
 
-    def combine(df: pd.DataFrame) -> pd.DataFrame:
-        return df.groupby(group_col, sort=False, as_index=False).sum()
-
-    fin = (ds.map_batches(partial, batch_format="numpy",
-                          batch_size=65536)
-           .map_batches(combine, batch_format="pandas",
-                        batch_size=65536)
-           .map_batches(combine, batch_format="pandas",
-                        batch_size=65536)
-           .to_pandas())
-    fin = fin.groupby(group_col, sort=False, as_index=False).sum()
+    sums = ["n", "sx", "sy", "sxx", "syy", "sxy"]
+    fin = pull_pandas(bucketed_sum(
+        ds.map_batches(partial, batch_format="numpy", batch_size=65536),
+        group_col, sums, sums))
 
     n = fin["n"].to_numpy(np.float64)
     sx = fin["sx"].to_numpy(np.float64)
@@ -319,11 +274,9 @@ def grouped_moment_stats(ds, group_col: str, x_col: str, y_col: str,
     sxy = fin["sxy"].to_numpy(np.float64)
     vx = n * sxx - sx * sx
     vy = n * syy - sy * sy
-    import pandas as pd
-
     out = pd.DataFrame({
         group_col: fin[group_col],
-        "n_rows": fin["n"].astype(np.int64),
+        "n_rows": fin["n"],
         "stddev_x": np.sqrt(vx / (n * (n - 1.0))) / scale,
         "corr_xy": (n * sxy - sx * sy) / (np.sqrt(vx) * np.sqrt(vy)),
     })

@@ -17,8 +17,8 @@ Scale shape: asof_join broadcasts the right side once via ray.put when
 it is small (the dimension-table case — zero shuffles, each batch
 binary-searches per key), and otherwise runs ONE co-partitioned
 all-to-all (tag + union + groupby(key) merge). window_aggregate
-pre-aggregates inside map_batches so the shuffle moves only
-(window, by) partials.
+pre-aggregates inside map_batches so its keyed sum
+(`pipelines.spatial.bucketed_sum`) moves only (window, by) partials.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ import numpy as np
 
 from proj_ray.dsutil import merged
 from proj_ray.exchange import N_BUCKETS, co_partition
+from proj_ray.pipelines.spatial import bucketed_sum
 
 
 def _ts_us(arr) -> np.ndarray:
@@ -167,10 +168,8 @@ def window_aggregate(ds, ts_col: str, value_col: str,
     floor(ts / every) * every. The value is fixed-point scaled before
     the sum (matching the suite's other money/value aggregations) so
     the result is integer-exact and SQL-reproducible. Partials are
-    combined inside map_batches; the all-to-all moves only
+    combined inside map_batches; the keyed sum moves only
     (window[, by]) partial rows."""
-    from ray.data.aggregate import Sum
-
     keys = ["window_start"] + ([by] if by else [])
 
     def partial(batch):
@@ -185,25 +184,16 @@ def window_aggregate(ds, ts_col: str, value_col: str,
         })
         if by:
             df[by] = np.asarray(batch[by])
-        g = df.groupby(keys, sort=False, as_index=False).agg(
+        return df.groupby(keys, sort=False, as_index=False).agg(
             v_sum=("v_c", "sum"), n=("v_c", "size"))
-        g["n"] = g["n"].astype(np.int64)
-        return g
 
-    agg = (ds.map_batches(partial, batch_format="numpy")
-           .groupby(keys)
-           .aggregate(Sum("v_sum", alias_name="v_total"),
-                      Sum("n", alias_name="n_rows")))
-
-    def final(batch):
-        import pandas as pd
-
-        df = pd.DataFrame({k: np.asarray(batch[k]) for k in keys})
-        df["sum_value"] = np.asarray(batch["v_total"]) / scale
-        df["n"] = np.asarray(batch["n_rows"]).astype(np.int64)
+    def final(df):
+        df["sum_value"] = df.pop("v_sum") / scale
         return df
 
-    return agg.map_batches(final, batch_format="numpy")
+    return bucketed_sum(ds.map_batches(partial, batch_format="numpy"),
+                        keys, ["v_sum", "n"], ["v_sum", "n"]) \
+        .map_batches(final, batch_format="pandas")
 
 
 def sessionize(ds, key_col: str, ts_col: str, gap_us: int,

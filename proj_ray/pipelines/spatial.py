@@ -2,13 +2,19 @@
 z/x/y tiles -> PIP join vs broadcast polygon index -> per-tile counts.
 
 Aggregation paths:
-- `bucketed_sum`: the one driver-or-exchange combine of a (key,
-  partial) table. `dsutil.driver_table` materializes its input once; a
-  table of at most DRIVER_FINISH_ROWS rows is pulled as Arrow and
-  summed on the driver by `key_sum` (NumPy, int64, no exchange) and
-  goes back as `dsutil.from_arrow` blocks of the one-block rule; a
-  larger one is summed by `key_sum` per bucket of
-  `exchange.co_partition`.
+- `bucketed_sum`: the engine's one keyed integer sum, the
+  driver-or-exchange combine of a (key, partial) table; every
+  integer group-by count or sum in the engine goes through it (a count
+  is a sum of per-row 1s or per-block partial counts). Keys are one
+  column or several, of any Arrow type; null keys form one group, as
+  in SQL; several value columns sum in one pass.
+  `dsutil.driver_table` materializes its input once; a table of at
+  most DRIVER_FINISH_ROWS rows is pulled as Arrow and summed on the
+  driver by `key_sum` (NumPy, int64, no exchange) and goes back as
+  `dsutil.from_arrow` blocks of the one-block rule; a larger one is
+  summed by `key_sum` per bucket of `exchange.co_partition`. A key
+  other than one integer column without nulls is first reduced to
+  int64 group codes (`_group_codes`).
 - `headline_spatial`: fused actor stage emits per-batch partial
   (tile, count) pairs; the combine moves O(#tiles × #blocks) rows —
   the shuffle-minimal shape.
@@ -177,23 +183,36 @@ def headline_spatial(n_rows: int, num_cpus: int = 32, zoom: int = 10,
     return total, None
 
 
-def bucketed_sum(parts, key_col: str, val_col: str, out_col: str):
-    """Sum-combine of a (key, partial) table into (key_col int64,
-    out_col int64), run eagerly: `dsutil.driver_table` materializes the
-    input once, in the same execution as whatever feeds it (an already
-    materialized input costs nothing more).
+def bucketed_sum(parts, key_col, val_col, out_col):
+    """Keyed sum of a (key, partial) table into (key columns, out_col
+    int64), run eagerly: `dsutil.driver_table` materializes the input
+    once, in the same execution as whatever feeds it (an already
+    materialized input costs nothing more). The engine's one keyed
+    integer sum: a group-by count is the sum of a per-row 1, or of a
+    per-block partial count, that the caller's map emits.
+
+    `key_col` is a column name or a list of them, of any Arrow type
+    (int, float, string, ..., with nulls); `val_col` and `out_col` are
+    a name or equal-length lists of names of integer columns. Null keys
+    form one group, as in SQL's GROUP BY, and an output key column
+    keeps its input's Arrow type.
 
     One per-key sum (`key_sum`: a stable argsort and `np.add.reduceat`
     on int64, exact at any total) runs on both routes: on the table
     pulled as Arrow when it has at most DRIVER_FINISH_ROWS rows, so no
     exchange runs, and otherwise once per bucket of
-    `exchange.co_partition`. The exchange sorts on the small int bucket
+    `exchange.co_partition`. A single integer key without nulls is
+    summed as it is; any other key first becomes int64 group codes
+    (`_group_codes`). The exchange sorts on the small int bucket
     column, never on the keys themselves: ray.data's
     `groupby(key).aggregate(Sum(...))` runs a Python loop over every
     KEY on both the map and reduce sides (~80 us/row measured — 4.9 s
     for a 131k-row partial table at 4 cpus). The driver route's table
-    goes back through `dsutil.from_arrow`, in blocks of at most
-    ONE_BLOCK_ROWS rows. An empty input gives a typed zero-row table."""
+    has its keys ascending (nulls last) and goes back through
+    `dsutil.from_arrow`, in blocks of at most ONE_BLOCK_ROWS rows; the
+    exchange route's keys ascend within each bucket. An empty input
+    gives a typed zero-row table (int64 where the input has no type to
+    keep)."""
     return _finish_sum(*dsutil.driver_table(
         parts, dsutil.DRIVER_FINISH_ROWS, arrow=True),
         key_col, val_col, out_col)
@@ -201,38 +220,87 @@ def bucketed_sum(parts, key_col: str, val_col: str, out_col: str):
 
 def key_sum(keys, vals) -> tuple[np.ndarray, np.ndarray]:
     """(distinct keys ascending, sum of `vals` per key), both int64.
-    Exact: int64 throughout, no float weights."""
+    `vals` is one array, or a 2-D (rows, columns) array summed column
+    by column. Exact: int64 throughout, no float weights."""
     keys = np.asarray(keys, dtype=np.int64)
+    vals = np.asarray(vals, dtype=np.int64)
     if not len(keys):
-        return keys, np.empty(0, np.int64)
+        return keys, np.empty(vals.shape, np.int64)
     order = np.argsort(keys, kind="stable")
     keys = keys[order]
     starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
-    return keys[starts], np.add.reduceat(
-        np.asarray(vals, dtype=np.int64)[order], starts)
+    return keys[starts], np.add.reduceat(vals[order], starts)
 
 
-def _finish_sum(parts, table, key_col: str, val_col: str, out_col: str):
+def _names(col) -> list[str]:
+    return [col] if isinstance(col, str) else list(col)
+
+
+def _group_codes(cols) -> tuple[np.ndarray, np.ndarray]:
+    """(int64 group code per row, the index of one row of each code) of
+    the key columns `cols` (Arrow). Each column is factorized with
+    `pd.factorize(sort=True, use_na_sentinel=False)` and each pair of
+    code columns is combined and factorized again, so codes stay below
+    the row count. Codes ascend with the keys (nulls last), and the
+    nulls of a column are one group."""
+    import pandas as pd
+    import pyarrow.compute as pc
+
+    codes = None
+    for col in cols:
+        if pa.types.is_dictionary(col.type):
+            col = pc.cast(col, col.type.value_type)
+        c, u = pd.factorize(col.to_pandas(types_mapper=pd.ArrowDtype),
+                            sort=True, use_na_sentinel=False)
+        codes = c if codes is None else \
+            pd.factorize(codes * len(u) + c, sort=True)[0]
+    codes = codes.astype(np.int64)
+    first = np.empty(int(codes.max()) + 1 if len(codes) else 0, np.int64)
+    first[codes] = np.arange(len(codes))
+    return codes, first
+
+
+def _sum_table(table, key_col, val_col, out_col):
+    """`bucketed_sum` of one Arrow table (the pulled table or one
+    exchange bucket): the key columns, keys ascending, then one int64
+    sum per value column."""
+    keys, vals, outs = _names(key_col), _names(val_col), _names(out_col)
+    if not table.num_rows:  # an empty input may have no typed columns
+        typed = {f.name: f.type for f in table.schema
+                 if f.name in keys and not pa.types.is_null(f.type)}
+        table = pa.table({c: pa.array([], typed.get(c, pa.int64()))
+                          for c in keys + vals})
+    v = [table.column(c).to_numpy() for c in vals]
+    v = v[0] if len(v) == 1 else np.column_stack(v)
+    key = table.column(keys[0])
+    if (len(keys) == 1 and pa.types.is_integer(key.type)
+            and not key.null_count):
+        k, sums = key_sum(key.to_numpy(), v)
+        out = [pa.array(k, key.type)]
+    else:
+        codes, first = _group_codes([table.column(c) for c in keys])
+        sums = key_sum(codes, v)[1]
+        out = [table.column(c).take(first) for c in keys]
+    sums = sums.reshape(len(sums), len(outs))
+    return pa.table(dict(zip(keys + outs, out + [
+        np.ascontiguousarray(sums[:, j]) for j in range(len(outs))])))
+
+
+def _finish_sum(parts, table, key_col, val_col, out_col):
     """`bucketed_sum` after `dsutil.driver_table` chose its route: the
     pulled Arrow `table`, or the materialized `parts` when `table` is
     None. An empty input gives a typed zero-row table on either
     route."""
-    import pandas as pd
-
     from proj_ray.exchange import co_partition
 
-    if table is None and parts.count():
-        def bucket_sum(g: pd.DataFrame) -> pd.DataFrame:
-            k, n = key_sum(g[key_col].to_numpy(), g[val_col].to_numpy())
-            return pd.DataFrame({key_col: k, out_col: n})
-
-        return co_partition(parts, key_col, bucket_sum)
-    if table is not None and table.num_rows:
-        k, n = key_sum(table.column(key_col).to_numpy(),
-                       table.column(val_col).to_numpy())
-    else:  # an empty input may have no columns to take dtypes from
-        k = n = np.empty(0, np.int64)
-    return dsutil.from_arrow(pa.table({key_col: k, out_col: n}))
+    if table is None:
+        if parts.count():
+            return co_partition(
+                parts, _names(key_col),
+                lambda g: _sum_table(g, key_col, val_col, out_col),
+                batch_format="pyarrow")
+        table = dsutil.pull_arrow(parts)
+    return dsutil.from_arrow(_sum_table(table, key_col, val_col, out_col))
 
 
 class FusedSaltedTileStage:

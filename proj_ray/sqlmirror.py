@@ -18,11 +18,11 @@ def geotag(i: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             (i * 75487 % 170000) / 1000.0 - 85.0)
 
 
-def milli(col) -> np.ndarray:
-    """`col` * 1000 rounded half away from zero to int64: SQL's
-    CAST(round(col * 1000) AS BIGINT). `np.rint` would round half to
-    even."""
-    x = np.asarray(col, np.float64) * 1000
+def milli(col, scale) -> np.ndarray:
+    """`col` * `scale` rounded half away from zero to int64: SQL's
+    CAST(round(col * scale) AS BIGINT), e.g. cents at scale 100.
+    `np.rint` would round half to even."""
+    x = np.asarray(col, np.float64) * scale
     r = np.trunc(x)
     # x - trunc(x) is exact, so the half test sees the true fraction
     return (r + np.where(np.abs(x - r) >= 0.5, np.sign(x), 0.0)) \

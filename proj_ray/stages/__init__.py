@@ -9,8 +9,12 @@ Every stage is a thin wrapper that applies a vectorized kernel with
   - stateful lookups (spatial join)           -> broadcast object
     (`ray.put` once), fetched once per worker process by task
     `map_batches`
-  - wide steps (census, knn merge, tile agg)  -> groupby/aggregate with
-    pre-aggregation inside map_batches where possible
+  - wide steps (census, tile agg)             -> per-block partials
+    inside map_batches, then the one keyed sum
+    (`pipelines.spatial.bucketed_sum`: a driver finish under
+    `dsutil.DRIVER_FINISH_ROWS`, one `exchange.co_partition` above)
+  - the knn merge                            -> per-round candidates,
+    top-k merged on the driver
 
 The row-wise stages (reproject, with_cells, with_tiles,
 with_salted_cells, spatial_join) run on Arrow batches
@@ -149,29 +153,26 @@ def with_tiles(ds, zoom: int, lon_col: str = "lon", lat_col: str = "lat"):
 
 def cell_census(ds, cell_col: str = "cell"):
     """groupby(cell).count() with per-batch pre-aggregation: the partial
-    combine collapses each batch to its unique cells before the shuffle,
-    so the all-to-all moves O(#distinct cells), not O(#rows)."""
+    combine collapses each batch to its unique cells before the keyed
+    sum, so it moves O(#distinct cells), not O(#rows)."""
+    from proj_ray.pipelines.spatial import bucketed_sum
 
     def partial(batch: dict) -> dict:
         cells, counts = np.unique(batch[cell_col], return_counts=True)
         return {"cell": cells, "partial_count": counts}
 
-    from ray.data.aggregate import Sum
-
-    return (ds.map_batches(partial, batch_format="numpy")
-            .groupby("cell")
-            .aggregate(Sum("partial_count", alias_name="n")))
+    return bucketed_sum(ds.map_batches(partial, batch_format="numpy"),
+                        "cell", "partial_count", "n")
 
 
 def hot_cells(ds, cell_col: str = "cell", threshold: int = 10000) -> set:
     """Census pass returning the set of cells above `threshold` rows —
     the input to salting (measured, not guessed)."""
-    census = cell_census(ds, cell_col)
-    out = set()
-    for b in census.iter_batches(batch_format="numpy"):
-        sel = b["n"] >= threshold
-        out.update(int(c) for c in np.asarray(b["cell"])[sel])
-    return out
+    from proj_ray.dsutil import pull_arrow
+
+    census = pull_arrow(cell_census(ds, cell_col))
+    sel = census.column("n").to_numpy() >= threshold
+    return set(census.column("cell").to_numpy()[sel].tolist())
 
 
 def _stable_row_key(keys) -> np.ndarray:

@@ -184,3 +184,87 @@ def test_no_function_takes_a_route_size_parameter():
            for fn, name in _route_params(path.read_text())]
     assert not bad, "route by dsutil.driver_table, not a parameter: " \
         + ", ".join(bad)
+
+
+# functions whose streaming combine is not a keyed integer sum: a
+# Misra-Gries merge, min/max, a guarded vocabulary, a co_partition
+# finalize
+ALLOWED_COMBINES = {
+    "proj_ray/functions/sketch.py": {"heavy_hitters"},
+    "proj_ray/functions/stats.py": {"profile_numeric"},
+    "proj_ray/functions/text.py": {"document_frequencies",
+                                   "cooccurrence_pmi"},
+}
+
+
+def _sums(node) -> bool:
+    """Whether `node` calls `.groupby(...)` or `.sum(...)`."""
+    return any(isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
+               and n.func.attr in ("groupby", "sum") for n in ast.walk(node))
+
+
+def _keyed_sums(source: str):
+    """(top-level function, kind) of every hand-rolled keyed sum:
+    "aggregate" for a `groupby(...).aggregate(...)` whose aggregators
+    are all `Sum`/`Count`, "combine" for a streaming combine: a
+    `map_batches(f, ...)` whose `f`, a lambda or a def named `combine`
+    in the same function, groups or sums (an OR of bit arrays, as in
+    `stages.build_bloom`, is not a sum)."""
+    found = []
+    for top in ast.parse(source).body:
+        defs = {n.name: n for n in ast.walk(top)
+                if isinstance(n, ast.FunctionDef)}
+        for node in ast.walk(top):
+            if not (isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)):
+                continue
+            name = getattr(top, "name", None)
+            inner = node.func.value
+            if (node.func.attr == "aggregate" and node.args
+                    and isinstance(inner, ast.Call)
+                    and isinstance(inner.func, ast.Attribute)
+                    and inner.func.attr == "groupby"
+                    and all(isinstance(a, ast.Call)
+                            and getattr(a.func, "id", None) in ("Sum",
+                                                                "Count")
+                            for a in node.args)):
+                found.append((name, "aggregate"))
+            if node.func.attr == "map_batches" and node.args:
+                f = node.args[0]
+                body = f if isinstance(f, ast.Lambda) else \
+                    defs.get(getattr(f, "id", None) == "combine"
+                             and "combine")
+                if body is not None and _sums(body):
+                    found.append((name, "combine"))
+    return found
+
+
+def test_keyed_sum_ratchet_catches_both_shapes():
+    src = ("def q(ds):\n"
+           "    def combine(df):\n"
+           "        return df.groupby('k', as_index=False).sum()\n"
+           "    a = ds.groupby('k').aggregate(Count(), Sum('v'))\n"
+           "    b = ds.groupby('k').aggregate(Count(), Max('v'))\n"
+           "    c = ds.map_batches(combine).map_batches(\n"
+           "        lambda df: df.groupby('k').sum())\n"
+           "    d = ds.map_batches(lambda t: t.select(['k']))\n")
+    assert _keyed_sums(src) == [("q", "aggregate"), ("q", "combine"),
+                                ("q", "combine")]
+
+
+def test_keyed_sums_go_through_bucketed_sum():
+    files = [ROOT / "__ray_entry__.py", *sorted(
+        (ROOT / "proj_ray").rglob("*.py"))]
+    bad = []
+    for path in files:
+        rel = path.relative_to(ROOT).as_posix()
+        for fn, kind in _keyed_sums(path.read_text()):
+            if kind == "aggregate" or \
+                    fn not in ALLOWED_COMBINES.get(rel, set()):
+                bad.append(f"{rel} {fn} ({kind})")
+    assert not bad, "hand-rolled keyed sum; use " \
+        "pipelines.spatial.bucketed_sum: " + ", ".join(bad)
+    for rel, names in ALLOWED_COMBINES.items():
+        seen = {fn for fn, kind in _keyed_sums((ROOT / rel).read_text())
+                if kind == "combine"}
+        assert seen == names, f"stale allowlist for {rel}: {seen}"

@@ -47,23 +47,27 @@ def _sql_column(con, expr: str, v: np.ndarray) -> np.ndarray:
 
 
 def test_milli_rounds_like_sql():
-    halves = np.array([(k + 0.5) / 1000 for k in range(-40, 40)])
-    # every v * 1000 here is exactly k.5: the tie cases
-    x = halves * 1000
-    assert (x == np.floor(x) + 0.5).all()
-    rng = np.random.default_rng(7)
-    v = np.concatenate([
-        halves,
-        [0.49999999999999994 / 1000, -0.49999999999999994 / 1000,
-         0.0, -0.0, 4503599627370497 / 1000, -4503599627370497 / 1000],
-        rng.normal(0, 50, 200)])
-    want = _sql_column(duckdb.connect(),
-                       "CAST(round(v * 1000) AS BIGINT)", v)
-    got = E._milli(v)
-    assert got.dtype == np.int64
-    assert np.array_equal(got, want)
-    # the ties are where half-to-even rounding would differ
-    assert not np.array_equal(np.rint(v * 1000).astype(np.int64), want)
+    con = duckdb.connect()
+    for scale in (100, 1000, 10000):
+        halves = np.array([(k + 0.5) / scale for k in range(-400, 400)])
+        # keep the v whose v * scale is exactly k.5: the tie cases
+        x = halves * scale
+        halves = halves[x == np.floor(x) + 0.5]
+        assert len(halves) > 600
+        rng = np.random.default_rng(7)
+        v = np.concatenate([
+            halves,
+            [0.49999999999999994 / scale, -0.49999999999999994 / scale,
+             0.0, -0.0, 4503599627370497 / scale,
+             -4503599627370497 / scale],
+            rng.normal(0, 50, 200)])
+        want = _sql_column(con, f"CAST(round(v * {scale}) AS BIGINT)", v)
+        got = E._milli(v, scale)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, want), scale
+        # the ties are where half-to-even rounding would differ
+        assert not np.array_equal(np.rint(v * scale).astype(np.int64),
+                                  want)
 
 
 def test_geotag_matches_sql():

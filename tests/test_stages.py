@@ -509,13 +509,16 @@ def test_tile_counts_empty_input_is_typed(ray_session, monkeypatch):
 def test_bucketed_sum_routes(ray_session, monkeypatch):
     """Under the cap bucketed_sum runs no groupby and equals a NumPy
     sum; empty input gives a typed zero-row table; with the cap at 0 the
-    bucketed exchange gives the same table."""
+    bucketed exchange gives the same table. Keys of several columns of
+    any type, with nulls, sum like pandas on both routes."""
     import pandas as pd
+    import pyarrow as pa
     import ray.data as rd
 
     from proj_ray import dsutil
     from proj_ray.pipelines import spatial
 
+    driver_cap = dsutil.DRIVER_FINISH_ROWS
     rng = np.random.default_rng(5)
     keys = rng.integers(-50, 2000, 20000) * np.int64(1 << 33)
     vals = rng.integers(0, 1000, 20000)
@@ -551,10 +554,52 @@ def test_bucketed_sum_routes(ray_session, monkeypatch):
     check(spatial.bucketed_sum(parts, "k", "v", "s"))
     assert grouped == [("_bk",)]
 
+    # a (string, float, int64) key with null keys, two value columns:
+    # equal to pandas' groupby(dropna=False).sum() on both routes, keys
+    # ascending (nulls last) on the driver route, and an empty input
+    # keeps each key's Arrow type with int64 sums
+    n = 3000
+    mixed = pd.DataFrame({
+        "s": [None if x % 11 == 0 else f"s{x % 7}" for x in range(n)],
+        "f": [None if x % 13 == 0 else (x % 5) / 2 for x in range(n)],
+        "i": rng.integers(-3, 3, n),
+        "a": rng.integers(0, 100, n), "b": rng.integers(-50, 50, n)})
+    schema = pa.schema([("s", pa.string()), ("f", pa.float64()),
+                        ("i", pa.int64()), ("a", pa.int64()),
+                        ("b", pa.int64())])
+    keys = ["s", "f", "i"]
+    ref = (mixed.groupby(keys, dropna=False)[["a", "b"]].sum()
+           .reset_index().rename(columns={"a": "sa", "b": "sb"})
+           .sort_values(keys, na_position="last", ignore_index=True))
+    assert ref["s"].isna().any() and ref["f"].isna().any()
+    ref["s"] = ref["s"].astype(object).where(ref["s"].notna(), None)
+    mixed_parts = rd.from_arrow([pa.Table.from_pandas(
+        mixed.iloc[i::4], schema=schema, preserve_index=False)
+        for i in range(4)])
+    empty = rd.from_arrow(schema.empty_table())
+    for cap in (driver_cap, -1):
+        monkeypatch.setattr(dsutil, "DRIVER_FINISH_ROWS", cap)
+        got = dsutil.pull_arrow(spatial.bucketed_sum(
+            mixed_parts, keys, ["a", "b"], ["sa", "sb"]))
+        assert got.schema.names == keys + ["sa", "sb"]
+        assert [str(t) for t in got.schema.types] == \
+            ["string", "double", "int64", "int64", "int64"]
+        got = got.to_pandas()
+        if cap < 0:
+            got = got.sort_values(keys, na_position="last",
+                                  ignore_index=True)
+        pd.testing.assert_frame_equal(got, ref)
+        out = spatial.bucketed_sum(empty, keys, ["a", "b"], ["sa", "sb"])
+        assert out.count() == 0
+        assert out.schema().names == keys + ["sa", "sb"]
+        assert [str(t) for t in out.schema().types] == \
+            ["string", "double", "int64", "int64", "int64"]
+
 
 def test_bucketed_sum_is_exact_past_2_53(ray_session, monkeypatch):
     """Per-key int64 sums past 2**53 (where a float sum rounds) are
-    exact on the driver route and on the exchange (cap -1), and an
+    exact on the driver route and on the exchange (cap -1), also under
+    a key of two columns with a null and for two value columns, and an
     empty input gives a typed (int64, int64) zero-row table on both."""
     import pyarrow as pa
     import ray.data as rd
@@ -569,12 +614,25 @@ def test_bucketed_sum_is_exact_past_2_53(ray_session, monkeypatch):
                         "v": np.array([2 ** 60 + 1, big + 3], np.int64)})]
     want = {7: big + 1 + 2 ** 60 + 1, 8: big + 4}
     assert float(want[7]) != want[7]  # a float sum could not hold it
+    # the same sums under a (string with a null, int) key, twice over
+    named = [b.append_column("name", pa.array(
+        [None if k == 8 else "x" for k in b.column("k").to_pylist()]))
+        .append_column("w", b.column("v")) for b in blocks]
     for cap in (dsutil.DRIVER_FINISH_ROWS, -1):
         monkeypatch.setattr(dsutil, "DRIVER_FINISH_ROWS", cap)
         out = dsutil.pull_arrow(
             spatial.bucketed_sum(rd.from_arrow(blocks), "k", "v", "s"))
         assert dict(zip(out.column("k").to_pylist(),
                         out.column("s").to_pylist())) == want
+        out = dsutil.pull_arrow(spatial.bucketed_sum(
+            rd.from_arrow(named), ["name", "k"], ["v", "w"], ["s", "t"]))
+        assert sorted(zip(out.column("name").to_pylist(),
+                          out.column("k").to_pylist(),
+                          out.column("s").to_pylist(),
+                          out.column("t").to_pylist()),
+                      key=repr) == sorted(
+            [("x", 7, want[7], want[7]), (None, 8, want[8], want[8])],
+            key=repr)
         empty = rd.from_items([{"k": 1, "v": 2}]).filter(lambda r: False)
         out = spatial.bucketed_sum(empty, "k", "v", "s")
         assert out.count() == 0

@@ -1,6 +1,8 @@
 """Local replica of the driver's correctness gate: run each queries()
 entry and its oracle_sql() side by side, compare row count + schema +
 order-insensitive values. Usage: python tools/check_queries.py [sf_dir]
+[qNN_name ...]. The last line sums up the run: queries run, failures
+and the Ray side's seconds summed over the queries.
 
 DuckDB runs under a memory limit of a quarter of the host's RAM (its
 default is 80%, and q19's and q62's sf0.1 oracles grew the checker past
@@ -112,10 +114,12 @@ def check(sf_dir: str, only: list[str], con) -> int:
                     f"read_parquet('{sf_dir}/{t}.parquet')")
     qs = E.queries()
     oracles = E.oracle_sql()
-    failures = 0
+    failures = ran = 0
+    ray_s = 0.0
     for name, fn in qs.items():
         if only and name not in only:
             continue
+        ran += 1
         t0 = time.time()
         try:
             res = to_pandas(fn(sf_dir))
@@ -124,6 +128,7 @@ def check(sf_dir: str, only: list[str], con) -> int:
             failures += 1
             continue
         dt = time.time() - t0
+        ray_s += dt
         try:
             sql_df = con.execute(oracles[name]).fetchdf()
         except Exception as exc:  # noqa: BLE001
@@ -137,6 +142,7 @@ def check(sf_dir: str, only: list[str], con) -> int:
         if verdict != "OK":
             failures += 1
     ray.shutdown()
+    print(f"{ran} queries, {failures} failed, ray {ray_s:.1f}s")
     return failures
 
 
